@@ -98,13 +98,9 @@ def _emit(args, payload: dict, table_order=None):
             print(f"{key}: {value}")
 
 
-def _padic_str(value) -> str:
-    return str(value)
-
-
 def cmd_res(args) -> int:
     req = _build_request(args)
-    value = cyclic_resultant(req, jobs=args.jobs)
+    value = cyclic_resultant(req)
     payload = {
         "command": "res",
         "p": args.prime,
@@ -130,15 +126,15 @@ def cmd_res(args) -> int:
 def cmd_climit(args) -> int:
     num_vars = args.vars if args.vars is not None else 1
     f = parse_poly(args.expr, num_vars)
-    est = limit_estimate(f, args.prime, args.digits, mask=args.mask, jobs=args.jobs)
+    est = limit_estimate(f, args.prime, args.digits, mask=args.mask)
     payload = {
         "command": "climit",
         "p": args.prime,
         "K": args.digits,
         "mask": args.mask,
         "zero_limit": zero_limit_predicate(f, args.prime),
-        "raw_limit": _padic_str(est.value),
-        "nonp_limit": _padic_str(est.nonp_value) if est.nonp_value is not None else "undefined (vanishing resultants)",
+        "raw_limit": str(est.value),
+        "nonp_limit": str(est.nonp_value) if est.nonp_value is not None else "undefined (vanishing resultants)",
         "certified_digits": "exact" if est.certified_digits is None else est.certified_digits,
         "nonp_certified_digits": est.nonp_certified_digits,
         "stabilized": est.stabilized,
@@ -197,7 +193,7 @@ def cmd_linkh1(args) -> int:
         link = trefoil_spec()
     levels = _parse_levels(args.levels)
     cov = CoveringSpec(args.prime, levels)
-    result = h1_order(link, cov, jobs=args.jobs)
+    result = h1_order(link, cov)
     payload = {
         "order": _format_int(result.order, args.truncate),
         "nonp": _format_int(result.nonp_part, args.truncate),
@@ -235,10 +231,10 @@ def cmd_whitehead(args) -> int:
     agree = empirical.nonp_value is not None and closed.value.eq_mod(empirical.nonp_value, digits)
     payload.update(
         {
-            "closed_form": _padic_str(closed.value),
+            "closed_form": str(closed.value),
             "closed_form_residue": closed.value.residue(digits),
             "achieved_digits": closed.achieved_digits,
-            "empirical": _padic_str(empirical.nonp_value),
+            "empirical": str(empirical.nonp_value),
             "compared_digits": digits,
             "agree": agree,
             "per_level_nu_sums": [list(row) for row in closed.per_level],
@@ -280,10 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, levels=True):
+    def common(p):
         p.add_argument("-p", "--prime", type=int, default=2)
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--truncate", type=int, default=None, metavar="DIGITS")
 
     res = sub.add_parser("res", help="masked iterated cyclic resultant of a polynomial")
@@ -338,6 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # big integers print in full: lift the int/str digit limit (Python
+    # 3.10.7+) for the whole process, since callers may parse the output back
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -286,27 +286,6 @@ def _divmod_fp(a, b, p):
     return _trim(q), _trim(a[: len(b) - 1])
 
 
-# ---------------------------------------------------------------------------
-# module-level spellings matching the operation names
-# ---------------------------------------------------------------------------
-
-
-def make(p: int, m: int, K: int, coeffs) -> CycloPadic:
-    return CycloPadic(p, m, K, coeffs)
-
-
-def add(x: CycloPadic, y: CycloPadic) -> CycloPadic:
-    return x + y
-
-
-def mul(x: CycloPadic, y: CycloPadic) -> CycloPadic:
-    return x * y
-
-
-def invert_unit(x: CycloPadic) -> CycloPadic:
-    return x.invert_unit()
-
-
 def pi_valuation(x: CycloPadic) -> int:
     """v_pi(x), an integer (v_pi(p) = phi(p^m) by total ramification)."""
     n = x.norm_lift()

@@ -62,14 +62,7 @@ class LimitEstimate:
     window: Tuple[Tuple[int, int, int], ...]
 
 
-def limit_estimate(
-    f: MultiPoly,
-    p: int,
-    K: int,
-    mask: str = "r",
-    jobs: int = 1,
-    budget: int | None = None,
-) -> LimitEstimate:
+def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstimate:
     """Limit of the masked resultant sequence and of its non-p parts, mod p^K.
 
     Diagonal values at levels (k,...,k) are computed for k = 1..K; the value
@@ -84,7 +77,7 @@ def limit_estimate(
     diag = []
     for k in range(1, K + 1):
         req = _request(f, p, (k,) * d, mask)
-        diag.append(cyclic_resultant(req, jobs=jobs, budget=budget))
+        diag.append(cyclic_resultant(req))
     if any(v == 0 for v in diag):
         # a masked resultant vanishes identically: the sequence (and its
         # non-p part, since nonp(0) = 0) is exactly 0 from that level on
@@ -306,9 +299,7 @@ class OrderInvarianceReport:
         return self.ok
 
 
-def order_invariance_check(
-    f: MultiPoly, p: int, levels, mask: str = "r", jobs: int = 1
-) -> OrderInvarianceReport:
+def order_invariance_check(f: MultiPoly, p: int, levels, mask: str = "r") -> OrderInvarianceReport:
     """Two order-independence properties of the masked values.
 
     (i) permuting the variables of f together with the levels leaves the
@@ -321,13 +312,13 @@ def order_invariance_check(
     levels = tuple(levels)
     if d <= 1:
         return OrderInvarianceReport(True, "univariate: trivially order-free")
-    base = cyclic_resultant(_request(f, p, levels, mask), jobs=jobs)
+    base = cyclic_resultant(_request(f, p, levels, mask))
     for perm in itertools.permutations(range(1, d + 1)):
         f_perm = f.permute_vars(perm)
         lv = [0] * d
         for i in range(d):
             lv[perm[i] - 1] = levels[i]
-        other = cyclic_resultant(_request(f_perm, p, tuple(lv), mask), jobs=jobs)
+        other = cyclic_resultant(_request(f_perm, p, tuple(lv), mask))
         if other != base:
             return OrderInvarianceReport(
                 False, f"permutation {perm}: {other} != {base}"
@@ -338,7 +329,7 @@ def order_invariance_check(
             current[var] = levels[var]
             if tuple(current) == levels:
                 break
-            value = cyclic_resultant(_request(f, p, tuple(current), mask), jobs=jobs)
+            value = cyclic_resultant(_request(f, p, tuple(current), mask))
             pending = [current[i] for i in range(d) if current[i] < levels[i]]
             modulus = p ** min(pending)
             if (value - base) % modulus != 0:

@@ -49,16 +49,21 @@ class LinkSpec:
     name: str = ""
 
     def __post_init__(self):
+        for subset in self.subsets():
+            key = frozenset(subset)
+            if key not in self.sublinks:
+                raise ValueError(f"missing sublink entry for components {sorted(subset)}")
+            poly = self.sublinks[key]
+            if poly.num_vars != len(subset):
+                raise ValueError(
+                    f"sublink {sorted(subset)}: polynomial has {poly.num_vars} variables, expected {len(subset)}"
+                )
+
+    def subsets(self):
+        """Every nonempty sublink as a sorted tuple of 1-based components,
+        by size, then lexicographically."""
         for size in range(1, self.d + 1):
-            for subset in itertools.combinations(range(1, self.d + 1), size):
-                key = frozenset(subset)
-                if key not in self.sublinks:
-                    raise ValueError(f"missing sublink entry for components {sorted(subset)}")
-                poly = self.sublinks[key]
-                if poly.num_vars != size:
-                    raise ValueError(
-                        f"sublink {sorted(subset)}: polynomial has {poly.num_vars} variables, expected {size}"
-                    )
+            yield from itertools.combinations(range(1, self.d + 1), size)
 
     def alexander(self, subset) -> MultiPoly:
         return self.sublinks[frozenset(subset)]
@@ -195,15 +200,6 @@ def trefoil_spec() -> LinkSpec:
 # ---------------------------------------------------------------------------
 
 
-def _sublink_requests(link: LinkSpec, cov: CoveringSpec):
-    for size in range(1, link.d + 1):
-        for subset in itertools.combinations(range(1, link.d + 1), size):
-            levels = tuple(cov.levels[i - 1] for i in subset)
-            yield subset, CyclicResultantRequest.rprime(
-                link.alexander(subset), cov.p, levels
-            )
-
-
 def _assert_prefactor_cancels(cov: CoveringSpec):
     # |G| / prod_{single-component xi} |1 - xi(meridian)|: each variable
     # contributes prod_{zeta != 1} (1 - zeta) = (t^{p^n}-1)/(t-1) at t=1 = p^n.
@@ -217,7 +213,14 @@ def _assert_prefactor_cancels(cov: CoveringSpec):
             )
 
 
-def h1_order(link: LinkSpec, cov: CoveringSpec, jobs: int = 1, budget: int | None = None) -> H1Result:
+def _parity_sign(delta: MultiPoly) -> int:
+    # sign of Delta_S(-1,...,-1): at p = 2 the sign of every j>=1-masked
+    # resultant of Delta_S (0 when the deciding value vanishes)
+    value = delta.evaluate((-1,) * delta.num_vars)
+    return (value > 0) - (value < 0)
+
+
+def h1_order(link: LinkSpec, cov: CoveringSpec) -> H1Result:
     """|H_1| of the diagonal branched cover, as the product over nonempty
     sublinks S of |masked resultant of Delta_S at levels (n_i)_{i in S}|.
 
@@ -230,17 +233,13 @@ def h1_order(link: LinkSpec, cov: CoveringSpec, jobs: int = 1, budget: int | Non
         raise ValueError("covering levels must list one entry per component")
     _assert_prefactor_cancels(cov)
     order = 1
-    for subset, req in _sublink_requests(link, cov):
-        value = cyclic_resultant(req, jobs=jobs, budget=budget)
+    for subset in link.subsets():
+        delta = link.alexander(subset)
+        levels = tuple(cov.levels[i - 1] for i in subset)
+        value = cyclic_resultant(CyclicResultantRequest.rprime(delta, cov.p, levels))
         if value == 0:
             return H1Result(order=0, nonp_part=0, p_exponent=0)
-        predicted = 1
-        if cov.p == 2:
-            at_minus_one = link.alexander(subset).evaluate((-1,) * len(subset))
-            if at_minus_one:
-                predicted = 1 if at_minus_one > 0 else -1
-            else:
-                predicted = 0
+        predicted = _parity_sign(delta) if cov.p == 2 else 1
         if predicted and (value > 0) != (predicted > 0):
             raise OracleMismatchError(
                 f"sign of masked resultant for sublink {subset} contradicts the parity prediction"
@@ -253,18 +252,13 @@ def h1_order(link: LinkSpec, cov: CoveringSpec, jobs: int = 1, budget: int | Non
     )
 
 
-def h1_nonp_limit(link: LinkSpec, p: int, K: int, jobs: int = 1, budget: int | None = None) -> LimitEstimate:
+def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
     """p-adic limit of the non-p parts of |H_1| along the diagonal covers.
 
     The product over sublinks of the masked-resultant non-p limits; the
     certificates combine multiplicatively (weakest certified digit wins).
     """
-    estimates = []
-    for size in range(1, link.d + 1):
-        for subset in itertools.combinations(range(1, link.d + 1), size):
-            estimates.append(
-                limit_estimate(link.alexander(subset), p, K, mask="rprime", jobs=jobs, budget=budget)
-            )
+    estimates = [limit_estimate(link.alexander(s), p, K, mask="rprime") for s in link.subsets()]
     if any(e.degenerate for e in estimates):
         # some cover is not a rational homology sphere: |H_1| = 0 by the
         # infinite-group convention, and its non-p part is 0 with it
@@ -292,11 +286,10 @@ def h1_nonp_limit(link: LinkSpec, p: int, K: int, jobs: int = 1, budget: int | N
     # homology orders take |.| per sublink factor; at p = 2 the factor signs
     # are the constant parity predictions, so flip them back in
     if p == 2:
-        for size in range(1, link.d + 1):
-            for subset in itertools.combinations(range(1, link.d + 1), size):
-                if link.alexander(subset).evaluate((-1,) * size) < 0:
-                    nonp_value = -nonp_value
-                    value = -value
+        for subset in link.subsets():
+            if _parity_sign(link.alexander(subset)) < 0:
+                nonp_value = -nonp_value
+                value = -value
     return LimitEstimate(
         value=value,
         nonp_value=nonp_value,
@@ -329,10 +322,7 @@ def character_oracle(link: LinkSpec, cov: CoveringSpec, max_group: int = 4096) -
     size = cov.group_order()
     if size > max_group:
         raise ValueError(f"|G| = {size} exceeds the oracle scale {max_group}")
-    height = 1
-    for s in range(1, link.d + 1):
-        for subset in itertools.combinations(range(1, link.d + 1), s):
-            height = max(height, sum(abs(c) for _, c in link.alexander(subset).terms()))
+    height = max([1] + [sum(abs(c) for _, c in link.alexander(s).terms()) for s in link.subsets()])
     bits = int(size * max(1.0, mpmath.log(height, 2)) + 96)
     for _ in range(3):
         with mpmath.workprec(bits):

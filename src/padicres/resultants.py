@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Sequence, Tuple
@@ -375,45 +374,36 @@ class CyclicResultantRequest:
         return all(mask == frozenset(range(n + 1)) for mask, n in zip(self.factor_mask, self.levels))
 
 
-def _factor_value(f: MultiPoly, p: int, js: Tuple[int, ...]) -> int:
-    g = f
-    for idx in range(len(js) - 1, -1, -1):
-        g = phi_resultant_last_var(g, p, js[idx])
-        if g.is_zero:
+def _masked_product(f: MultiPoly, p: int, masks) -> int:
+    # eliminate the last variable once per index j in its mask, then recurse
+    # on each result with the remaining masks; a zero factor ends the product
+    if not masks:
+        return f.constant_value()
+    total = 1
+    for j in sorted(masks[-1]):
+        g = phi_resultant_last_var(f, p, j)
+        value = 0 if g.is_zero else _masked_product(g, p, masks[:-1])
+        if value == 0:
             return 0
-    return g.constant_value()
+        total *= value
+    return total
 
 
-def cyclic_resultant(req: CyclicResultantRequest, jobs: int = 1, budget: int | None = None) -> int:
+def cyclic_resultant(req: CyclicResultantRequest, budget: int | None = None) -> int:
     """The masked iterated cyclic resultant, by cyclotomic factorization.
 
     Equal to the literal iterated resultant with the divisor polynomials
     prod_{j in mask} Phi_{p^j}(t_i): every first argument is monic, so the
     value is the product of f over the selected root-of-unity tuples and the
-    factorization is exact, signs included.
+    factorization is exact, signs included.  Each elimination runs once per
+    prefix (j_d, ..., j_i) of trailing indices.
     """
     cap = budget if budget is not None else level_budget()
     if any(req.p**n > cap for n in req.levels):
         raise BudgetExceededError(
             f"p^n = {req.p}^{max(req.levels)} exceeds the degree budget {cap}"
         )
-    tuples = sorted(itertools.product(*[sorted(m) for m in req.factor_mask]))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(lambda js: _factor_value(req.f, req.p, js), tuples))
-        total = 1
-        for v in values:
-            if v == 0:
-                return 0
-            total *= v
-        return total
-    total = 1
-    for js in tuples:
-        v = _factor_value(req.f, req.p, js)
-        if v == 0:
-            return 0
-        total *= v
-    return total
+    return _masked_product(req.f, req.p, req.factor_mask)
 
 
 def cyclic_resultant_baseline(req: CyclicResultantRequest, budget: int = BASELINE_BUDGET_DEFAULT) -> int:

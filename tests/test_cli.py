@@ -3,6 +3,8 @@ import json
 import pytest
 
 from padicres.cli import main
+from padicres.parsing import parse_poly
+from padicres.resultants import CyclicResultantRequest, cyclic_resultant
 
 
 def run(capsys, *argv):
@@ -115,11 +117,19 @@ def test_twopart(capsys):
     assert record["ok"] is True and record["rows"][1] == [2, 9, 9]
 
 
-def test_output_determinism_and_jobs(capsys):
+def test_output_determinism(capsys):
     _, out1, _ = run(capsys, "res", "-p", "3", "-n", "2,2", "--format", "json", "t1^2*t2-3*t1+1")
     _, out2, _ = run(capsys, "res", "-p", "3", "-n", "2,2", "--format", "json", "t1^2*t2-3*t1+1")
-    _, out3, _ = run(capsys, "res", "-p", "3", "-n", "2,2", "--format", "json", "--jobs", "4", "t1^2*t2-3*t1+1")
-    assert out1 == out2 == out3
+    assert out1 == out2
+
+
+def test_big_integers_print_in_full(capsys):
+    # the value has about 4,900 digits, past Python's default int/str limit
+    expr = "2 - t1 - t2 + 2*t1*t2"
+    code, out, _ = run(capsys, "res", "-p", "2", "-n", "7,7", "--mask", "rprime", "--format", "json", expr)
+    assert code == 0
+    expected = cyclic_resultant(CyclicResultantRequest.rprime(parse_poly(expr, 2), 2, (7, 7)))
+    assert int(json.loads(out)["value"]) == expected
 
 
 def test_truncate_marks_non_canonical(capsys):

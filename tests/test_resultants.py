@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from padicres import resultants
 from padicres.errors import BudgetExceededError
 from padicres.multipoly import MultiPoly, random_multipoly
 from padicres.parsing import parse_poly
@@ -269,10 +270,20 @@ def test_request_validation():
         CyclicResultantRequest.custom(f, 2, (1,), [{0, 2}])
 
 
-def test_jobs_deterministic():
-    f = parse_poly("t1^2*t2 - 3*t1 + 1", 2)
-    req = CyclicResultantRequest.full(f, 3, (2, 2))
-    assert cyclic_resultant(req, jobs=1) == cyclic_resultant(req, jobs=4)
+def test_each_elimination_runs_once_per_index_prefix(monkeypatch):
+    calls = []
+    original = resultants.phi_resultant_last_var
+
+    def counting(f, p, j):
+        calls.append(f.num_vars)
+        return original(f, p, j)
+
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", counting)
+    req = CyclicResultantRequest.full(parse_poly("5+t1+t2+t3", 3), 2, (2, 2, 2))
+    value = cyclic_resultant(req)
+    # three indices per variable: 3 eliminations of t3, 9 of t2, 27 of t1
+    assert [calls.count(d) for d in (3, 2, 1)] == [3, 9, 27]
+    assert value == cyclic_resultant_baseline(req, budget=4096)
 
 
 def test_bareiss_matches_cofactor_random():
