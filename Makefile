@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: test acceptance reproduce-paper regen-expected check
+.PHONY: test acceptance reproduce-paper regen-expected check bench
 
 test:
 	$(PYTHON) -m pytest -q
@@ -21,6 +21,13 @@ reproduce-paper:
 # shows up only there).
 check: test reproduce-paper
 	$(PYTHON) -m pytest -q perfbench
+
+# One 20 s untraced run of each benchmark workload at seed 1; each run
+# prints its final JSON line (the full record goes to perfbench/results/).
+bench:
+	for w in res-large windows whitehead-2adic; do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
 
 regen-expected:
 	$(PYTHON) scripts/reproduce_paper.py > expected/reproduce_paper.txt

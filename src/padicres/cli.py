@@ -5,10 +5,10 @@ deterministic for a fixed input and configuration; --format json emits
 machine-readable records including the certificates (certified digits,
 verified windows, oracle agreement flags).
 
-Exit codes: 0 success, 2 user/parse error, 3 degree budget exceeded,
-4 internal oracle mismatch (always a bug), 1 unexpected failure.
-The PADIC_RES_BUDGET environment variable overrides the degree safety
-bound used by the fast path.
+Exit codes: 0 success, 2 user/parse error, 3 cost budget exceeded,
+4 internal oracle mismatch (always a bug), 1 unexpected failure (also a
+broken internal invariant).  The PADIC_RES_BUDGET environment variable
+overrides the bound on the fast path's estimated cost.
 """
 
 from __future__ import annotations
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     except (DegenerateValueError, PadicResError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         print(f"unexpected error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
 

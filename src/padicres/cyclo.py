@@ -25,7 +25,7 @@ from typing import Tuple
 from .errors import DegenerateValueError, PrecisionExhaustedError
 from .multipoly import MultiPoly
 from .padic import vp
-from .resultants import resultant_prs
+from .resultants import conjugate, cyclotomic_norm, reduce_mod_phi
 from .unipoly import UniPoly, cyclotomic, is_prime
 
 
@@ -116,7 +116,7 @@ class CycloPadic:
                         out[i + k] += ca * cb
         return CycloPadic(
             self.p, self.level, self.prec,
-            _reduce_mod_phi(out, self.p, self.level, self.prec),
+            reduce_mod_phi(out, self.p, self.level),
         )
 
     __rmul__ = __mul__
@@ -164,24 +164,13 @@ class CycloPadic:
 
     def galois(self, a: int) -> "CycloPadic":
         """The automorphism zeta -> zeta^a, a coprime to p."""
-        order = self.p**self.level
         if a % self.p == 0:
             raise ValueError("a must be coprime to p")
-        out = [0] * order
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(i * a) % order] += c
-        return CycloPadic(
-            self.p, self.level, self.prec,
-            _reduce_mod_phi(out, self.p, self.level, self.prec),
-        )
+        return CycloPadic(self.p, self.level, self.prec, conjugate(self.coeffs, a, self.p, self.level))
 
     def norm_lift(self) -> int:
         """Exact integer norm of the canonical lift; = Nm(x) mod p^prec."""
-        lift = self.lift_poly()
-        if lift.is_zero:
-            return 0
-        return resultant_prs(cyclotomic(self.p, self.level), lift)
+        return cyclotomic_norm(self.p, self.level, self.coeffs)
 
     def invert_unit(self) -> "CycloPadic":
         """Inverse of a pi-adic unit, by mod-p inversion plus Hensel doubling."""
@@ -197,8 +186,7 @@ class CycloPadic:
             y = CycloPadic(p, level, k, y.coeffs)
             xk = CycloPadic(p, level, k, self.coeffs)
             y = y * (CycloPadic.from_int(2, p, level, k) - xk * y)
-        result = y
-        return result
+        return y
 
     def __str__(self) -> str:
         body = " + ".join(
@@ -208,22 +196,6 @@ class CycloPadic:
 
     def __repr__(self) -> str:
         return f"CycloPadic{self}"
-
-
-def _reduce_mod_phi(coeffs, p: int, level: int, prec: int):
-    """Reduce a dense coefficient list modulo Phi_{p^level}, then mod p^prec."""
-    deg = phi_degree(p, level)
-    step = p ** (level - 1)
-    out = list(coeffs)
-    for i in range(len(out) - 1, deg - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            # zeta^deg = -(zeta^((p-2)*step) + ... + zeta^step + 1)
-            for k in range(p - 1):
-                out[i - deg + k * step] -= c
-    mod = p**prec
-    return [c % mod for c in out[:deg]]
 
 
 def _invert_mod_p(coeffs, phi: UniPoly, p: int):
@@ -476,4 +448,4 @@ def evaluate_at_unity(f: MultiPoly, p: int, level: int, exps, prec: int) -> Cycl
     for exp, coeff in f.terms():
         e = sum(a * b for a, b in zip(exp, exps)) % order
         out[e] += coeff
-    return CycloPadic(p, level, prec, _reduce_mod_phi(out, p, level, prec))
+    return CycloPadic(p, level, prec, reduce_mod_phi(out, p, level))

@@ -51,3 +51,8 @@ class OracleMismatchError(PadicResError):
     Always indicates a bug; surfaced as its own type so callers (and the
     CLI) can treat it as fatal.
     """
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug, so deliberately neither a
+    PadicResError nor a ValueError, which the CLI reports as user errors."""

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from padicres import resultants
 from padicres.cli import main
 from padicres.parsing import parse_poly
 from padicres.resultants import CyclicResultantRequest, cyclic_resultant
@@ -43,6 +44,32 @@ def test_res_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("PADIC_RES_BUDGET", "8")
     code, _, err = run(capsys, "res", "-p", "2", "-n", "9", "t1-2")
     assert code == 3 and "budget" in err
+
+
+@pytest.mark.parametrize("levels", ["8,8,8", "2,6,6"])
+def test_res_budget_bounds_three_variable_elimination(capsys, monkeypatch, levels):
+    # refused from the estimate alone, before any elimination starts
+    def no_work(*args):
+        raise AssertionError("the elimination started")
+
+    monkeypatch.setattr(resultants, "_masked_product", no_work)
+    code, out, err = run(capsys, "res", "-p", "2", "-n", levels, "5+t1+t2+t3")
+    assert code == 3 and "budget" in err and not out
+
+
+def test_broken_norm_is_internal_not_user_error(capsys, monkeypatch):
+    # a product that leaves Z[zeta^p] breaks the tower's invariant
+    kron_mul = resultants._kron_mul
+
+    def broken(a, b):
+        product = kron_mul(a, b)
+        product[1] += 1
+        return product
+
+    monkeypatch.setattr(resultants, "_kron_mul", broken)
+    code, out, err = run(capsys, "res", "-p", "3", "-n", "2", "t1-2")
+    assert code == 1 and not out
+    assert "t1" not in err and "unexpected error" in err
 
 
 def test_res_custom_mask(capsys):

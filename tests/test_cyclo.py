@@ -87,6 +87,20 @@ def test_pi_valuation_against_resultant_oracle():
         assert pi_valuation(x) == oracle
 
 
+def test_norm_lift_against_prs():
+    rng = random.Random(31)
+    for p, top in [(2, 6), (3, 4)]:
+        for level in range(1, top + 1):
+            deg = phi_degree(p, level)
+            zero = CycloPadic(p, level, 8, [])
+            assert zero.norm_lift() == 0
+            for _ in range(4):
+                x = CycloPadic(p, level, 8, [rng.randint(0, p**8 - 1) for _ in range(rng.randint(1, deg))])
+                lift = x.lift_poly()
+                expected = 0 if lift.is_zero else resultant_prs(cyclotomic(p, level), lift)
+                assert x.norm_lift() == expected
+
+
 def test_pi_valuation_additive():
     rng = random.Random(23)
     done = 0

@@ -99,13 +99,48 @@ def test_resultant_multiplicative_in_second_argument():
 
 
 def test_resultant_phi_int_route_consistency():
-    # the modular-composition shortcut must equal the PRS route exactly
+    # the tower norm against the PRS oracle, and against Sylvester while the
+    # matrix stays small; degrees run past 2*phi(p^j) so reduction is exercised
     rng = random.Random(88)
-    for _ in range(30):
-        g = random_unipoly(rng, 6, 9)
-        for p, j in [(3, 3), (5, 2), (2, 5), (7, 2)]:
-            via_prs = resultant_prs(cyclotomic(p, j), g) if g.degree() > 0 else g[0] ** cyclotomic(p, j).degree()
-            assert resultant_phi_int(p, j, g) == via_prs
+    for p, top in [(2, 5), (3, 4), (5, 3), (7, 3)]:
+        for j in range(top + 1):
+            phi = cyclotomic(p, j)
+            n = phi.degree()
+            degrees = {0, 1, 2, n - 1, n, n + 1, 2 * n + 1, rng.randint(0, 2 * n + 1)}
+            if n > 100:  # the PRS oracle takes about 0.5 s at p=7, j=3
+                degrees = {0, 1, n, 2 * n + 1}
+            for deg in sorted(d for d in degrees if d >= 0):
+                g = random_unipoly(rng, 0, 9) if deg == 0 else UniPoly(
+                    [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([1, -1]) * rng.randint(1, 9)]
+                )
+                value = resultant_phi_int(p, j, g)
+                assert value == resultant_prs(phi, g), (p, j, g)
+                if n + deg <= 40:
+                    assert value == sylvester_resultant(phi, g), (p, j, g)
+                # g(1) = 0 mod p: Phi_{p^j} = (t - 1)^phi mod p, so p divides the norm
+                g1 = g - UniPoly.from_const(g.evaluate(1) % p)
+                if not g1.is_zero:
+                    value = resultant_phi_int(p, j, g1)
+                    assert value == resultant_prs(phi, g1)
+                    assert value % p == 0
+            # multiples of Phi_{p^j} vanish
+            h = random_unipoly(rng, 3, 9)
+            assert resultant_phi_int(p, j, phi * h) == 0 == resultant_prs(phi, phi * h)
+
+
+def test_kronecker_width_covers_each_factor():
+    # one all-zero factor: the product bound is 0, but the other factor's
+    # coefficients must still fit their digits
+    big = [7, -(2**201) - 5, 3]
+    assert resultants._kron_mul([0, 0, 0], big) == [0] * 5
+    assert resultants._kron_mul(big, [0]) == [0] * 3
+    rng = random.Random(12)
+    for _ in range(50):
+        a = [rng.randint(-(2**rng.randint(0, 90)), 2**rng.randint(0, 90)) for _ in range(rng.randint(1, 12))]
+        b = [rng.randint(-(2**rng.randint(0, 90)), 2**rng.randint(0, 90)) for _ in range(rng.randint(1, 12))]
+        product = resultants._kron_mul(a, b)
+        assert len(product) == len(a) + len(b) - 1
+        assert UniPoly(product) == UniPoly(a) * UniPoly(b)
 
 
 def test_cyclic_example_full_mask():
@@ -250,6 +285,29 @@ def test_fast_path_budget_guard():
             cyclic_resultant(CyclicResultantRequest.full(f, 2, (5,)))
     finally:
         del os.environ["PADIC_RES_BUDGET"]
+
+
+def test_cost_estimate_tracks_the_elimination(monkeypatch):
+    three = parse_poly("5+t1+t2+t3", 3)
+    two = parse_poly("5+t1+t2+t1*t2", 2)
+    cap = resultants.COST_BUDGET_DEFAULT
+
+    def cost(f, p, levels):
+        return resultants.cost_estimate(CyclicResultantRequest.full(f, p, levels))
+
+    # the t2 and t3 levels drive three-variable elimination, the t1 level
+    # hardly (measured: 0.008, 0.045 and 0.089 s for the three below)
+    assert cost(three, 2, (2, 6, 6)) > cap and cost(three, 2, (8, 8, 8)) > cap
+    assert cost(three, 2, (6, 2, 2)) < cost(three, 2, (2, 6, 2)) < cost(three, 2, (2, 2, 6)) < cap
+    # measured at 4.5 s; a univariate level-20 norm is still accepted
+    assert cost(two, 2, (10, 10)) < cap
+    assert cost(parse_poly("t1 - 2", 1), 2, (20,)) < cap
+    # levels past the float range are refused, not an overflow
+    assert cost(parse_poly("t1 - 2", 1), 2, (2000,)) == float("inf")
+    # the override lifts the refusal
+    monkeypatch.setattr(resultants, "_masked_product", lambda f, p, masks: 7)
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(10**12))
+    assert cyclic_resultant(CyclicResultantRequest.full(three, 2, (2, 6, 6))) == 7
 
 
 def test_baseline_budget_guard():
