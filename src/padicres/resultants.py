@@ -4,18 +4,21 @@ The production path and the oracles it is tested against:
 
 * cyclic_resultant: r_{n1..nd}(f) and its masked variants.  Each variable
   is eliminated against one cyclotomic factor Phi_{p^j} at a time
-  (phi_resultant_last_var, a subresultant PRS over the remaining variables),
-  and the factors multiply back together by resultant multiplicativity.
-* resultant_phi_int: the final univariate Res(Phi_{p^j}, g), computed as the
-  norm of g(zeta_{p^j}) down the cyclotomic tower (cyclotomic_norm, which
-  CycloPadic.norm_lift shares), with polynomial products by Kronecker
-  substitution.
+  (phi_resultant_last_var: the norm of f(t', zeta_{p^j}), with the remaining
+  variables t' Kronecker-packed into one integer), and the factors multiply
+  back together by resultant multiplicativity.
+* resultant_phi_int: the final univariate Res(Phi_{p^j}, g).
+* cyclotomic_norm: the norm of g(zeta_{p^j}) that every step above takes,
+  down the cyclotomic tower with polynomial products by Kronecker
+  substitution, or by a closed form when g is linear; CycloPadic.norm_lift
+  shares it.
 * sylvester_resultant: the defining determinant, computed fraction-free
   (Bareiss) over the integers or over a sparse polynomial ring; the oracle
   everything else is tested against.
 * resultant_prs: the subresultant polynomial-remainder sequence for
   univariate pairs; agrees with the determinant exactly, sign included, and
-  serves as the oracle for the tower norm.
+  serves as the oracle for the tower norm and, over polynomial
+  coefficients, for the packed elimination.
 
 Sign conventions follow the Sylvester determinant with the first argument's
 coefficient rows on top.  Elimination order is t_d first, then t_{d-1}, and
@@ -196,17 +199,26 @@ def resultant_phi_int(p: int, j: int, g: UniPoly) -> int:
 
 
 def cyclotomic_norm(p: int, j: int, coeffs) -> int:
-    """N(g(zeta)) from Q(zeta_{p^j}) to Q, g given by integer coefficients.
-
-    Goes down the tower one level at a time: the norm from level j to j-1 is
-    the product of the p conjugates zeta -> zeta^(1 + k*p^(j-1)) (at level 1,
-    the p-1 conjugates zeta -> zeta^a), which lies in Z[zeta^p], so only the
-    coefficients at multiples of p survive.  Equals Res(Phi_{p^j}, g), since
-    Phi_{p^j} is monic.
+    """N(g(zeta)) from Q(zeta_{p^j}) to Q, g given by integer coefficients;
+    equals Res(Phi_{p^j}, g), since Phi_{p^j} is monic.  Any g goes down the
+    tower (_tower_norm), except that g = a + b*t mod Phi_{p^j} takes the
+    closed form N(a + b*zeta) = (-1)^n sum_{i<p} (-a)^(i*q) b^(n-i*q), with
+    n = phi(p^j) and q = p^(j-1), in about 2p big-int products (_linear_norm).
     """
     x = reduce_mod_phi(coeffs, p, j) if j else [sum(coeffs)]
     if not any(x):
         return 0
+    if j and not any(x[2:]):
+        return _linear_norm(p, j, x[0], x[1] if len(x) > 1 else 0)
+    return _tower_norm(p, j, x)
+
+
+def _tower_norm(p: int, j: int, x) -> int:
+    """N(x(zeta_{p^j})), x reduced mod Phi_{p^j}, one level at a time: the
+    norm from level j to j-1 is the product of the p conjugates
+    zeta -> zeta^(1 + k*p^(j-1)) (at level 1, the p-1 conjugates
+    zeta -> zeta^a), which lies in Z[zeta^p], so only the coefficients at
+    multiples of p survive."""
     while j:
         order = p**j
         step = order // p
@@ -218,6 +230,20 @@ def cyclotomic_norm(p: int, j: int, coeffs) -> int:
         x = y[::p]
         j -= 1
     return x[0]
+
+
+def _linear_norm(p: int, j: int, a: int, b: int) -> int:
+    """N(a + b*zeta_{p^j}) = (-1)^n b^n Phi_{p^j}(-a/b), j >= 1, which is
+    (-1)^n * sum_{i<p} (-a)^(i*q) * b^(n-i*q), n = phi(p^j), q = p^(j-1),
+    since Phi_{p^j} has only the p terms t^(i*q); summed by Horner's rule in
+    (-a)^q with the powers of b^q."""
+    q = p ** (j - 1)
+    x, y = (-a) ** q, b**q
+    total = power = 1
+    for _ in range(p - 1):
+        power *= y
+        total = total * x + power
+    return -total if q * (p - 1) % 2 else total
 
 
 def conjugate(coeffs, a: int, p: int, j: int) -> list:
@@ -250,9 +276,7 @@ def _kron_mul(a, b) -> list:
     bound = max(top_a, top_b, top_a * top_b * min(len(a), len(b)))
     size = (bound.bit_length() + 8) // 8
     half = 1 << (8 * size - 1)
-    n = len(a) + len(b) - 1
-    packed = (_pack(a, size, half) * _pack(b, size, half) + _bias(n, size)).to_bytes(n * size, "little")
-    return [int.from_bytes(packed[i : i + size], "little") - half for i in range(0, n * size, size)]
+    return _unpack(_pack(a, size, half) * _pack(b, size, half), len(a) + len(b) - 1, size)
 
 
 def _pack(coeffs, size: int, half: int) -> int:
@@ -265,42 +289,65 @@ def _bias(n: int, size: int) -> int:
     return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
 
 
+def _unpack(value: int, n: int, size: int) -> list:
+    """The n balanced digits c_i, |c_i| < 2^(w-1), of value = sum c_i 2^(w*i),
+    w = 8*size; a value outside their range breaks the packing's bound."""
+    try:
+        packed = (value + _bias(n, size)).to_bytes(n * size, "little")
+    except OverflowError:
+        raise InvariantError(f"a packed value does not fit {n} digits of {8 * size} bits") from None
+    half = 1 << (8 * size - 1)
+    return [int.from_bytes(packed[i : i + size], "little") - half for i in range(0, n * size, size)]
+
+
 def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
-    """Res(Phi_{p^j}(t_d), f), eliminating the last variable of f."""
+    """Res(Phi_{p^j}(t_d), f), eliminating the last variable of f.
+
+    With d >= 2 this is one integer norm: the other variables are packed by
+    Kronecker substitution t_i = 2^(w*S_i) into one int per t_d-coefficient,
+    the norm is taken by cyclotomic_norm, and its balanced base-2^w digits
+    are the coefficients.  The result has degree at most D_i = n*deg_{t_i} f
+    in t_i (n = phi(p^j)), so the strides S_i = prod_{k<i} (D_k + 1) keep the
+    digits apart; each coefficient is at most ||f||_1^n, which the digit
+    width w of _digit_size covers.  Packing is a ring homomorphism, so no
+    intermediate value needs a bound.
+    """
     d = f.num_vars
     if d == 0:
         raise ValueError("no variable to eliminate")
     if f.is_zero:
         return MultiPoly.zero(d - 1)
-    phi = cyclotomic(p, j)
-    n = phi.degree()
-    coeffs = f.coeffs_in_last_var()
-    m = len(coeffs) - 1
+    terms = f.term_dict()
     if d == 1:
-        g = UniPoly([c.constant_value() for c in coeffs])
+        g = UniPoly([terms.get((k,), 0) for k in range(f.degree_in(1) + 1)])
         return MultiPoly.const(0, resultant_phi_int(p, j, g))
-    if m == 0:
-        return coeffs[0] ** n
-    if m == 1:
-        b, a = coeffs
-        total = MultiPoly.zero(d - 1)
-        for k, c in enumerate(phi.coeffs):
-            if not c:
-                continue
-            term = b**k * a ** (n - k) * c
-            total = total + (-term if (n + k) % 2 else term)
-        return total
-    fU = UniPoly(coeffs)
-    if m >= n:
-        _, fU = fU.divmod_monic(phi)
-        if fU.is_zero:
-            return MultiPoly.zero(d - 1)
-    # subresultant PRS over the remaining polynomial ring: one pseudo-division
-    # collapses Phi's degree to deg_t(f), so phi(p^j) never materializes
-    value = resultant_prs(phi, fU)
-    if isinstance(value, int):
-        return MultiPoly.const(d - 1, value)
-    return value
+    n = p ** (j - 1) * (p - 1) if j else 1
+    bounds = [n * f.degree_in(i + 1) + 1 for i in range(d - 1)]
+    strides = [math.prod(bounds[:i]) for i in range(d)]
+    size = _digit_size(f, n)
+    # one digit array per t_d-coefficient, split by sign so no digit carries
+    digits = [[bytearray(strides[-1] * size), bytearray(strides[-1] * size)] for _ in range(f.degree_in(d) + 1)]
+    for exp, c in terms.items():
+        at = size * sum(e * s for e, s in zip(exp[:-1], strides))
+        digits[exp[-1]][c < 0][at : at + size] = abs(c).to_bytes(size, "little")
+    coeffs = [int.from_bytes(pos, "little") - int.from_bytes(neg, "little") for pos, neg in digits]
+    values = _unpack(cyclotomic_norm(p, j, coeffs), strides[-1], size)
+    result = {}
+    for at, c in enumerate(values):
+        if c:
+            exp = []
+            for bound in bounds:
+                at, e = divmod(at, bound)
+                exp.append(e)
+            result[tuple(exp)] = c
+    return MultiPoly(d - 1, result)
+
+
+def _digit_size(f: MultiPoly, n: int) -> int:
+    """Bytes per digit for a norm of n factors f(t', zeta): each coefficient
+    of the norm is at most ||f||_1^n < 2^(w-1), w = 8*size."""
+    norm = sum(abs(c) for c in f.term_dict().values())
+    return (n * norm.bit_length() + 8) // 8
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +420,14 @@ def _masked_product(f: MultiPoly, p: int, masks) -> int:
 
 def cost_estimate(req: CyclicResultantRequest) -> float:
     """Work of cyclic_resultant(req), estimated before doing any, in units
-    of about 0.15 us (fitted to within a factor of about 5).  Eliminating a
-    variable against Phi_{p^j} (n = phi(p^j) roots) multiplies the other
-    degrees and the coefficient bits by n and costs 44 (m+1)^3 units per
-    word of its result, m being its degree in that variable after reduction;
-    the final norm touches p^j coefficients and makes j*(p-1) Karatsuba
-    products of n * bits / 64 words.
+    of about 0.15 us (fitted to within a factor of about 4 above 0.1 s).
+    Eliminating a variable against Phi_{p^j} (n = phi(p^j) roots) multiplies
+    the other degrees and the coefficient bits by n.  It packs f (10 units per
+    possible term), unpacks one digit per possible term of its result, and
+    takes the norm of a result-sized integer of W words: j*(p-1) Karatsuba
+    products of W^1.585/2 units down the tower, or one if f is linear in the
+    eliminated variable mod Phi.  The final norm touches p^j coefficients
+    and makes j*(p-1) Karatsuba products of n * bits / 64 words.
     """
     f = req.f
     degrees = [f.degree_in(i + 1) for i in range(f.num_vars)]
@@ -396,10 +445,11 @@ def _cost(degrees, bits: float, p: int, masks) -> float:
         if len(masks) == 1:
             total += max(degrees[0] + 1, p**j) + j * (p - 1) * (n * bits / 64) ** 1.585
             continue
-        m = min(degrees[-1], n - 1)
         rest = [n * d for d in degrees[:-1]]
-        words = math.prod(d + 1 for d in rest) * (n * bits / 64 + 1)
-        total += 44 * (m + 1) ** 3 * words + _cost(rest, n * bits, p, masks[:-1])
+        digits = math.prod(d + 1 for d in rest)
+        products = j * (p - 1) if min(degrees[-1], n - 1) > 1 else 1
+        pack = 10 * math.prod(d + 1 for d in degrees) + digits
+        total += pack + products * (digits * (n * bits / 64 + 1)) ** 1.585 / 2 + _cost(rest, n * bits, p, masks[:-1])
     return total
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,7 +50,7 @@ def test_res_budget_exit_code(capsys, monkeypatch):
     assert code == 3 and "budget" in err
 
 
-@pytest.mark.parametrize("levels", ["8,8,8", "2,6,6"])
+@pytest.mark.parametrize("levels", ["8,8,8", "2,7,7"])
 def test_res_budget_bounds_three_variable_elimination(capsys, monkeypatch, levels):
     # refused from the estimate alone, before any elimination starts
     def no_work(*args):
@@ -58,7 +62,8 @@ def test_res_budget_bounds_three_variable_elimination(capsys, monkeypatch, level
 
 
 def test_broken_norm_is_internal_not_user_error(capsys, monkeypatch):
-    # a product that leaves Z[zeta^p] breaks the tower's invariant
+    # a product that leaves Z[zeta^p] breaks the tower's invariant (a linear
+    # input would take the closed form and never multiply)
     kron_mul = resultants._kron_mul
 
     def broken(a, b):
@@ -67,9 +72,27 @@ def test_broken_norm_is_internal_not_user_error(capsys, monkeypatch):
         return product
 
     monkeypatch.setattr(resultants, "_kron_mul", broken)
-    code, out, err = run(capsys, "res", "-p", "3", "-n", "2", "t1-2")
+    code, out, err = run(capsys, "res", "-p", "3", "-n", "2", "t1^2-2")
     assert code == 1 and not out
     assert "t1" not in err and "unexpected error" in err
+
+
+def test_too_narrow_packing_is_internal_not_user_error(capsys, monkeypatch):
+    # one-byte digits cannot hold Res(Phi_4(t2), 100*t1 + t2) = 10000*t1^2 + 1
+    monkeypatch.setattr(resultants, "_digit_size", lambda f, n: 1)
+    code, out, err = run(capsys, "res", "-p", "2", "-n", "1,2", "100*t1+t2")
+    assert code == 1 and not out
+    assert "unexpected error" in err and "does not fit" in err
+
+
+def test_runs_as_a_module_from_the_source_tree():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "padicres", "res", "-p", "2", "-n", "1,1", "t1*t2-2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0 and "value: 9" in done.stdout
 
 
 def test_res_custom_mask(capsys):
