@@ -510,6 +510,68 @@ def cyclic_resultant_baseline(req: CyclicResultantRequest, budget: int = BASELIN
 
 
 # ---------------------------------------------------------------------------
+# multi-modular root-product oracle
+# ---------------------------------------------------------------------------
+
+
+def modular_root_product(f: MultiPoly, p: int, masks) -> int:
+    """The product of f over the root-of-unity tuples the masks select
+    (variable i runs over the primitive p^j-th roots of unity, j in
+    masks[i]), exactly, by Collins' modular method and apart from the
+    engine: no norm, tower or packing, just f evaluated at each tuple in
+    F_q.  The primes q = 1 (mod p^N), N the largest index in the masks,
+    hold the p^N-th roots of unity; each of the `count` factors is at most
+    ||f||_1 in absolute value, so primes are added until their product
+    exceeds 2 * ||f||_1^count, and the CRT in the symmetric range is the
+    value, sign included.  A residue of 0 modulo one q decides nothing.
+    """
+    if f.is_zero:
+        return 0
+    m = p ** max(max(mask) for mask in masks) if masks else 1
+    # each root as the exponent k of zeta_{p^N}^k
+    roots = [[a * (m // p**j) for j in sorted(mask) for a in range(p**j) if j == 0 or a % p] for mask in masks]
+    count = math.prod(len(r) for r in roots)
+    terms = list(f.terms())
+    # per term, the exponent of zeta_{p^N} of its monomial at every tuple
+    columns = [
+        [sum(ks) % m for ks in itertools.product(*[[e * k for k in r] for e, r in zip(exp, roots)])]
+        for exp, _ in terms
+    ]
+    bound = 2 * sum(abs(c) for _, c in terms) ** count
+    value, modulus = 0, 1
+    for q, zeta in _oracle_primes(p, m):
+        powers = [1] * m
+        for i in range(1, m):
+            powers[i] = powers[i - 1] * zeta % q
+        sums = [0] * count
+        for (_, c), column in zip(terms, columns):
+            sums = [s + c * powers[i] for s, i in zip(sums, column)]
+        residue = 1
+        for s in sums:
+            residue = residue * s % q
+        value += modulus * ((residue - value % q) * pow(modulus % q, -1, q) % q)
+        modulus *= q
+        if modulus > bound:
+            return value - modulus if 2 * value > modulus else value
+    raise BudgetExceededError(f"too few primes q = 1 (mod {m}) below 2^64 for the oracle")
+
+
+def _oracle_primes(p: int, m: int):
+    """The primes q = 1 (mod m), 2^62 < q < 2^64, ascending, each with a
+    zeta of multiplicative order m in F_q (m a power of p)."""
+    k = (1 << 62) // m + 1
+    while k * m + 1 < 1 << 64:
+        q = k * m + 1
+        if is_prime(q):
+            for a in itertools.count(2):
+                zeta = pow(a, (q - 1) // m, q)
+                if m == 1 or pow(zeta, m // p, q) != 1:
+                    yield q, zeta
+                    break
+        k += 1
+
+
+# ---------------------------------------------------------------------------
 # complex-float root-product oracle
 # ---------------------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from padicres.parsing import parse_poly
 from padicres.resultants import (
     CyclicResultantRequest,
     cyclic_resultant,
+    modular_root_product,
     sylvester_resultant,
 )
 from padicres.unipoly import UniPoly, cyclotomic, power_minus_one
@@ -146,6 +147,22 @@ def test_h1_matches_character_oracle():
     for link, p, levels in cases:
         cov = CoveringSpec(p, levels)
         assert h1_order(link, cov) == character_oracle(link, cov)
+
+
+def test_exact_character_route_against_the_float_oracle():
+    # acceptance criterion 9's covers: per sublink, the exact F_q product of
+    # Delta_S over its characters, and the complex-float character sum
+    for link in [trefoil_spec()] + [whitehead_link_spec(k) for k in (1, 2, 3)]:
+        for p in (2, 3):
+            n = 1
+            while (p**n) ** link.d <= 256:
+                cov = CoveringSpec(p, (n,) * link.d)
+                order = 1
+                for subset in link.subsets():
+                    masks = [range(1, n + 1)] * len(subset)
+                    order *= abs(modular_root_product(link.alexander(subset), p, masks))
+                assert order == character_oracle(link, cov).order, (link.name, p, n)
+                n += 1
 
 
 def test_character_oracle_scale_guard():

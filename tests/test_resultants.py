@@ -14,6 +14,7 @@ from padicres.resultants import (
     complex_root_product,
     cyclic_resultant,
     cyclic_resultant_baseline,
+    modular_root_product,
     resultant_phi_int,
     resultant_prs,
     sylvester_matrix,
@@ -454,3 +455,33 @@ def test_three_variable_routes_agree():
             assert value == cyclic_resultant_baseline(req, budget=4096)
             assert value == complex_root_product(req)
         done += 1
+
+
+def test_modular_root_product_against_the_float_route():
+    # acceptance criterion 1's grid, plus custom masks: the exact F_q route
+    # and the complex-float route give the same integers
+    rng = random.Random(10001)
+    done = 0
+    while done < 500:
+        d = rng.choice([1, 2])
+        f = random_multipoly(rng, d, 4, 3, 9)
+        if f.is_zero:
+            continue
+        p = rng.choice([2, 3])
+        levels = tuple(rng.randint(1, 2) for _ in range(d))
+        req = rng.choice([CyclicResultantRequest.full, CyclicResultantRequest.rprime])(f, p, levels)
+        assert modular_root_product(f, p, req.factor_mask) == complex_root_product(req), (f.serialize(), p, levels)
+        done += 1
+    for masks in ([{2}, {0, 2}], [{1, 3}, {0}], [{0}, {0}]):
+        req = CyclicResultantRequest.custom(parse_poly("3 - t1 + 2*t1*t2^2", 2), 2, (3, 2), masks)
+        assert modular_root_product(req.f, 2, masks) == complex_root_product(req) == cyclic_resultant(req)
+
+
+def test_modular_root_product_zero_residue_is_not_zero():
+    # the value is the first oracle prime itself: 0 modulo that prime, and
+    # only the second prime's residue, through the CRT, decides it
+    q, _ = next(resultants._oracle_primes(2, 2))
+    f = MultiPoly.const(1, q)
+    assert modular_root_product(f, 2, [{1}]) == q
+    assert modular_root_product(f - MultiPoly.const(1, 2 * q), 2, [{1}]) == -q
+    assert modular_root_product(parse_poly("1 + t1", 1), 2, [{0, 1}]) == 0
