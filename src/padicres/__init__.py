@@ -1,9 +1,10 @@
 """Exact iterated p-power cyclic resultants, their p-adic limits, and
 first-homology orders of branched p-power coverings of links.
 
-Everything is exact big-integer arithmetic; the only floating point in the
-package lives in the two independent complex-float oracles used for
-cross-checking (complex_root_product, character_oracle).
+Everything is exact big-integer arithmetic, the two cross-checking oracles
+included (complex_root_product, character_oracle): they evaluate at the
+p-power roots of unity modulo primes q = 1 (mod p^N) and recover the
+integer by the CRT, apart from the resultant engine.
 """
 
 from .errors import (
@@ -27,11 +28,12 @@ from .resultants import (
     complex_root_product,
     cyclic_resultant,
     cyclic_resultant_baseline,
+    modular_root_product,
     resultant_prs,
     sylvester_matrix,
     sylvester_resultant,
 )
-from .padic import PadicApprox, nonp_part, padic_log, padic_log_unit, teichmuller, vp
+from .padic import PadicApprox, nonp_part, padic_log, padic_log_unit, teichmuller, vp, vp_split
 from .cyclo import (
     CycloPadic,
     cyclo_log,

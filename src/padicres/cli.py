@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("--vars", type=int, default=None, help="number of variables (default: len(levels))")
     res.add_argument("--mask", choices=("r", "rprime", "custom"), default="r")
     res.add_argument("--mask-sets", default=None, help="custom masks: semicolon-separated comma lists")
-    res.add_argument("--verify", action="store_true", help="cross-check against the baseline and complex oracles")
+    res.add_argument("--verify", action="store_true", help="cross-check against the Sylvester baseline and the root product over the roots of unity, exact modulo primes")
     res.add_argument("--baseline-budget", type=int, default=256)
     common(res)
     res.set_defaults(func=cmd_res)
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--whitehead", type=int, default=None, metavar="K", help="built-in twisted Whitehead link")
     group.add_argument("--trefoil", action="store_true")
     linkh1.add_argument("-n", "--levels", required=True)
-    linkh1.add_argument("--verify", action="store_true", help="cross-check against the character oracle")
+    linkh1.add_argument("--verify", action="store_true", help="cross-check against the character sum, exact modulo primes")
     common(linkh1)
     linkh1.set_defaults(func=cmd_linkh1)
 

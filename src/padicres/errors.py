@@ -17,14 +17,6 @@ class PolyParseError(PadicResError):
         self.position = position
 
 
-class ExactDivisionError(PadicResError):
-    """An exact division turned out not to be exact.
-
-    Raised by the fraction-free elimination internals; reaching this is a
-    bug, not a user error.
-    """
-
-
 class BudgetExceededError(PadicResError):
     """A degree/level budget guard refused a computation."""
 
@@ -56,3 +48,11 @@ class OracleMismatchError(PadicResError):
 class InvariantError(RuntimeError):
     """An internal invariant failed: a bug, so deliberately neither a
     PadicResError nor a ValueError, which the CLI reports as user errors."""
+
+
+class ExactDivisionError(InvariantError):
+    """An exact division turned out not to be exact.
+
+    Raised by the fraction-free elimination internals; reaching this is a
+    bug, not a user error, so the CLI exits 1.
+    """

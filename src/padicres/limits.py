@@ -30,8 +30,8 @@ from typing import Tuple
 from .errors import VanishingResultantError, WindowTooShortError
 from .multipoly import MultiPoly
 from .newton import newton_polygon
-from .padic import PadicApprox, nonp_part, teichmuller, vp
-from .resultants import CyclicResultantRequest, cyclic_resultant, resultant_phi_int
+from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
+from .resultants import CyclicResultantRequest, check_budget, cyclic_resultant, resultant_phi_int
 from .unipoly import UniPoly
 
 
@@ -46,6 +46,11 @@ def _request(f: MultiPoly, p: int, levels, mask: str) -> CyclicResultantRequest:
     if mask == "rprime":
         return CyclicResultantRequest.rprime(f, p, levels)
     raise ValueError(f"mask must be 'r' or 'rprime', got {mask!r}")
+
+
+def window_requests(f: MultiPoly, p: int, K: int, mask: str) -> list:
+    """The requests of the diagonal window, levels (1,...,1) to (K,...,K)."""
+    return [_request(f, p, (k,) * f.num_vars, mask) for k in range(1, K + 1)]
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,9 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
     if K < 1:
         raise ValueError("K must be >= 1")
     d = f.num_vars
-    diag = []
-    for k in range(1, K + 1):
-        req = _request(f, p, (k,) * d, mask)
-        diag.append(cyclic_resultant(req))
+    requests = window_requests(f, p, K, mask)
+    check_budget(requests)
+    diag = [cyclic_resultant(req) for req in requests]
     if any(v == 0 for v in diag):
         # a masked resultant vanishes identically: the sequence (and its
         # non-p part, since nonp(0) = 0) is exactly 0 from that level on
@@ -95,8 +99,7 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
             ),
         )
     zero_case = zero_limit_predicate(f, p)
-    vals = [vp(v, p) for v in diag]
-    units = [nonp_part(v, p) for v in diag]
+    vals, units = zip(*(vp_split(v, p) for v in diag))
     raw_ok = all(
         (diag[k] - diag[k - 1]) % p**k == 0 for k in range(1, K)
     )

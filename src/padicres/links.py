@@ -8,8 +8,9 @@ of Alexander evaluations over the characters of the deck group, divided by
 covers (deck group (+) Z/p^{n_i}) the characters with support S contribute
 exactly the j>=1-masked iterated resultant of Delta_S at levels (n_i)_{i in
 S}, and the prefactor cancels against |G|; the cancellation is asserted,
-not assumed.  Two independent routes are provided: the exact product of
-masked resultants (h1_order) and a literal complex-float character sum
+not assumed.  Two independent exact routes are provided: the product of
+masked resultants by the resultant engine (h1_order), and the character sum
+evaluated in F_q for enough primes q and recovered by the CRT
 (character_oracle).
 
 The twisted Whitehead family is built in, with the closed-form limits of
@@ -32,11 +33,11 @@ from .errors import (
     PolyParseError,
     PrecisionExhaustedError,
 )
-from .limits import LimitEstimate, limit_estimate
+from .limits import LimitEstimate, limit_estimate, window_requests
 from .multipoly import MultiPoly
-from .padic import PadicApprox, nonp_part, teichmuller, vp
+from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
 from .parsing import parse_poly
-from .resultants import CyclicResultantRequest, cyclic_resultant
+from .resultants import CyclicResultantRequest, check_budget, cyclic_resultant, modular_root_product
 from .unipoly import cyclotomic, is_prime
 
 
@@ -245,11 +246,8 @@ def h1_order(link: LinkSpec, cov: CoveringSpec) -> H1Result:
                 f"sign of masked resultant for sublink {subset} contradicts the parity prediction"
             )
         order *= abs(value)
-    return H1Result(
-        order=order,
-        nonp_part=nonp_part(order, cov.p),
-        p_exponent=vp(order, cov.p),
-    )
+    p_exponent, unit = vp_split(order, cov.p)
+    return H1Result(order=order, nonp_part=unit, p_exponent=p_exponent)
 
 
 def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
@@ -258,6 +256,7 @@ def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
     The product over sublinks of the masked-resultant non-p limits; the
     certificates combine multiplicatively (weakest certified digit wins).
     """
+    check_budget([req for s in link.subsets() for req in window_requests(link.alexander(s), p, K, "rprime")])
     estimates = [limit_estimate(link.alexander(s), p, K, mask="rprime") for s in link.subsets()]
     if any(e.degenerate for e in estimates):
         # some cover is not a rational homology sphere: |H_1| = 0 by the
@@ -303,62 +302,37 @@ def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
 
 
 # ---------------------------------------------------------------------------
-# the literal character-sum oracle (complex floats)
+# the character-sum oracle (exact, in F_q)
 # ---------------------------------------------------------------------------
 
 
 def character_oracle(link: LinkSpec, cov: CoveringSpec, max_group: int = 4096) -> H1Result:
-    """Brute-force |H_1| via the full character sum at high float precision.
+    """|H_1| by the character sum, apart from the resultant engine.
 
-    Iterates every character of G = (+) Z/p^{n_i}, evaluates the Alexander
-    polynomial of the character's support sublink at the corresponding roots
-    of unity, divides by the |1 - xi| prefactor, and rounds; the rounding
-    error must be < 0.25, with doubled precision on ambiguity.
+    The characters of G = (+) Z/p^{n_i} with support S take every tuple of
+    nontrivial p-power roots of unity at the levels of S, so their factors
+    multiply to the product of Delta_S over those tuples, which
+    modular_root_product computes exactly in F_q.  The |1 - xi(meridian)|
+    prefactor is computed the same way, as the product of 1 - zeta over
+    each component's nontrivial roots, and must equal p^{n_i}, so that it
+    cancels against |G| = prod p^{n_i}.
     """
-    import mpmath
-
     if len(cov.levels) != link.d:
         raise ValueError("covering levels must list one entry per component")
     size = cov.group_order()
     if size > max_group:
         raise ValueError(f"|G| = {size} exceeds the oracle scale {max_group}")
-    height = max([1] + [sum(abs(c) for _, c in link.alexander(s).terms()) for s in link.subsets()])
-    bits = int(size * max(1.0, mpmath.log(height, 2)) + 96)
-    for _ in range(3):
-        with mpmath.workprec(bits):
-            orders = [cov.p**n for n in cov.levels]
-            total = mpmath.mpf(1)
-            denominator = mpmath.mpf(1)
-            for char in itertools.product(*[range(o) for o in orders]):
-                support = tuple(i + 1 for i, a in enumerate(char) if a)
-                if not support:
-                    continue  # trivial character: empty sublink, Delta = 1
-                values = [
-                    mpmath.e ** (2j * mpmath.pi * char[i - 1] / orders[i - 1])
-                    for i in support
-                ]
-                if len(support) == 1:
-                    denominator *= abs(1 - values[0])
-                delta = link.alexander(support)
-                acc = mpmath.mpc(0)
-                for exp, coeff in delta.terms():
-                    term = mpmath.mpc(coeff)
-                    for z, e in zip(values, exp):
-                        if e:
-                            term *= z**e
-                    acc += term
-                total *= abs(acc)
-            value = mpmath.mpf(size) / denominator * total
-            guess = mpmath.nint(value)
-            if abs(value - guess) < 0.25:
-                order = int(guess)
-                return H1Result(
-                    order=order,
-                    nonp_part=nonp_part(order, cov.p),
-                    p_exponent=vp(order, cov.p) if order else 0,
-                )
-        bits *= 2
-    raise OracleMismatchError("character sum would not settle on an integer")
+    one_minus_t = MultiPoly(1, {(0,): 1, (1,): -1})
+    for n in cov.levels:
+        prefactor = modular_root_product(one_minus_t, cov.p, [range(1, n + 1)])
+        if prefactor != cov.p**n:
+            raise OracleMismatchError(f"prefactor at level {n} is {prefactor}, not {cov.p}^{n}")
+    order = 1
+    for subset in link.subsets():
+        masks = [range(1, cov.levels[i - 1] + 1) for i in subset]
+        order *= abs(modular_root_product(link.alexander(subset), cov.p, masks))
+    p_exponent, unit = vp_split(order, cov.p) if order else (0, 0)
+    return H1Result(order=order, nonp_part=unit, p_exponent=p_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +404,8 @@ def whitehead_closed_form(
     for level in range(2, truncation_level + 1):
         norm, shift, prec = _level_log_norm_adaptive(m, level, work)
         deg = phi_degree(2, level)
-        v = vp(norm, 2)
+        v, unit = vp_split(norm, 2)
         nu_sum = v - shift * deg
-        unit = nonp_part(norm, 2)
         factor_prec = prec - v
         if factor_prec < 1:
             raise DegenerateValueError(

@@ -23,24 +23,42 @@ from __future__ import annotations
 from .errors import PrecisionExhaustedError
 
 
-def vp(x: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+def vp_split(x: int, p: int) -> tuple[int, int]:
+    """(v_p(x), x / p^v_p(x)) of a nonzero integer, sign kept, in time
+    about that of one division of x by p^v_p(x): at p = 2 from the lowest
+    set bit; at odd p by dividing out p, p^2, p^4, ... while they divide,
+    then the same powers again in descending order, as GMP's mpz_remove
+    does."""
     if x == 0:
         raise ValueError("v_p(0) is infinite")
+    if p == 2:
+        v = (x & -x).bit_length() - 1
+        return v, x >> v
     v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+    powers = []
+    power = p
+    while True:
+        q, r = divmod(x, power)
+        if r:
+            break
+        x, v = q, v + (1 << len(powers))
+        powers.append(power)
+        power *= power
+    for i in reversed(range(len(powers))):
+        q, r = divmod(x, powers[i])
+        if not r:
+            x, v = q, v + (1 << i)
+    return v, x
+
+
+def vp(x: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    return vp_split(x, p)[0]
 
 
 def nonp_part(x: int, p: int) -> int:
     """x with every factor of p removed; sign preserved.  nonp_part(0) = 0."""
-    if x == 0:
-        return 0
-    while x % p == 0:
-        x //= p
-    return x
+    return vp_split(x, p)[1] if x else 0
 
 
 class PadicApprox:

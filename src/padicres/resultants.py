@@ -19,6 +19,10 @@ The production path and the oracles it is tested against:
   univariate pairs; agrees with the determinant exactly, sign included, and
   serves as the oracle for the tower norm and, over polynomial
   coefficients, for the packed elimination.
+* modular_root_product (complex_root_product for a request): the product of
+  f over the masked root-of-unity tuples, evaluated in F_q for enough
+  primes q and recovered by the CRT (Collins' modular method); it shares no
+  code with the engine.
 
 Sign conventions follow the Sylvester determinant with the first argument's
 coefficient rows on top.  Elimination order is t_d first, then t_{d-1}, and
@@ -27,7 +31,9 @@ so on.
 A cost budget guards runaway work: cyclic_resultant refuses a request whose
 cost_estimate, made before any work, exceeds `budget` (default 10^9 units
 of about 0.15 us, overridable via the PADIC_RES_BUDGET environment
-variable), and the literal baseline has its own degree budget.
+variable), check_budget refuses a set of requests, such as a limit window,
+on the sum of their estimates, and the literal baseline has its own degree
+budget.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import os
 from dataclasses import dataclass
 from typing import FrozenSet, Sequence, Tuple
 
-from .errors import BudgetExceededError, ExactDivisionError, InvariantError, OracleMismatchError
+from .errors import BudgetExceededError, ExactDivisionError, InvariantError
 from .multipoly import MultiPoly
 from .unipoly import UniPoly, cyclotomic, is_prime, power_minus_one
 
@@ -205,12 +211,23 @@ def cyclotomic_norm(p: int, j: int, coeffs) -> int:
     closed form N(a + b*zeta) = (-1)^n sum_{i<p} (-a)^(i*q) b^(n-i*q), with
     n = phi(p^j) and q = p^(j-1), in about 2p big-int products (_linear_norm).
     """
-    x = reduce_mod_phi(coeffs, p, j) if j else [sum(coeffs)]
+    if not j:
+        return sum(coeffs)
+    x = reduce_mod_phi(coeffs, p, j)
     if not any(x):
         return 0
-    if j and not any(x[2:]):
-        return _linear_norm(p, j, x[0], x[1] if len(x) > 1 else 0)
-    return _tower_norm(p, j, x)
+    # N(2^k y) = 2^(k*n) N(y): a shared power of two (in the elimination, a
+    # monomial shared by the packed variables) leaves before the norm
+    low = 0
+    for c in x:
+        low |= c
+    k = (low & -low).bit_length() - 1
+    if k:
+        x = [c >> k for c in x]
+    n = p ** (j - 1) * (p - 1)
+    if not any(x[2:]):
+        return _linear_norm(p, j, x[0], x[1] if n > 1 else 0) << (k * n)
+    return _tower_norm(p, j, x) << (k * n)
 
 
 def _tower_norm(p: int, j: int, x) -> int:
@@ -331,9 +348,14 @@ def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
         at = size * sum(e * s for e, s in zip(exp[:-1], strides))
         digits[exp[-1]][c < 0][at : at + size] = abs(c).to_bytes(size, "little")
     coeffs = [int.from_bytes(pos, "little") - int.from_bytes(neg, "little") for pos, neg in digits]
-    values = _unpack(cyclotomic_norm(p, j, coeffs), strides[-1], size)
+    value = cyclotomic_norm(p, j, coeffs)
+    # unpack only the digits between the lowest and the highest nonzero one
+    w = 8 * size
+    low = ((value & -value).bit_length() - 1) // w if value else 0
+    high = min(strides[-1], value.bit_length() // w + 2)
+    values = _unpack(value >> (w * low), high - low, size)
     result = {}
-    for at, c in enumerate(values):
+    for at, c in enumerate(values, low):
         if c:
             exp = []
             for bound in bounds:
@@ -462,11 +484,17 @@ def cyclic_resultant(req: CyclicResultantRequest, budget: int | None = None) -> 
     factorization is exact, signs included.  Each elimination runs once per
     prefix (j_d, ..., j_i) of trailing indices.
     """
+    check_budget([req], budget)
+    return _masked_product(req.f, req.p, req.factor_mask)
+
+
+def check_budget(requests, budget: int | None = None) -> None:
+    """Refuse, before any work, requests whose cost estimates sum past the
+    budget (default cost_budget())."""
     cap = budget if budget is not None else cost_budget()
-    cost = cost_estimate(req)
+    cost = sum(cost_estimate(req) for req in requests)
     if cost > cap:
         raise BudgetExceededError(f"estimated cost {cost:.3g} exceeds the budget {cap}")
-    return _masked_product(req.f, req.p, req.factor_mask)
 
 
 def cyclic_resultant_baseline(req: CyclicResultantRequest, budget: int = BASELINE_BUDGET_DEFAULT) -> int:
@@ -571,54 +599,8 @@ def _oracle_primes(p: int, m: int):
         k += 1
 
 
-# ---------------------------------------------------------------------------
-# complex-float root-product oracle
-# ---------------------------------------------------------------------------
-
-
-def _mask_roots(p: int, mask, mp):
-    roots = []
-    for j in sorted(mask):
-        if j == 0:
-            roots.append(mp.mpc(1))
-            continue
-        order = p**j
-        for a in range(1, order):
-            if a % p == 0:
-                continue
-            roots.append(mp.e ** (2j * mp.pi * a / order))
-    return roots
-
-
 def complex_root_product(req: CyclicResultantRequest) -> int:
-    """Independent float route: multiply f over the selected root-of-unity
-    tuples at high complex precision and round; the rounding error must stay
-    below 0.25 or the precision doubles (three attempts, then a hard error).
-    """
-    import mpmath
-
-    height = sum(abs(c) for _, c in req.f.terms())
-    count = 1
-    for n, mask in zip(req.levels, req.factor_mask):
-        size = sum(1 if j == 0 else req.p**j - req.p ** (j - 1) for j in mask)
-        count *= size
-    bits = int(count * max(1.0, mpmath.log(max(height, 2), 2)) + 64)
-    for _ in range(3):
-        with mpmath.workprec(bits):
-            per_var = [_mask_roots(req.p, mask, mpmath.mp) for mask in req.factor_mask]
-            total = mpmath.mpc(1)
-            for point in itertools.product(*per_var):
-                value = mpmath.mpc(0)
-                for exp, coeff in req.f.terms():
-                    term = mpmath.mpc(coeff)
-                    for z, e in zip(point, exp):
-                        if e:
-                            term *= z**e
-                    value += term
-                total *= value
-            guess = mpmath.nint(mpmath.re(total))
-            err = abs(total - guess)
-            if err < 0.25:
-                return int(guess)
-        bits *= 2
-    raise OracleMismatchError("complex root product would not settle on an integer")
+    """The masked iterated cyclic resultant by the independent route: the
+    product of f over the selected tuples of complex p-power roots of unity,
+    computed exactly in F_q by modular_root_product."""
+    return modular_root_product(req.f, req.p, req.factor_mask)

@@ -8,6 +8,7 @@ import pytest
 
 from padicres import resultants
 from padicres.cli import main
+from padicres.errors import ExactDivisionError
 from padicres.parsing import parse_poly
 from padicres.resultants import CyclicResultantRequest, cyclic_resultant
 
@@ -59,6 +60,73 @@ def test_res_budget_bounds_three_variable_elimination(capsys, monkeypatch, level
     monkeypatch.setattr(resultants, "_masked_product", no_work)
     code, out, err = run(capsys, "res", "-p", "2", "-n", levels, "5+t1+t2+t3")
     assert code == 3 and "budget" in err and not out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "3", "-K", "7"],
+        ["whitehead", "-k", "5", "-p", "3", "-K", "7"],
+    ],
+)
+def test_window_budget_refuses_before_any_elimination(capsys, monkeypatch, argv):
+    # the estimates of every level and sublink of the window are summed and
+    # refused before level 1 is computed
+    def no_work(*args):
+        raise AssertionError("the elimination started")
+
+    monkeypatch.setattr(resultants, "_masked_product", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and "budget" in err and not out
+
+
+def test_window_budget_is_the_sum_over_levels(capsys, monkeypatch):
+    # a cap above every level's own estimate but below their sum refuses
+    f = parse_poly("5+t1+t2+t1*t2", 2)
+    costs = [resultants.cost_estimate(CyclicResultantRequest.full(f, 2, (k, k))) for k in range(1, 5)]
+    cap = int(max(costs)) + 1
+    assert sum(costs) > cap
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(cap))
+    code, out, err = run(capsys, "climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "4")
+    assert code == 3 and "budget" in err and not out
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(int(sum(costs)) + 1))
+    code, out, _ = run(capsys, "climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "4")
+    assert code == 0 and out
+
+
+def test_inexact_division_is_internal_not_user_error(capsys, monkeypatch):
+    # the Sylvester baseline of res --verify divides exactly at every Bareiss
+    # step; a division that is not exact is a bug, not a user error
+    def inexact(a, b):
+        raise ExactDivisionError(f"{a} not divisible by {b}")
+
+    monkeypatch.setattr(resultants, "_divexact", inexact)
+    code, out, err = run(capsys, "res", "-p", "2", "-n", "1,1", "--verify", "t1*t2-2")
+    assert code == 1 and not out
+    assert "unexpected error" in err and "not divisible" in err
+
+
+def test_the_package_never_imports_mpmath():
+    # both --verify oracles are exact integer routes
+    script = "\n".join(
+        [
+            "import sys",
+            "sys.modules['mpmath'] = None",
+            "from padicres.cli import main",
+            "codes = [main(['res', '-p', '3', '-n', '1,1', '--mask', 'rprime', '--verify', '1+t1*t2']),",
+            "         main(['linkh1', '--verify', '--whitehead', '4', '-p', '2', '-n', '4,4'])]",
+            "sys.exit(max(codes))",
+        ]
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "value: 4" in lines
+    assert 'verify: {"agree": true, "baseline": "4", "complex_root_product": "4"}' in lines
+    # L_4 = 2*(1 + t1*t2 - t1 - t2): r' at (4,4) is 2^(15*15) * 2^(4*15 + 4*15)
+    assert f"order: {2**345}" in lines and "nonp: 1" in lines and "p_exponent: 345" in lines
 
 
 def test_broken_norm_is_internal_not_user_error(capsys, monkeypatch):

@@ -23,7 +23,6 @@ from padicres.parsing import parse_poly
 from padicres.resultants import (
     CyclicResultantRequest,
     cyclic_resultant,
-    modular_root_product,
     sylvester_resultant,
 )
 from padicres.unipoly import UniPoly, cyclotomic, power_minus_one
@@ -149,20 +148,17 @@ def test_h1_matches_character_oracle():
         assert h1_order(link, cov) == character_oracle(link, cov)
 
 
-def test_exact_character_route_against_the_float_oracle():
-    # acceptance criterion 9's covers: per sublink, the exact F_q product of
-    # Delta_S over its characters, and the complex-float character sum
-    for link in [trefoil_spec()] + [whitehead_link_spec(k) for k in (1, 2, 3)]:
-        for p in (2, 3):
-            n = 1
-            while (p**n) ** link.d <= 256:
-                cov = CoveringSpec(p, (n,) * link.d)
-                order = 1
-                for subset in link.subsets():
-                    masks = [range(1, n + 1)] * len(subset)
-                    order *= abs(modular_root_product(link.alexander(subset), p, masks))
-                assert order == character_oracle(link, cov).order, (link.name, p, n)
-                n += 1
+def test_character_oracle_on_the_largest_covers():
+    # |G| = 729 and 1024, odd and even twists (acceptance criterion 9 stops
+    # at |G| = 256)
+    cases = [
+        (whitehead_link_spec(5), 3, (3, 3)),
+        (whitehead_link_spec(5), 2, (5, 5)),
+        (whitehead_link_spec(6), 2, (5, 5)),
+    ]
+    for link, p, levels in cases:
+        cov = CoveringSpec(p, levels)
+        assert h1_order(link, cov) == character_oracle(link, cov), (link.name, p, levels)
 
 
 def test_character_oracle_scale_guard():

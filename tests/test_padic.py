@@ -11,6 +11,7 @@ from padicres.padic import (
     padic_log_unit,
     teichmuller,
     vp,
+    vp_split,
 )
 from padicres.resultants import CyclicResultantRequest, cyclic_resultant
 
@@ -21,6 +22,35 @@ def test_vp_and_nonp_examples():
     with pytest.raises(ValueError):
         vp(0, 3)
     assert nonp_part(0, 3) == 0
+
+
+def naive_split(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
+def test_vp_split_against_the_naive_loop():
+    rng = random.Random(2026)
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5, 7, 11, 101, 2**61 - 1])
+        x = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 40)) * p ** rng.randint(0, 70)
+        assert vp_split(x, p) == naive_split(x, p) == (vp(x, p), nonp_part(x, p)), (x, p)
+    # 600k-bit values with valuations near 2^k - 1, 2^k and 2^k + 1 and the
+    # valuation of the K = 9 window of 5+t1+t2+t1*t2 at p = 2
+    for p in (2, 3, 5):
+        unit = rng.getrandbits(600_000) | 1
+        while unit % p == 0:
+            unit += 2
+        for v in (0, 1, 63, 64, 65, 1023, 1024, 1025, 11245):
+            x = -unit * p**v
+            assert vp_split(x, p) == (v, -unit), (p, v)
+            if v < 100:
+                assert vp_split(x, p) == naive_split(x, p), (p, v)
+    with pytest.raises(ValueError):
+        vp_split(0, 5)
 
 
 def test_vp_of_even_whitehead_order():
