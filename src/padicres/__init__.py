@@ -18,9 +18,9 @@ from .errors import (
     VanishingResultantError,
     WindowTooShortError,
 )
-from .multipoly import MultiPoly, eval_int
+from .multipoly import MultiPoly
 from .parsing import parse_poly
-from .unipoly import UniPoly, cyclotomic, is_prime, power_minus_one, shift_one
+from .unipoly import UniPoly, cyclotomic, is_prime, power_minus_one
 from .newton import NewtonPolygon, newton_polygon
 from .resultants import (
     CyclicResultantRequest,

@@ -36,7 +36,6 @@ from .links import (
     whitehead_closed_form,
     whitehead_link_spec,
 )
-from .multipoly import MultiPoly
 from .parsing import parse_poly
 from .resultants import (
     CyclicResultantRequest,
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     wh = sub.add_parser("whitehead", help="closed-form twisted-Whitehead limit vs the empirical one")
     wh.add_argument("-k", type=int, required=True)
     wh.add_argument("-K", "--digits", type=int, default=3)
-    wh.add_argument("--lmax", type=int, default=5, help="cyclotomic truncation level for p=2")
+    wh.add_argument("--lmax", type=int, default=5, help="cyclotomic truncation level for p=2, at least 2")
     common(wh)
     wh.set_defaults(func=cmd_whitehead)
 

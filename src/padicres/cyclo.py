@@ -8,6 +8,8 @@ The extension is totally ramified with uniformizer pi = 1 - zeta and
 v_pi(p) = phi(p^m).  pi-adic valuations are computed over the integers, as
 v_p of the resultant of the representing polynomial with Phi_{p^m} (the
 field norm), never inside the truncated ring, so no precision is lost there.
+Unit-ness needs no norm: x = x(1) (mod pi) and the residue field is F_p, so
+x is a unit exactly when p does not divide x(1), the sum of its coefficients.
 
 The 2-adic logarithm follows the squaring device: square until
 v_pi(y - 1) > v_pi(2), take the series, and remember the number s of
@@ -18,7 +20,6 @@ log 0 at some precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -26,7 +27,7 @@ from .errors import DegenerateValueError, PrecisionExhaustedError
 from .multipoly import MultiPoly
 from .padic import vp
 from .resultants import conjugate, cyclotomic_norm, reduce_mod_phi
-from .unipoly import UniPoly, cyclotomic, is_prime
+from .unipoly import UniPoly, is_prime
 
 
 def phi_degree(p: int, m: int) -> int:
@@ -173,13 +174,22 @@ class CycloPadic:
         return cyclotomic_norm(self.p, self.level, self.coeffs)
 
     def invert_unit(self) -> "CycloPadic":
-        """Inverse of a pi-adic unit, by mod-p inversion plus Hensel doubling."""
-        if pi_valuation(self) != 0:
-            raise ValueError("not a unit (positive pi-adic valuation)")
+        """Inverse of a pi-adic unit, by Newton steps mod p plus Hensel doubling.
+
+        x = x(1) (mod pi) and the residue field is F_p, so x is a unit exactly
+        when p does not divide x(1).  Mod p, Phi_{p^m} = (t - 1)^phi, so from
+        y = x(1)^(-1) the error 1 - xy lies in (t - 1) and squares under each
+        step y <- y(2 - xy): (phi - 1).bit_length() steps make it vanish.
+        """
         p, level, prec = self.p, self.level, self.prec
-        phi = cyclotomic(p, level)
-        inv = _invert_mod_p(list(self.coeffs), phi, p)
-        y = CycloPadic(p, level, 1, inv)
+        head = sum(self.coeffs) % p
+        if head == 0:
+            raise ValueError("not a unit (positive pi-adic valuation)")
+        x1 = CycloPadic(p, level, 1, self.coeffs)
+        two = CycloPadic.from_int(2, p, level, 1)
+        y = CycloPadic.from_int(pow(head, -1, p), p, level, 1)
+        for _ in range((phi_degree(p, level) - 1).bit_length()):
+            y = y * (two - x1 * y)
         k = 1
         while k < prec:
             k = min(2 * k, prec)
@@ -196,66 +206,6 @@ class CycloPadic:
 
     def __repr__(self) -> str:
         return f"CycloPadic{self}"
-
-
-def _invert_mod_p(coeffs, phi: UniPoly, p: int):
-    """Inverse of coeffs modulo (phi, p) by extended Euclid in F_p[x]."""
-    a = [c % p for c in phi.coeffs]
-    b = [c % p for c in coeffs]
-    # extended gcd: maintain r0 = s0*phi + t0*b (t's tracked only)
-    r0, r1 = a, _trim(b)
-    t0, t1 = [0], [1]
-    while _deg(r1) > 0 or (_deg(r1) == 0 and _deg(r0) > 0):
-        q, r = _divmod_fp(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, _sub_fp(t0, _mul_fp(q, t1, p), p)
-        if not r1:
-            break
-    if _deg(r0) != 0:
-        raise ValueError("element is not invertible mod p")
-    c = pow(r0[0], -1, p)
-    return [x * c % p for x in t0]
-
-
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _deg(c):
-    return len(c) - 1
-
-
-def _mul_fp(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for k, cb in enumerate(b):
-                out[i + k] = (out[i + k] + ca * cb) % p
-    return _trim(out)
-
-
-def _sub_fp(a, b, p):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
-
-
-def _divmod_fp(a, b, p):
-    a = list(a)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, p)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i] * inv % p
-        if c:
-            q[i - len(b) + 1] = c
-            for k, cb in enumerate(b):
-                a[i - len(b) + 1 + k] = (a[i - len(b) + 1 + k] - c * cb) % p
-    return _trim(q), _trim(a[: len(b) - 1])
 
 
 def pi_valuation(x: CycloPadic) -> int:
@@ -275,14 +225,17 @@ def pi_valuation(x: CycloPadic) -> int:
 # logarithms
 # ---------------------------------------------------------------------------
 
+_MAX_SQUARINGS = 64
 
-def log_with_shift(x: CycloPadic, max_squarings: int = 64) -> Tuple[CycloPadic, int]:
+
+def log_with_shift(x: CycloPadic) -> Tuple[CycloPadic, int]:
     """(z, s) with log(x) = z / p^s for a unit x; z integral.
 
     For p = 2 squares until v_pi(y - 1) > v_pi(2) = phi (the documented safe
     region), so s squarings contribute the /2^s.  If squaring drives y to
     exactly 1 at the working precision, x is (indistinguishable from) a
-    torsion unit and DegenerateValueError is raised.
+    torsion unit and DegenerateValueError is raised; more than _MAX_SQUARINGS
+    maps raise PrecisionExhaustedError.
     """
     p = x.p
     deg = phi_degree(p, x.level)
@@ -308,7 +261,7 @@ def log_with_shift(x: CycloPadic, max_squarings: int = 64) -> Tuple[CycloPadic, 
             break
         y = y * y if p == 2 else y**p
         s += 1
-        if s > max_squarings:
+        if s > _MAX_SQUARINGS:
             raise PrecisionExhaustedError("log argument will not enter the convergence region")
     z = _log_series(y, t)
     return z, s
@@ -344,7 +297,7 @@ def _log_series(y: CycloPadic, t: int) -> CycloPadic:
     while True:
         if k > 1 and _tail_negligible(k, t, deg, target):
             break
-        a = _vp_or_zero(k, p)
+        a = vp(k, p)
         kk = k // p**a
         coeffs = list(wk.coeffs)
         if a:
@@ -360,10 +313,6 @@ def _log_series(y: CycloPadic, t: int) -> CycloPadic:
         wk = wk * w
     out_prec = max(prec - loss, 1)
     return total.at_precision(out_prec)
-
-
-def _vp_or_zero(k: int, p: int) -> int:
-    return vp(k, p) if k % p == 0 else 0
 
 
 def _tail_negligible(k: int, t: int, deg: int, target: int) -> bool:
@@ -410,13 +359,8 @@ def nu_zeta(m: int, level: int, prec: int, p: int = 2) -> Fraction:
         raise ValueError("nu_zeta is a 2-adic quantity")
     if level < 2:
         raise DegenerateValueError("level 1 roots (+-1) are excluded from the product")
-    u = whitehead_log_argument(m, p, level, prec)
-    z, s = log_with_shift(u)
-    n = z.norm_lift()
-    if n == 0 or vp(n, 2) >= z.prec:
-        raise PrecisionExhaustedError("norm of log indistinguishable from 0; raise prec")
-    deg = phi_degree(p, level)
-    return Fraction(vp(n, 2), deg) - s
+    n, s, _ = level_log_norm(m, level, prec)
+    return Fraction(vp(n, 2), phi_degree(p, level)) - s
 
 
 def level_log_norm(m: int, level: int, prec: int) -> Tuple[int, int, int]:

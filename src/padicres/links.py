@@ -363,9 +363,7 @@ class WhiteheadLimit:
     per_level: Tuple[Tuple[int, int, int], ...] = ()  # (level, sum of nu over the level, factor precision)
 
 
-def whitehead_closed_form(
-    k: int, p: int, K: int, truncation_level: int = 5, work_prec: int | None = None
-) -> WhiteheadLimit:
+def whitehead_closed_form(k: int, p: int, K: int, truncation_level: int = 5) -> WhiteheadLimit:
     """Closed-form p-adic limit of the non-p parts of |H_1| for the k-twisted
     Whitehead link.
 
@@ -373,12 +371,15 @@ def whitehead_closed_form(
     k = 2m+1, odd p: omega_p(2) / 2.
     k = 2m+1, p = 2: the infinite product over 2-power roots of unity of
     2^(-nu) log((m*zeta+m+1)/(m*zeta+m+zeta)), grouped per cyclotomic level
-    into norm unit parts and truncated at `truncation_level`; the achieved
-    precision is measured from the convergence of the level factors.  m = 0
+    into norm unit parts and truncated at `truncation_level` >= 2 (level 1
+    is excluded from the product); the achieved precision is measured from
+    the convergence of the level factors, worked at precision K + 14.  m = 0
     makes the argument a torsion unit and is reported degenerate.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if truncation_level < 2:
+        raise ValueError(f"truncation level must be >= 2, got {truncation_level}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k % 2 == 0:
@@ -398,7 +399,7 @@ def whitehead_closed_form(
             note="k = 1: the log argument is the torsion unit zeta^(-1); "
             "the product degenerates (and the covers stop being rational homology spheres)",
         )
-    work = work_prec if work_prec is not None else K + 14
+    work = K + 14
     factors = []
     per_level = []
     for level in range(2, truncation_level + 1):
@@ -409,7 +410,7 @@ def whitehead_closed_form(
         factor_prec = prec - v
         if factor_prec < 1:
             raise DegenerateValueError(
-                f"working precision too small at level {level}; raise work_prec"
+                f"working precision {prec} does not cover the valuation {v} of the level {level} norm"
             )
         factors.append(PadicApprox.from_int(unit, 2, factor_prec))
         per_level.append((level, nu_sum, factor_prec))
@@ -441,22 +442,25 @@ class TwoPartReport:
     ok: bool
 
 
-def two_part_exponent_check(k: int, n_max: int, work_prec: int = 24) -> TwoPartReport:
+def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
     """Verify v_2(|H_1(S^3_{n,n})|) = n*2^n - 2n + 1 + sum of nu over the
-    2-power roots zeta != +-1 of order <= 2^n, for n = 1..n_max.
+    2-power roots zeta != +-1 of order <= 2^n, for n = 1..n_max, 1 <= n_max <= 4.
 
     The per-level nu sums come from the cyclotomic-log norms under the
     Q_2-normalized valuation; the left side is the exact masked resultant.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("need odd k = 2m+1 with m >= 1")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > 4:
         raise ValueError("n_max is capped at 4 (degree growth)")
     m = (k - 1) // 2
     link = whitehead_link_spec(k)
     nu_sums = {}
     for level in range(2, n_max + 1):
-        norm, shift, _ = _level_log_norm_adaptive(m, level, work_prec)
+        # only the valuation of the norm is read, so a fixed margin suffices
+        norm, shift, _ = _level_log_norm_adaptive(m, level, 24)
         nu_sums[level] = vp(norm, 2) - shift * phi_degree(2, level)
     rows = []
     ok = True

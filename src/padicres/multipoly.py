@@ -15,7 +15,7 @@ strings, independent of construction history and platform.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import ExactDivisionError
 
@@ -330,11 +330,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.num_vars}, '{self.serialize()}')"
-
-
-def eval_int(f: MultiPoly, point: Sequence[int]) -> int:
-    """Exact integer evaluation; module-level spelling of MultiPoly.evaluate."""
-    return f.evaluate(point)
 
 
 def random_multipoly(rng, num_vars: int, max_terms: int, max_exp: int, max_coeff: int) -> MultiPoly:

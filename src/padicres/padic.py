@@ -328,7 +328,7 @@ def padic_log(u: int | PadicApprox, p: int, prec: int) -> PadicApprox:
             log_p_k += 1
         if k > 1 and k * v - log_p_k >= work:
             break
-        a = vp(k, p) if k % p == 0 else 0
+        a = vp(k, p)
         term = xk // p**a
         kk = k // p**a
         term = term * pow(kk, -1, mod) % mod

@@ -475,7 +475,7 @@ def _cost(degrees, bits: float, p: int, masks) -> float:
     return total
 
 
-def cyclic_resultant(req: CyclicResultantRequest, budget: int | None = None) -> int:
+def cyclic_resultant(req: CyclicResultantRequest) -> int:
     """The masked iterated cyclic resultant, by cyclotomic factorization.
 
     Equal to the literal iterated resultant with the divisor polynomials
@@ -484,14 +484,14 @@ def cyclic_resultant(req: CyclicResultantRequest, budget: int | None = None) -> 
     factorization is exact, signs included.  Each elimination runs once per
     prefix (j_d, ..., j_i) of trailing indices.
     """
-    check_budget([req], budget)
+    check_budget([req])
     return _masked_product(req.f, req.p, req.factor_mask)
 
 
-def check_budget(requests, budget: int | None = None) -> None:
-    """Refuse, before any work, requests whose cost estimates sum past the
-    budget (default cost_budget())."""
-    cap = budget if budget is not None else cost_budget()
+def check_budget(requests) -> None:
+    """Refuse, before any work, requests whose cost estimates sum past
+    cost_budget()."""
+    cap = cost_budget()
     cost = sum(cost_estimate(req) for req in requests)
     if cost > cap:
         raise BudgetExceededError(f"estimated cost {cost:.3g} exceeds the budget {cap}")

@@ -12,7 +12,7 @@ used by the Newton-polygon route to the lambda invariant.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .multipoly import MultiPoly
 
@@ -32,16 +32,6 @@ class UniPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_const(cls, c) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
-    def x_power(cls, n: int, lead=1) -> "UniPoly":
-        return cls((0,) * n + (lead,))
 
     # -- structure ---------------------------------------------------------
 
@@ -104,15 +94,6 @@ class UniPoly:
             for j, cb in enumerate(b):
                 out[i + j] = out[i + j] + ca * cb
         return UniPoly(out)
-
-    def scale(self, c) -> "UniPoly":
-        return UniPoly([a * c for a in self.coeffs])
-
-    def shift(self, n: int) -> "UniPoly":
-        """Multiply by t^n."""
-        if self.is_zero:
-            return self
-        return UniPoly((self.coeffs[0] * 0,) * n + self.coeffs)
 
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
@@ -252,11 +233,6 @@ def power_minus_one(n: int) -> UniPoly:
     coeffs[0] = -1
     coeffs[n] = 1
     return UniPoly(coeffs)
-
-
-def shift_one(f: UniPoly) -> UniPoly:
-    """Module-level spelling of UniPoly.shift_one."""
-    return f.shift_one()
 
 
 def is_prime(n: int) -> bool:

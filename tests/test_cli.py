@@ -235,6 +235,19 @@ def test_twopart(capsys):
     assert record["ok"] is True and record["rows"][1] == [2, 9, 9]
 
 
+@pytest.mark.parametrize("lmax", ["1", "0"])
+def test_whitehead_truncation_below_level_two_is_user_error(capsys, lmax):
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", lmax)
+    assert code == 2 and out == ""
+    assert f"truncation level must be >= 2, got {lmax}" in err
+
+
+def test_twopart_empty_range_is_user_error(capsys):
+    code, out, err = run(capsys, "twopart", "-k", "3", "--n-max", "0")
+    assert code == 2 and out == ""
+    assert "n_max must be >= 1, got 0" in err
+
+
 def test_output_determinism(capsys):
     _, out1, _ = run(capsys, "res", "-p", "3", "-n", "2,2", "--format", "json", "t1^2*t2-3*t1+1")
     _, out2, _ = run(capsys, "res", "-p", "3", "-n", "2,2", "--format", "json", "t1^2*t2-3*t1+1")

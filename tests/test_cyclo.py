@@ -49,20 +49,60 @@ def test_ring_axioms_random():
 
 
 def test_invert_unit_200_random():
+    # half the elements are zeta + p*(...), so the mod-p Newton phase starts
+    # from y = 1 with the error 1 - zeta and must really iterate
     rng = random.Random(22)
     done = 0
     while done < 200:
-        p = rng.choice([2, 3])
-        m = rng.randint(1, 3)
+        p = rng.choice([2, 3, 5, 7])
+        m = rng.randint(1, 4 if p < 5 else 2)
         K = rng.randint(2, 8)
         deg = phi_degree(p, m)
         x = CycloPadic(p, m, K, [rng.randrange(p**K) for _ in range(deg)])
+        if done % 2:
+            x = CycloPadic.zeta(p, m, K) + x * p
         try:
             y = x.invert_unit()
-        except (ValueError, PrecisionExhaustedError):
+        except ValueError:
             continue
         assert x * y == CycloPadic.from_int(1, p, m, K)
         done += 1
+
+
+def test_invert_unit_accepts_exactly_the_units():
+    rng = random.Random(28)
+    units = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        m = rng.randint(1, 4 if p < 5 else 2)
+        K = rng.randint(1, 10)
+        deg = phi_degree(p, m)
+        x = CycloPadic(p, m, K, [rng.randrange(p**K) for _ in range(deg)])
+        try:
+            unit = pi_valuation(x) == 0
+        except PrecisionExhaustedError:
+            unit = False  # v_pi(x) >= K >= 1
+        if not unit:
+            with pytest.raises(ValueError):
+                x.invert_unit()
+            continue
+        assert x * x.invert_unit() == CycloPadic.from_int(1, p, m, K)
+        units += 1
+    assert 150 < units < 300
+
+
+def test_invert_unit_takes_no_norm(monkeypatch):
+    from padicres import cyclo
+
+    def no_norm(*args):
+        raise AssertionError("invert_unit took a norm")
+
+    monkeypatch.setattr(cyclo, "cyclotomic_norm", no_norm)
+    for p, m, K in [(2, 5, 20), (3, 3, 12), (7, 2, 6)]:
+        x = CycloPadic.zeta(p, m, K) + p
+        assert x * x.invert_unit() == CycloPadic.from_int(1, p, m, K)
+    u = whitehead_log_argument(2, 2, 4, 30)
+    assert u * (u ** -1) == CycloPadic.from_int(1, 2, 4, 30)
 
 
 def test_invert_rejects_non_units():
