@@ -182,12 +182,12 @@ class CycloPadic:
         step y <- y(2 - xy): (phi - 1).bit_length() steps make it vanish.
         """
         p, level, prec = self.p, self.level, self.prec
-        head = sum(self.coeffs) % p
-        if head == 0:
+        at_one = sum(self.coeffs) % p
+        if at_one == 0:
             raise ValueError("not a unit (positive pi-adic valuation)")
         x1 = CycloPadic(p, level, 1, self.coeffs)
         two = CycloPadic.from_int(2, p, level, 1)
-        y = CycloPadic.from_int(pow(head, -1, p), p, level, 1)
+        y = CycloPadic.from_int(pow(at_one, -1, p), p, level, 1)
         for _ in range((phi_degree(p, level) - 1).bit_length()):
             y = y * (two - x1 * y)
         k = 1
