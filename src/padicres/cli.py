@@ -28,9 +28,11 @@ from .limits import iwasawa_fit, lambda_mu_structural, limit_estimate, zero_limi
 from .links import (
     CoveringSpec,
     character_oracle,
+    closed_form_cost,
     h1_nonp_limit,
     h1_order,
     load_link_spec,
+    nonp_limit_cost,
     trefoil_spec,
     two_part_exponent_check,
     whitehead_closed_form,
@@ -39,6 +41,7 @@ from .links import (
 from .parsing import parse_poly
 from .resultants import (
     CyclicResultantRequest,
+    check_budget,
     complex_root_product,
     cyclic_resultant,
     cyclic_resultant_baseline,
@@ -85,13 +88,12 @@ def _build_request(args) -> CyclicResultantRequest:
     return CyclicResultantRequest.custom(f, args.prime, levels, masks)
 
 
-def _emit(args, payload: dict, table_order=None):
+def _emit(args, payload: dict):
+    # JSON sorts its keys; the table keeps the payload's insertion order
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
-        keys = table_order or sorted(payload)
-        for key in keys:
-            value = payload[key]
+        for key, value in payload.items():
             if isinstance(value, (dict, list)):
                 value = json.dumps(value, sort_keys=True)
             print(f"{key}: {value}")
@@ -116,9 +118,9 @@ def cmd_res(args) -> int:
             "agree": baseline == value == oracle,
         }
         if not (baseline == value == oracle):
-            _emit(args, payload, ["command", "p", "levels", "mask", "value", "verify"])
+            _emit(args, payload)
             raise OracleMismatchError("res --verify: routes disagree")
-    _emit(args, payload, ["command", "p", "levels", "mask", "value"] + (["verify"] if args.verify else []))
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -141,15 +143,7 @@ def cmd_climit(args) -> int:
         "levels_used": list(est.levels_used),
         "window": [list(row) for row in est.window],
     }
-    _emit(
-        args,
-        payload,
-        [
-            "command", "p", "K", "mask", "zero_limit", "raw_limit", "nonp_limit",
-            "certified_digits", "nonp_certified_digits", "stabilized", "degenerate",
-            "levels_used", "window",
-        ],
-    )
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -157,11 +151,7 @@ def cmd_iwasawa(args) -> int:
     import re
 
     expr = re.sub(r"t(?!\d)", "t1", args.expr)
-    f = parse_poly(expr, 1)
-    coeffs = [0] * (f.degree_in(1) + 1)
-    for exp, c in f.terms():
-        coeffs[exp[0]] = c
-    u = UniPoly(coeffs)
+    u = UniPoly([c.constant_value() for c in parse_poly(expr, 1).coeffs_in_last_var()])
     inv = iwasawa_fit(u, args.prime, args.n_max)
     lam_s, mu_s = lambda_mu_structural(u, args.prime)
     payload = {
@@ -178,7 +168,7 @@ def cmd_iwasawa(args) -> int:
     if not payload["agree"]:
         _emit(args, payload)
         raise OracleMismatchError("iwasawa: fitted and structural invariants disagree")
-    _emit(args, payload, ["command", "p", "lambda", "mu", "nu", "verified_window", "e_values", "structural", "agree"])
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -201,15 +191,18 @@ def cmd_linkh1(args) -> int:
     if args.verify:
         oracle = character_oracle(link, cov)
         if oracle != result:
-            _emit(args, payload, ["order", "nonp", "p_exponent"])
+            _emit(args, payload)
             raise OracleMismatchError(
                 f"linkh1 --verify: exact {result.order} vs character oracle {oracle.order}"
             )
-    _emit(args, payload, ["order", "nonp", "p_exponent"])
+    _emit(args, payload)
     return EXIT_OK
 
 
 def cmd_whitehead(args) -> int:
+    link = whitehead_link_spec(args.k)
+    # one budget for the closed form's log norms and the empirical window
+    check_budget(closed_form_cost(args.k, args.prime, args.digits, args.lmax) + nonp_limit_cost(link, args.prime, args.digits))
     closed = whitehead_closed_form(args.k, args.prime, args.digits, truncation_level=args.lmax)
     payload = {
         "command": "whitehead",
@@ -220,9 +213,9 @@ def cmd_whitehead(args) -> int:
     }
     if closed.degenerate:
         payload["note"] = closed.note
-        _emit(args, payload, ["command", "k", "p", "K", "degenerate", "note"])
+        _emit(args, payload)
         return EXIT_OK
-    empirical = h1_nonp_limit(whitehead_link_spec(args.k), args.prime, args.digits)
+    empirical = h1_nonp_limit(link, args.prime, args.digits)
     digits = min(
         closed.achieved_digits,
         args.digits if empirical.nonp_value is None else empirical.nonp_certified_digits,
@@ -242,14 +235,7 @@ def cmd_whitehead(args) -> int:
     if not agree:
         _emit(args, payload)
         raise OracleMismatchError("whitehead: closed form and empirical limit disagree")
-    _emit(
-        args,
-        payload,
-        [
-            "command", "k", "p", "K", "degenerate", "closed_form", "closed_form_residue",
-            "achieved_digits", "empirical", "compared_digits", "agree", "per_level_nu_sums",
-        ],
-    )
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -261,7 +247,7 @@ def cmd_twopart(args) -> int:
         "rows": [list(r) for r in report.rows],
         "ok": report.ok,
     }
-    _emit(args, payload, ["command", "k", "rows", "ok"])
+    _emit(args, payload)
     if not report.ok:
         raise OracleMismatchError("two-part exponent identity failed")
     return EXIT_OK

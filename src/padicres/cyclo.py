@@ -3,6 +3,9 @@
 An element is a residue vector of length phi(p^m) = p^(m-1)(p-1) modulo p^K,
 read as a polynomial in zeta reduced mod Phi_{p^m}; the power basis is an
 integral basis, so integral elements are exactly the representable ones.
+The constructor reduces any longer coefficient list mod Phi_{p^m}, and
+products are the resultant engine's mul_mod_phi, the one Z[zeta_{p^m}]
+product that its tower norms use too.
 
 The extension is totally ramified with uniformizer pi = 1 - zeta and
 v_pi(p) = phi(p^m).  pi-adic valuations are computed over the integers, as
@@ -26,13 +29,8 @@ from typing import Tuple
 from .errors import DegenerateValueError, PrecisionExhaustedError
 from .multipoly import MultiPoly
 from .padic import vp
-from .resultants import conjugate, cyclotomic_norm, reduce_mod_phi
-from .unipoly import UniPoly, is_prime
-
-
-def phi_degree(p: int, m: int) -> int:
-    """phi(p^m) for m >= 1."""
-    return p ** (m - 1) * (p - 1)
+from .resultants import conjugate, cyclotomic_norm, mul_mod_phi, phi_degree, reduce_mod_phi
+from .unipoly import is_prime
 
 
 class CycloPadic:
@@ -48,7 +46,7 @@ class CycloPadic:
         deg = phi_degree(p, level)
         cs = list(coeffs)
         if len(cs) > deg:
-            raise ValueError(f"coefficient vector longer than phi(p^m) = {deg}")
+            cs = reduce_mod_phi(cs, p, level)
         cs += [0] * (deg - len(cs))
         mod = p**prec
         object.__setattr__(self, "p", p)
@@ -67,10 +65,6 @@ class CycloPadic:
 
     @classmethod
     def zeta(cls, p: int, level: int, prec: int) -> "CycloPadic":
-        deg = phi_degree(p, level)
-        if deg == 1:
-            # only (p, m) = (2, 1): Phi_2 = x + 1, zeta = -1
-            return cls(p, level, prec, [-1])
         return cls(p, level, prec, [0, 1])
 
     # -- ring operations -----------------------------------------------------
@@ -108,16 +102,9 @@ class CycloPadic:
         if isinstance(other, int):
             return CycloPadic(self.p, self.level, self.prec, [a * other for a in self.coeffs])
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (2 * len(a) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for k, cb in enumerate(b):
-                    if cb:
-                        out[i + k] += ca * cb
         return CycloPadic(
             self.p, self.level, self.prec,
-            reduce_mod_phi(out, self.p, self.level),
+            mul_mod_phi(self.coeffs, other.coeffs, self.p, self.level),
         )
 
     __rmul__ = __mul__
@@ -152,16 +139,7 @@ class CycloPadic:
     def is_zero_at_precision(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def at_precision(self, prec: int) -> "CycloPadic":
-        if prec > self.prec:
-            raise PrecisionExhaustedError("cannot raise precision")
-        return CycloPadic(self.p, self.level, prec, self.coeffs)
-
     # -- field structure -------------------------------------------------------
-
-    def lift_poly(self) -> UniPoly:
-        """Canonical integer lift as a polynomial in zeta."""
-        return UniPoly(self.coeffs)
 
     def galois(self, a: int) -> "CycloPadic":
         """The automorphism zeta -> zeta^a, a coprime to p."""
@@ -311,8 +289,7 @@ def _log_series(y: CycloPadic, t: int) -> CycloPadic:
         total = total + (term if k % 2 == 1 else -term)
         k += 1
         wk = wk * w
-    out_prec = max(prec - loss, 1)
-    return total.at_precision(out_prec)
+    return CycloPadic(p, level, max(prec - loss, 1), total.coeffs)
 
 
 def _tail_negligible(k: int, t: int, deg: int, target: int) -> bool:
@@ -348,19 +325,17 @@ def whitehead_log_argument(m: int, p: int, level: int, prec: int) -> CycloPadic:
     return numer * denom.invert_unit()
 
 
-def nu_zeta(m: int, level: int, prec: int, p: int = 2) -> Fraction:
+def nu_zeta(m: int, level: int, prec: int) -> Fraction:
     """nu_zeta = v_2(log((m*zeta+m+1)/(m*zeta+m+zeta))), normalized to Q_2
     (v_pi / phi(2^level)); the same for every primitive root at the level.
 
     level 1 (zeta = -1) is excluded by the defining product, and m = 0 makes
     the argument the torsion unit zeta^(-1); both raise DegenerateValueError.
     """
-    if p != 2:
-        raise ValueError("nu_zeta is a 2-adic quantity")
     if level < 2:
         raise DegenerateValueError("level 1 roots (+-1) are excluded from the product")
     n, s, _ = level_log_norm(m, level, prec)
-    return Fraction(vp(n, 2), phi_degree(p, level)) - s
+    return Fraction(vp(n, 2), phi_degree(2, level)) - s
 
 
 def level_log_norm(m: int, level: int, prec: int) -> Tuple[int, int, int]:
@@ -392,4 +367,4 @@ def evaluate_at_unity(f: MultiPoly, p: int, level: int, exps, prec: int) -> Cycl
     for exp, coeff in f.terms():
         e = sum(a * b for a, b in zip(exp, exps)) % order
         out[e] += coeff
-    return CycloPadic(p, level, prec, reduce_mod_phi(out, p, level))
+    return CycloPadic(p, level, prec, out)

@@ -31,7 +31,7 @@ from .errors import VanishingResultantError, WindowTooShortError
 from .multipoly import MultiPoly
 from .newton import newton_polygon
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
-from .resultants import CyclicResultantRequest, check_budget, cyclic_resultant, resultant_phi_int
+from .resultants import CyclicResultantRequest, check_budget, cost_estimate, cyclic_resultant, resultant_phi_int
 from .unipoly import UniPoly
 
 
@@ -80,7 +80,7 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
         raise ValueError("K must be >= 1")
     d = f.num_vars
     requests = window_requests(f, p, K, mask)
-    check_budget(requests)
+    check_budget(sum(map(cost_estimate, requests)))
     diag = [cyclic_resultant(req) for req in requests]
     if any(v == 0 for v in diag):
         # a masked resultant vanishes identically: the sequence (and its

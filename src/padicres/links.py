@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
@@ -37,7 +38,7 @@ from .limits import LimitEstimate, limit_estimate, window_requests
 from .multipoly import MultiPoly
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
 from .parsing import parse_poly
-from .resultants import CyclicResultantRequest, check_budget, cyclic_resultant, modular_root_product
+from .resultants import CyclicResultantRequest, check_budget, cost_estimate, cyclic_resultant, modular_root_product
 from .unipoly import cyclotomic, is_prime
 
 
@@ -250,13 +251,18 @@ def h1_order(link: LinkSpec, cov: CoveringSpec) -> H1Result:
     return H1Result(order=order, nonp_part=unit, p_exponent=p_exponent)
 
 
+def nonp_limit_cost(link: LinkSpec, p: int, K: int) -> float:
+    """cost_estimate summed over every level of every sublink's window."""
+    return sum(cost_estimate(req) for s in link.subsets() for req in window_requests(link.alexander(s), p, K, "rprime"))
+
+
 def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
     """p-adic limit of the non-p parts of |H_1| along the diagonal covers.
 
     The product over sublinks of the masked-resultant non-p limits; the
     certificates combine multiplicatively (weakest certified digit wins).
     """
-    check_budget([req for s in link.subsets() for req in window_requests(link.alexander(s), p, K, "rprime")])
+    check_budget(nonp_limit_cost(link, p, K))
     estimates = [limit_estimate(link.alexander(s), p, K, mask="rprime") for s in link.subsets()]
     if any(e.degenerate for e in estimates):
         # some cover is not a rational homology sphere: |H_1| = 0 by the
@@ -305,8 +311,10 @@ def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
 # the character-sum oracle (exact, in F_q)
 # ---------------------------------------------------------------------------
 
+_MAX_ORACLE_GROUP = 4096  # largest deck group |G| the character oracle takes
 
-def character_oracle(link: LinkSpec, cov: CoveringSpec, max_group: int = 4096) -> H1Result:
+
+def character_oracle(link: LinkSpec, cov: CoveringSpec) -> H1Result:
     """|H_1| by the character sum, apart from the resultant engine.
 
     The characters of G = (+) Z/p^{n_i} with support S take every tuple of
@@ -320,8 +328,8 @@ def character_oracle(link: LinkSpec, cov: CoveringSpec, max_group: int = 4096) -
     if len(cov.levels) != link.d:
         raise ValueError("covering levels must list one entry per component")
     size = cov.group_order()
-    if size > max_group:
-        raise ValueError(f"|G| = {size} exceeds the oracle scale {max_group}")
+    if size > _MAX_ORACLE_GROUP:
+        raise ValueError(f"|G| = {size} exceeds the oracle scale {_MAX_ORACLE_GROUP}")
     one_minus_t = MultiPoly(1, {(0,): 1, (1,): -1})
     for n in cov.levels:
         prefactor = modular_root_product(one_minus_t, cov.p, [range(1, n + 1)])
@@ -340,10 +348,14 @@ def character_oracle(link: LinkSpec, cov: CoveringSpec, max_group: int = 4096) -
 # ---------------------------------------------------------------------------
 
 
+def _level_prec(level: int, extra: int) -> int:
+    # valuations inside the squaring device grow with the level
+    return (level + 3) * 2 ** (level - 1) + 16 + extra
+
+
 def _level_log_norm_adaptive(m: int, level: int, extra: int):
-    """level_log_norm with a level-calibrated working precision, doubling on
-    exhaustion (valuations inside the squaring device grow with the level)."""
-    prec = (level + 3) * 2 ** (level - 1) + 16 + extra
+    """level_log_norm at _level_prec, doubling the precision on exhaustion."""
+    prec = _level_prec(level, extra)
     for _ in range(4):
         try:
             return level_log_norm(m, level, prec)
@@ -352,6 +364,25 @@ def _level_log_norm_adaptive(m: int, level: int, extra: int):
     raise PrecisionExhaustedError(
         f"cyclotomic level {level} would not stabilize below precision {prec}"
     )
+
+
+def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
+    """Work of whitehead_closed_form, in cost_estimate's units, estimated
+    before doing any: only the p = 2 product for odd k >= 3 costs.  Level L
+    makes about 16 * 2^(L/2) products of phi = 2^(L-1) coefficients of
+    _level_prec bits P, each W^1.585 / 5 units for W = phi * (2P + 16) / 64
+    words plus 20 per coefficient; fitted to the level 6-8 timings."""
+    if p != 2 or k % 2 == 0 or k < 3:
+        return 0.0
+    total = 0.0
+    try:
+        for level in range(2, truncation_level + 1):
+            phi = 2.0 ** (level - 1)
+            words = phi * (2 * _level_prec(level, K + 14) + 16) / 64
+            total += 16 * 2 ** (level / 2) * (words**1.585 / 5 + 20 * phi)
+    except OverflowError:  # levels past the float range
+        return math.inf
+    return total
 
 
 @dataclass(frozen=True)
@@ -374,7 +405,8 @@ def whitehead_closed_form(k: int, p: int, K: int, truncation_level: int = 5) -> 
     into norm unit parts and truncated at `truncation_level` >= 2 (level 1
     is excluded from the product); the achieved precision is measured from
     the convergence of the level factors, worked at precision K + 14.  m = 0
-    makes the argument a torsion unit and is reported degenerate.
+    makes the argument a torsion unit and is reported degenerate.  Refused
+    before any work when closed_form_cost exceeds cost_budget().
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -382,6 +414,7 @@ def whitehead_closed_form(k: int, p: int, K: int, truncation_level: int = 5) -> 
         raise ValueError(f"truncation level must be >= 2, got {truncation_level}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    check_budget(closed_form_cost(k, p, K, truncation_level))
     if k % 2 == 0:
         m = k // 2
         t = nonp_part(m, p)

@@ -93,9 +93,6 @@ class MultiPoly:
     def term_dict(self) -> Dict[Exponent, int]:
         return dict(self._terms)
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def total_degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
         if not self._terms:

@@ -199,10 +199,6 @@ class PadicApprox:
         u = pow(self.residue(self.prec), -1, self.p**self.prec)
         return PadicApprox(self.p, self.prec, 0, u)
 
-    def __truediv__(self, other: "PadicApprox | int") -> "PadicApprox":
-        other = self._coerce(other)
-        return self * other.inverse()
-
     def __pow__(self, n: int) -> "PadicApprox":
         if n < 0:
             return self.inverse() ** (-n)

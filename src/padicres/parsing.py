@@ -60,10 +60,9 @@ class _Tokenizer:
 
 
 class _Parser:
-    def __init__(self, text: str, num_vars: int, max_exponent: int):
+    def __init__(self, text: str, num_vars: int):
         self.toks = _Tokenizer(text)
         self.num_vars = num_vars
-        self.max_exponent = max_exponent
 
     def parse(self) -> MultiPoly:
         value = self.expr()
@@ -109,9 +108,9 @@ class _Parser:
             kind, value, pos = self.toks.advance()
             if kind != "int":
                 raise PolyParseError("exponent must be a non-negative integer literal", pos)
-            if value > self.max_exponent:
+            if value > DEFAULT_MAX_EXPONENT:
                 raise PolyParseError(
-                    f"exponent {value} exceeds the configured bound {self.max_exponent}", pos
+                    f"exponent {value} exceeds the configured bound {DEFAULT_MAX_EXPONENT}", pos
                 )
             return base**value
         return base
@@ -135,8 +134,8 @@ class _Parser:
         raise PolyParseError(f"expected a value, found {kind!r}", pos)
 
 
-def parse_poly(text: str, num_vars: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> MultiPoly:
+def parse_poly(text: str, num_vars: int) -> MultiPoly:
     """Parse an expression in t1..t<num_vars> into canonical MultiPoly form."""
     if num_vars < 0:
         raise ValueError("num_vars must be non-negative")
-    return _Parser(text, num_vars, max_exponent).parse()
+    return _Parser(text, num_vars).parse()

@@ -8,10 +8,11 @@ The production path and the oracles it is tested against:
   variables t' Kronecker-packed into one integer), and the factors multiply
   back together by resultant multiplicativity.
 * resultant_phi_int: the final univariate Res(Phi_{p^j}, g).
+* mul_mod_phi: the one product of Z[zeta_{p^j}], by Kronecker substitution
+  and reduction mod Phi_{p^j}; the tower norm and CycloPadic share it.
 * cyclotomic_norm: the norm of g(zeta_{p^j}) that every step above takes,
-  down the cyclotomic tower with polynomial products by Kronecker
-  substitution, or by a closed form when g is linear; CycloPadic.norm_lift
-  shares it.
+  down the cyclotomic tower with mul_mod_phi, or by a closed form when g is
+  linear; CycloPadic.norm_lift shares it.
 * sylvester_resultant: the defining determinant, computed fraction-free
   (Bareiss) over the integers or over a sparse polynomial ring; the oracle
   everything else is tested against.
@@ -28,12 +29,12 @@ Sign conventions follow the Sylvester determinant with the first argument's
 coefficient rows on top.  Elimination order is t_d first, then t_{d-1}, and
 so on.
 
-A cost budget guards runaway work: cyclic_resultant refuses a request whose
-cost_estimate, made before any work, exceeds `budget` (default 10^9 units
-of about 0.15 us, overridable via the PADIC_RES_BUDGET environment
-variable), check_budget refuses a set of requests, such as a limit window,
-on the sum of their estimates, and the literal baseline has its own degree
-budget.
+A cost budget guards runaway work: check_budget refuses, before any work,
+a task whose estimate exceeds cost_budget() (10^9 units of about 0.15 us,
+or the positive integer in the PADIC_RES_BUDGET environment variable).
+cyclic_resultant checks its request's cost_estimate, a limit window the sum
+over its levels, and `whitehead` adds the closed form's log norms to its
+window; the literal baseline has its own degree budget.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ COST_BUDGET_DEFAULT = 10**9
 
 
 def cost_budget() -> int:
-    """Largest cost_estimate the fast path accepts (PADIC_RES_BUDGET)."""
+    """Largest cost estimate the fast path accepts: PADIC_RES_BUDGET, a
+    positive decimal integer, or COST_BUDGET_DEFAULT when it is unset or
+    empty; any other value is refused, not replaced."""
     raw = os.environ.get("PADIC_RES_BUDGET", "")
-    try:
-        return max(int(raw), 2)
-    except ValueError:
-        return COST_BUDGET_DEFAULT
+    if raw and not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise ValueError(f"PADIC_RES_BUDGET must be a positive decimal integer, got {raw!r}")
+    return int(raw) if raw else COST_BUDGET_DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,7 @@ def cyclotomic_norm(p: int, j: int, coeffs) -> int:
     k = (low & -low).bit_length() - 1
     if k:
         x = [c >> k for c in x]
-    n = p ** (j - 1) * (p - 1)
+    n = phi_degree(p, j)
     if not any(x[2:]):
         return _linear_norm(p, j, x[0], x[1] if n > 1 else 0) << (k * n)
     return _tower_norm(p, j, x) << (k * n)
@@ -241,7 +243,7 @@ def _tower_norm(p: int, j: int, x) -> int:
         step = order // p
         y = x
         for a in range(1 + step, order, step):
-            y = reduce_mod_phi(_kron_mul(y, conjugate(x, a, p, j)), p, j)
+            y = mul_mod_phi(y, conjugate(x, a, p, j), p, j)
         if any(any(y[r::p]) for r in range(1, p)):
             raise InvariantError(f"norm from level {j} left Z[zeta^{p}]")
         x = y[::p]
@@ -271,6 +273,17 @@ def conjugate(coeffs, a: int, p: int, j: int) -> list:
     for i, c in enumerate(coeffs):
         z[i * a % order] = c
     return reduce_mod_phi(z, p, j)
+
+
+def phi_degree(p: int, j: int) -> int:
+    """phi(p^j), the degree of Phi_{p^j}: p^(j-1)(p-1), and 1 at j = 0."""
+    return p ** (j - 1) * (p - 1) if j else 1
+
+
+def mul_mod_phi(a, b, p: int, j: int) -> list:
+    """The product of a(zeta) and b(zeta) in Z[zeta_{p^j}], j >= 1, as
+    phi(p^j) coefficients: a Kronecker product reduced mod Phi_{p^j}."""
+    return reduce_mod_phi(_kron_mul(a, b), p, j)
 
 
 def reduce_mod_phi(coeffs, p: int, j: int) -> list:
@@ -338,7 +351,7 @@ def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
     if d == 1:
         g = UniPoly([terms.get((k,), 0) for k in range(f.degree_in(1) + 1)])
         return MultiPoly.const(0, resultant_phi_int(p, j, g))
-    n = p ** (j - 1) * (p - 1) if j else 1
+    n = phi_degree(p, j)
     bounds = [n * f.degree_in(i + 1) + 1 for i in range(d - 1)]
     strides = [math.prod(bounds[:i]) for i in range(d)]
     size = _digit_size(f, n)
@@ -421,9 +434,6 @@ class CyclicResultantRequest:
     def custom(cls, f: MultiPoly, p: int, levels: Sequence[int], masks) -> "CyclicResultantRequest":
         return cls(f, p, tuple(levels), tuple(frozenset(m) for m in masks))
 
-    def is_full(self) -> bool:
-        return all(mask == frozenset(range(n + 1)) for mask, n in zip(self.factor_mask, self.levels))
-
 
 def _masked_product(f: MultiPoly, p: int, masks) -> int:
     # eliminate the last variable once per index j in its mask, then recurse
@@ -463,7 +473,7 @@ def cost_estimate(req: CyclicResultantRequest) -> float:
 def _cost(degrees, bits: float, p: int, masks) -> float:
     total = 0.0
     for j in masks[-1]:
-        n = p ** (j - 1) * (p - 1) if j else 1
+        n = phi_degree(p, j)
         if len(masks) == 1:
             total += max(degrees[0] + 1, p**j) + j * (p - 1) * (n * bits / 64) ** 1.585
             continue
@@ -484,15 +494,14 @@ def cyclic_resultant(req: CyclicResultantRequest) -> int:
     factorization is exact, signs included.  Each elimination runs once per
     prefix (j_d, ..., j_i) of trailing indices.
     """
-    check_budget([req])
+    check_budget(cost_estimate(req))
     return _masked_product(req.f, req.p, req.factor_mask)
 
 
-def check_budget(requests) -> None:
-    """Refuse, before any work, requests whose cost estimates sum past
-    cost_budget()."""
+def check_budget(cost: float) -> None:
+    """Refuse, before any work, a task whose estimated cost (in
+    cost_estimate's units, summed over its parts) exceeds cost_budget()."""
     cap = cost_budget()
-    cost = sum(cost_estimate(req) for req in requests)
     if cost > cap:
         raise BudgetExceededError(f"estimated cost {cost:.3g} exceeds the budget {cap}")
 

@@ -94,6 +94,72 @@ def test_window_budget_is_the_sum_over_levels(capsys, monkeypatch):
     assert code == 0 and out
 
 
+def test_whitehead_level_budget_refuses_before_any_work(capsys, monkeypatch):
+    # the closed form's log-norm levels and the empirical window share one
+    # budget, checked before either starts
+    from padicres import links
+
+    def no_work(*args):
+        raise AssertionError("a log norm started")
+
+    monkeypatch.setattr(links, "level_log_norm", no_work)
+    monkeypatch.setattr(resultants, "_masked_product", no_work)
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "10")
+    assert code == 3 and "budget" in err and not out
+    # PADIC_RES_BUDGET lifts the refusal: the first log norm then starts
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(10**11))
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "10")
+    assert code == 1 and "a log norm started" in err
+
+
+def test_whitehead_budget_is_the_closed_form_plus_the_window(capsys, monkeypatch):
+    # a cap above each part's own estimate but below their sum refuses
+    from padicres import links
+
+    closed = links.closed_form_cost(3, 2, 4, 6)
+    window = links.nonp_limit_cost(links.whitehead_link_spec(3), 2, 4)
+    cap = int(max(closed, window)) + 1
+    assert closed + window > cap
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(cap))
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "6")
+    assert code == 3 and "budget" in err and not out
+
+
+def test_whitehead_level_budget_accepts_level_six(capsys):
+    code, out, _ = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "6")
+    assert code == 0 and "agree: True" in out and "[6, 34, 91]" in out
+
+
+@pytest.mark.parametrize("raw", ["1e12", "abc", "0", "-5"])
+def test_malformed_budget_is_user_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("PADIC_RES_BUDGET", raw)
+    code, out, err = run(capsys, "res", "-p", "2", "-n", "1", "t1-2")
+    assert code == 2 and not out
+    assert f"PADIC_RES_BUDGET must be a positive decimal integer, got {raw!r}" in err
+
+
+def test_empty_budget_means_the_default(capsys, monkeypatch):
+    monkeypatch.setenv("PADIC_RES_BUDGET", "")
+    code, out, _ = run(capsys, "res", "-p", "2", "-n", "1", "t1-2")
+    assert code == 0 and "value: 3" in out
+
+
+def test_oracle_mismatch_table_keeps_the_success_order(capsys, monkeypatch):
+    from padicres import cli
+
+    code, success, _ = run(capsys, "iwasawa", "-p", "5", "t-6")
+    assert code == 0
+    monkeypatch.setattr(cli, "lambda_mu_structural", lambda f, p: (99, 99))
+    code, mismatch, err = run(capsys, "iwasawa", "-p", "5", "t-6")
+    assert code == 4 and "disagree" in err
+
+    def keys(text):
+        return [line.split(":")[0] for line in text.splitlines()]
+
+    assert keys(mismatch) == keys(success)
+    assert keys(success)[:2] == ["command", "p"]
+
+
 def test_inexact_division_is_internal_not_user_error(capsys, monkeypatch):
     # the Sylvester baseline of res --verify divides exactly at every Bareiss
     # step; a division that is not exact is a bug, not a user error

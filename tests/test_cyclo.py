@@ -27,6 +27,41 @@ def test_zeta_satisfies_phi():
     # p=3, m=1: 1 + zeta + zeta^2 = 0
     z3 = CycloPadic.zeta(3, 1, 5)
     assert (CycloPadic.from_int(1, 3, 1, 5) + z3 + z3 * z3).is_zero_at_precision
+    # p=2, m=1: Phi_2 = t + 1, so zeta = -1 and the ring is Z/2^K
+    assert CycloPadic.zeta(2, 1, 5) == CycloPadic.from_int(-1, 2, 1, 5)
+
+
+def _reduced(poly, p, m, K):
+    """poly mod (Phi_{p^m}, p^K) by monic division: phi(p^m) coefficients."""
+    _, rem = poly.divmod_monic(cyclotomic(p, m))
+    return tuple(rem[i] % p**K for i in range(phi_degree(p, m)))
+
+
+def test_products_against_unipoly_reduction():
+    # every level with phi <= 64, (2, 1) with phi = 1 included; zero
+    # operands and all-(p^K - 1) operands stress the Kronecker digit width
+    assert [phi_degree(3, j) for j in range(4)] == [1, 2, 6, 18]
+    rng = random.Random(29)
+    for p in (2, 3, 5, 7):
+        m = 1
+        while phi_degree(p, m) <= 64:
+            deg = phi_degree(p, m)
+            K = rng.randint(1, 40)
+            operands = [[], [p**K - 1] * deg] + [[rng.randrange(p**K) for _ in range(deg)] for _ in range(2)]
+            for a in operands:
+                for b in operands:
+                    product = CycloPadic(p, m, K, a) * CycloPadic(p, m, K, b)
+                    assert product.coeffs == _reduced(UniPoly(a) * UniPoly(b), p, m, K), (p, m, K)
+            m += 1
+
+
+def test_constructor_reduces_long_coefficient_lists():
+    rng = random.Random(30)
+    for p, m in [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 2)]:
+        K = rng.randint(1, 12)
+        for length in (phi_degree(p, m) + 1, p**m, 3 * p**m + 2):
+            cs = [rng.randrange(-(p**K), p**K) for _ in range(length)]
+            assert CycloPadic(p, m, K, cs).coeffs == _reduced(UniPoly(cs), p, m, K), (p, m, length)
 
 
 def test_difference_of_squares():
@@ -136,7 +171,7 @@ def test_norm_lift_against_prs():
             assert zero.norm_lift() == 0
             for _ in range(4):
                 x = CycloPadic(p, level, 8, [rng.randint(0, p**8 - 1) for _ in range(rng.randint(1, deg))])
-                lift = x.lift_poly()
+                lift = UniPoly(x.coeffs)
                 expected = 0 if lift.is_zero else resultant_prs(cyclotomic(p, level), lift)
                 assert x.norm_lift() == expected
 

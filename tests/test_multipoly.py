@@ -48,7 +48,9 @@ def test_parse_error_position():
 def test_parse_exponent_bound():
     with pytest.raises(PolyParseError, match="exceeds"):
         parse_poly("t1^100000", 1)
-    assert parse_poly("t1^30", 1, max_exponent=30).degree_in(1) == 30
+    assert parse_poly("t1^4096", 1).degree_in(1) == 4096
+    with pytest.raises(PolyParseError, match="4097 exceeds the configured bound 4096"):
+        parse_poly("t1^4097", 1)
 
 
 def test_parse_unbalanced_paren():
