@@ -36,6 +36,7 @@ from .links import (
     trefoil_spec,
     two_part_exponent_check,
     whitehead_closed_form,
+    whitehead_degenerate,
     whitehead_link_spec,
 )
 from .parsing import parse_poly
@@ -201,8 +202,10 @@ def cmd_linkh1(args) -> int:
 
 def cmd_whitehead(args) -> int:
     link = whitehead_link_spec(args.k)
-    # one budget for the closed form's log norms and the empirical window
-    check_budget(closed_form_cost(args.k, args.prime, args.digits, args.lmax) + nonp_limit_cost(link, args.prime, args.digits))
+    # one budget for the closed form's log norms and the empirical window,
+    # which a degenerate closed form never runs
+    window = 0.0 if whitehead_degenerate(args.k, args.prime) else nonp_limit_cost(link, args.prime, args.digits)
+    check_budget(closed_form_cost(args.k, args.prime, args.digits, args.lmax) + window)
     closed = whitehead_closed_form(args.k, args.prime, args.digits, truncation_level=args.lmax)
     payload = {
         "command": "whitehead",

@@ -5,7 +5,7 @@ read as a polynomial in zeta reduced mod Phi_{p^m}; the power basis is an
 integral basis, so integral elements are exactly the representable ones.
 The constructor reduces any longer coefficient list mod Phi_{p^m}, and
 products are the resultant engine's mul_mod_phi, the one Z[zeta_{p^m}]
-product that its tower norms use too.
+product, which its odd-p tower norms use too.
 
 The extension is totally ramified with uniformizer pi = 1 - zeta and
 v_pi(p) = phi(p^m).  pi-adic valuations are computed over the integers, as

@@ -385,6 +385,12 @@ def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
     return total
 
 
+def whitehead_degenerate(k: int, p: int) -> bool:
+    """Whether whitehead_closed_form(k, p, ...) is degenerate: k = 1 at
+    p = 2, where the log argument is a torsion unit."""
+    return k == 1 and p == 2
+
+
 @dataclass(frozen=True)
 class WhiteheadLimit:
     value: PadicApprox | None
@@ -424,7 +430,7 @@ def whitehead_closed_form(k: int, p: int, K: int, truncation_level: int = 5) -> 
     if p != 2:
         value = teichmuller(2, p, K) * PadicApprox.from_int(2, p, K, exact=True).inverse()
         return WhiteheadLimit(value=value, achieved_digits=K, degenerate=False)
-    if m == 0:
+    if whitehead_degenerate(k, p):
         return WhiteheadLimit(
             value=None,
             achieved_digits=0,

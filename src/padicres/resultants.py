@@ -8,11 +8,18 @@ The production path and the oracles it is tested against:
   variables t' Kronecker-packed into one integer), and the factors multiply
   back together by resultant multiplicativity.
 * resultant_phi_int: the final univariate Res(Phi_{p^j}, g).
-* mul_mod_phi: the one product of Z[zeta_{p^j}], by Kronecker substitution
-  and reduction mod Phi_{p^j}; the tower norm and CycloPadic share it.
+* mul_mod_phi: the one product of Z[zeta_{p^j}], by Kronecker substitution,
+  reduced mod t^(p^j) - 1 and mod Phi_{p^j} on the packed integer itself (a
+  fold of its top digits onto those below), so only phi(p^j) digits are
+  unpacked; the odd-p tower norm and CycloPadic share it.
 * cyclotomic_norm: the norm of g(zeta_{p^j}) that every step above takes,
-  down the cyclotomic tower with mul_mod_phi, or by a closed form when g is
-  linear; CycloPadic.norm_lift shares it.
+  down the cyclotomic tower one level at a time, or by a closed form when g
+  is linear; CycloPadic.norm_lift shares it.  At p = 2 a level is the
+  Dandelin-Graeffe root-squaring step x(t) x(-t) = E(s)^2 - s O(s)^2,
+  s = t^2: the even and odd parts are packed once, squared, and folded mod
+  s^h + 1 on the packed integer (the even/odd split of Harvey's multipoint
+  Kronecker substitution); at odd p it is the product of the p conjugates
+  by mul_mod_phi.  No packed product is unpacked before its reduction.
 * sylvester_resultant: the defining determinant, computed fraction-free
   (Bareiss) over the integers or over a sparse polynomial ring; the oracle
   everything else is tested against.
@@ -233,11 +240,16 @@ def cyclotomic_norm(p: int, j: int, coeffs) -> int:
 
 
 def _tower_norm(p: int, j: int, x) -> int:
-    """N(x(zeta_{p^j})), x reduced mod Phi_{p^j}, one level at a time: the
-    norm from level j to j-1 is the product of the p conjugates
+    """N(x(zeta_{p^j})), x reduced mod Phi_{p^j}, one level at a time: at
+    p = 2 by root-squaring steps (_graeffe_step); at odd p the norm from
+    level j to j-1 is the product of the p conjugates
     zeta -> zeta^(1 + k*p^(j-1)) (at level 1, the p-1 conjugates
     zeta -> zeta^a), which lies in Z[zeta^p], so only the coefficients at
     multiples of p survive."""
+    if p == 2:
+        for _ in range(j - 1):
+            x = _graeffe_step(x)
+        return x[0]
     while j:
         order = p**j
         step = order // p
@@ -249,6 +261,22 @@ def _tower_norm(p: int, j: int, x) -> int:
         x = y[::p]
         j -= 1
     return x[0]
+
+
+def _graeffe_step(x) -> list:
+    """The norm from Z[zeta_{2^j}] to Z[zeta_{2^(j-1)}], j >= 2, of x given
+    by its n = 2^(j-1) coefficients.  With x(t) = E(t^2) + t O(t^2), it is
+    x(t) x(-t) = E(s)^2 - s O(s)^2 in s = t^2, reduced mod s^h + 1, h = n/2:
+    E and O are packed once and squared, and the packed value is split at
+    digit h, the low part minus the high part.  Every digit on the way is at
+    most 2 n max|x|^2, which the width covers."""
+    h = len(x) // 2
+    top = max(map(abs, x))
+    size = _digit_bytes(2 * len(x) * top * top)
+    half = 1 << (8 * size - 1)
+    even, odd = _pack(x[0::2], size, half), _pack(x[1::2], size, half)
+    low, high = _split(even * even - (odd * odd << (8 * size)), 8 * size * h)
+    return _unpack(low - high, h, size)
 
 
 def _linear_norm(p: int, j: int, a: int, b: int) -> int:
@@ -281,9 +309,26 @@ def phi_degree(p: int, j: int) -> int:
 
 
 def mul_mod_phi(a, b, p: int, j: int) -> list:
-    """The product of a(zeta) and b(zeta) in Z[zeta_{p^j}], j >= 1, as
-    phi(p^j) coefficients: a Kronecker product reduced mod Phi_{p^j}."""
-    return reduce_mod_phi(_kron_mul(a, b), p, j)
+    """The product of a(zeta) and b(zeta) in Z[zeta_{p^j}], j >= 1, a and b
+    given by at most p^j integer coefficients each, as phi(p^j)
+    coefficients.  One Kronecker product, reduced on the packed integer:
+    mod t^(p^j) - 1 (the digits from p^j up are added onto those below),
+    then mod Phi_{p^j} = sum_{k<p} t^(k*q), q = p^(j-1) (the top q digits
+    are subtracted from each of the p-1 blocks of q digits below them).
+    Every digit holds c + 2^(w-1), so the width w covers the inputs'
+    coefficients as well as every digit on the way, each at most
+    4 max|a| max|b| min(len(a), len(b))."""
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    size = _digit_bytes(max(top_a, top_b, 4 * top_a * top_b * min(len(a), len(b))))
+    half = 1 << (8 * size - 1)
+    order = p**j
+    q = order // p
+    w = 8 * size
+    low, high = _split(_pack(a, size, half) * _pack(b, size, half), w * order)
+    low, top = _split(low + high, w * (order - q))
+    for k in range(p - 1):
+        low -= top << (w * q * k)
+    return _unpack(low, order - q, size)
 
 
 def reduce_mod_phi(coeffs, p: int, j: int) -> list:
@@ -297,16 +342,19 @@ def reduce_mod_phi(coeffs, p: int, j: int) -> list:
     return [c - t for c, t in zip(x, x[deg:] * (p - 1))]
 
 
-def _kron_mul(a, b) -> list:
-    """Product of two integer coefficient lists by Kronecker substitution:
-    pack each into one int, one coefficient per byte-aligned digit, multiply,
-    and unpack.  Every digit holds c + 2^(w-1), so the width w must cover the
-    inputs' coefficients as well as the product's."""
-    top_a, top_b = max(map(abs, a)), max(map(abs, b))
-    bound = max(top_a, top_b, top_a * top_b * min(len(a), len(b)))
-    size = (bound.bit_length() + 8) // 8
-    half = 1 << (8 * size - 1)
-    return _unpack(_pack(a, size, half) * _pack(b, size, half), len(a) + len(b) - 1, size)
+def _digit_bytes(bound: int) -> int:
+    """Bytes per balanced digit c, |c| <= bound < 2^(w-1), w = 8*bytes."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _split(value: int, bits: int):
+    """value = low + 2^bits * high with low the balanced residue,
+    -2^(bits-1) <= low < 2^(bits-1): the digits below and from `bits` up,
+    when every balanced digit of value fits its width."""
+    low = value & ((1 << bits) - 1)
+    if low >> (bits - 1):
+        return low - (1 << bits), (value >> bits) + 1
+    return low, value >> bits
 
 
 def _pack(coeffs, size: int, half: int) -> int:
@@ -355,10 +403,13 @@ def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
     bounds = [n * f.degree_in(i + 1) + 1 for i in range(d - 1)]
     strides = [math.prod(bounds[:i]) for i in range(d)]
     size = _digit_size(f, n)
-    # one digit array per t_d-coefficient, split by sign so no digit carries
-    digits = [[bytearray(strides[-1] * size), bytearray(strides[-1] * size)] for _ in range(f.degree_in(d) + 1)]
+    places = {exp: size * sum(e * s for e, s in zip(exp[:-1], strides)) for exp in terms}
+    # one digit array per t_d-coefficient, split by sign so no digit carries,
+    # up to the highest occupied digit
+    length = max(places.values()) + size
+    digits = [[bytearray(length), bytearray(length)] for _ in range(f.degree_in(d) + 1)]
     for exp, c in terms.items():
-        at = size * sum(e * s for e, s in zip(exp[:-1], strides))
+        at = places[exp]
         digits[exp[-1]][c < 0][at : at + size] = abs(c).to_bytes(size, "little")
     coeffs = [int.from_bytes(pos, "little") - int.from_bytes(neg, "little") for pos, neg in digits]
     value = cyclotomic_norm(p, j, coeffs)
@@ -456,10 +507,10 @@ def cost_estimate(req: CyclicResultantRequest) -> float:
     Eliminating a variable against Phi_{p^j} (n = phi(p^j) roots) multiplies
     the other degrees and the coefficient bits by n.  It packs f (10 units per
     possible term), unpacks one digit per possible term of its result, and
-    takes the norm of a result-sized integer of W words: j*(p-1) Karatsuba
-    products of W^1.585/2 units down the tower, or one if f is linear in the
-    eliminated variable mod Phi.  The final norm touches p^j coefficients
-    and makes j*(p-1) Karatsuba products of n * bits / 64 words.
+    takes the norm of a result-sized integer of W words (_norm_cost), at
+    half the units, or one product if f is linear in the eliminated variable
+    mod Phi.  The final norm touches p^j coefficients and takes the norm of
+    n * bits / 64 words.
     """
     f = req.f
     degrees = [f.degree_in(i + 1) for i in range(f.num_vars)]
@@ -475,14 +526,24 @@ def _cost(degrees, bits: float, p: int, masks) -> float:
     for j in masks[-1]:
         n = phi_degree(p, j)
         if len(masks) == 1:
-            total += max(degrees[0] + 1, p**j) + j * (p - 1) * (n * bits / 64) ** 1.585
+            total += max(degrees[0] + 1, p**j) + _norm_cost(p, j, n * bits / 64)
             continue
         rest = [n * d for d in degrees[:-1]]
         digits = math.prod(d + 1 for d in rest)
-        products = j * (p - 1) if min(degrees[-1], n - 1) > 1 else 1
+        words = digits * (n * bits / 64 + 1)
+        norm = _norm_cost(p, j, words) if min(degrees[-1], n - 1) > 1 else words**1.585
         pack = 10 * math.prod(d + 1 for d in degrees) + digits
-        total += pack + products * (digits * (n * bits / 64 + 1)) ** 1.585 / 2 + _cost(rest, n * bits, p, masks[:-1])
+        total += pack + norm / 2 + _cost(rest, n * bits, p, masks[:-1])
     return total
+
+
+def _norm_cost(p: int, j: int, words: float) -> float:
+    """Karatsuba units of a tower norm from level j of a W-word element:
+    j*(p-1) products of W words, or at p = 2 one root-squaring step per
+    level, two squarings of W/2 words."""
+    if p == 2:
+        return 2 * j * (words / 2) ** 1.585
+    return j * (p - 1) * words**1.585
 
 
 def cyclic_resultant(req: CyclicResultantRequest) -> int:

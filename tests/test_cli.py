@@ -198,14 +198,14 @@ def test_the_package_never_imports_mpmath():
 def test_broken_norm_is_internal_not_user_error(capsys, monkeypatch):
     # a product that leaves Z[zeta^p] breaks the tower's invariant (a linear
     # input would take the closed form and never multiply)
-    kron_mul = resultants._kron_mul
+    mul_mod_phi = resultants.mul_mod_phi
 
-    def broken(a, b):
-        product = kron_mul(a, b)
+    def broken(a, b, p, j):
+        product = mul_mod_phi(a, b, p, j)
         product[1] += 1
         return product
 
-    monkeypatch.setattr(resultants, "_kron_mul", broken)
+    monkeypatch.setattr(resultants, "mul_mod_phi", broken)
     code, out, err = run(capsys, "res", "-p", "3", "-n", "2", "t1^2-2")
     assert code == 1 and not out
     assert "t1" not in err and "unexpected error" in err
@@ -292,6 +292,11 @@ def test_whitehead_degenerate(capsys):
     code, out, _ = run(capsys, "whitehead", "-k", "1", "-p", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["degenerate"] is True
+    # no empirical window runs, so its estimate (about 8e9 at -K 13, past
+    # the default budget) is not counted
+    for digits in ("12", "13", "20"):
+        code, out, _ = run(capsys, "whitehead", "-k", "1", "-p", "2", "-K", digits)
+        assert code == 0 and "degenerate: True" in out and "torsion unit" in out
 
 
 def test_twopart(capsys):

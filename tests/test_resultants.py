@@ -129,19 +129,52 @@ def test_resultant_phi_int_route_consistency():
             assert resultant_phi_int(p, j, phi * h) == 0 == resultant_prs(phi, phi * h)
 
 
+def product_mod_phi(a, b, p, j):
+    """a(zeta) * b(zeta) in Z[zeta_{p^j}] by UniPoly product and monic
+    division by Phi_{p^j}: phi(p^j) coefficients."""
+    _, rem = (UniPoly(a) * UniPoly(b)).divmod_monic(cyclotomic(p, j))
+    return [rem[i] for i in range(resultants.phi_degree(p, j))]
+
+
 def test_kronecker_width_covers_each_factor():
     # one all-zero factor: the product bound is 0, but the other factor's
     # coefficients must still fit their digits
     big = [7, -(2**201) - 5, 3]
-    assert resultants._kron_mul([0, 0, 0], big) == [0] * 5
-    assert resultants._kron_mul(big, [0]) == [0] * 3
+    assert resultants.mul_mod_phi([0, 0, 0], big, 5, 1) == [0] * 4
+    assert resultants.mul_mod_phi(big, [0], 2, 3) == [0] * 4
     rng = random.Random(12)
     for _ in range(50):
         a = [rng.randint(-(2**rng.randint(0, 90)), 2**rng.randint(0, 90)) for _ in range(rng.randint(1, 12))]
         b = [rng.randint(-(2**rng.randint(0, 90)), 2**rng.randint(0, 90)) for _ in range(rng.randint(1, 12))]
-        product = resultants._kron_mul(a, b)
-        assert len(product) == len(a) + len(b) - 1
-        assert UniPoly(product) == UniPoly(a) * UniPoly(b)
+        # (2, 4) takes operands longer than phi = 8, up to p^j = 16
+        p, j = rng.choice([(2, 4), (2, 5), (3, 3), (5, 2), (13, 1)])
+        assert resultants.mul_mod_phi(a, b, p, j) == product_mod_phi(a, b, p, j), (a, b, p, j)
+
+
+def test_packed_fold_against_unipoly_reduction():
+    # the reduction mod t^(p^j) - 1 and mod Phi_{p^j} on the packed product:
+    # operands shorter than phi, zero operands, and operands whose entries
+    # are all +-max, whose digits come closest to the width bound
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7):
+        j = 1
+        while resultants.phi_degree(p, j) <= 64:
+            n = resultants.phi_degree(p, j)
+            top = 2 ** rng.randint(1, 200) - 1
+            short = [rng.randint(-top, top) for _ in range(rng.randint(1, n))]
+            operands = [
+                [0] * n,
+                [0],
+                short,
+                [top] * n,
+                [-top] * n,
+                [top if i % 2 else -top for i in range(n)],
+                [rng.randint(-top, top) for _ in range(n)],
+            ]
+            for a in operands:
+                for b in operands:
+                    assert resultants.mul_mod_phi(a, b, p, j) == product_mod_phi(a, b, p, j), (p, j, a, b)
+            j += 1
 
 
 def prs_elimination(f, p, j):
@@ -222,6 +255,23 @@ def test_packed_elimination_edge_cases():
         assert value == MultiPoly(1, {(k,): math.comb(n, k) for k in range(n + 1)})
 
 
+def test_packed_elimination_of_sparse_inputs():
+    # the digit arrays stop at the highest occupied digit, so one-term and
+    # sparse inputs pack short; the PRS over the other variables agrees
+    cases = [
+        ("3*t1*t2", 2, [(7, 2), (3, 3), (2, 5)]),
+        ("-5*t1^3*t2^2", 2, [(5, 2), (2, 4)]),
+        ("t1^4 + 2*t2^3", 2, [(3, 2), (2, 3)]),
+        ("3*t1*t2*t3", 3, [(7, 1), (3, 2), (2, 3)]),
+        ("t1^3*t2^2*t3 - 2", 3, [(5, 1), (2, 3)]),
+        ("2*t2^2*t3^3 + t1^3", 3, [(3, 1), (2, 2)]),
+    ]
+    for text, d, levels in cases:
+        f = parse_poly(text, d)
+        for p, j in levels:
+            check_elimination(f, p, j)
+
+
 def test_linear_norm_against_the_tower():
     # the closed form for a + b*zeta against the tower on the same element
     rng = random.Random(17)
@@ -236,6 +286,45 @@ def test_linear_norm_against_the_tower():
     assert resultants._linear_norm(2, 1, 5, 3) == 2  # Phi_2 = t + 1: the norm is a - b
     assert resultants._linear_norm(3, 2, 5, 0) == 5**6
     assert resultant_phi_int(5, 2, UniPoly((-3, 2))) == resultant_prs(cyclotomic(5, 2), UniPoly((-3, 2)))
+
+
+def conjugate_product_norm(p, j, x):
+    """The tower norm by the product of the conjugates of x at every level,
+    the route odd p takes."""
+    while j:
+        order = p**j
+        y = x
+        for a in range(1 + order // p, order, order // p):
+            y = resultants.mul_mod_phi(y, resultants.conjugate(x, a, p, j), p, j)
+        assert not any(any(y[r::p]) for r in range(1, p))
+        x, j = y[::p], j - 1
+    return x[0]
+
+
+def test_graeffe_route_against_prs_and_the_conjugate_product():
+    # at p = 2 the tower takes root-squaring steps; the product of the
+    # conjugates on the same element and the PRS (while it stays fast) agree
+    rng = random.Random(41)
+    for j in range(1, 11):
+        phi = cyclotomic(2, j)
+        n = phi.degree()
+        # 1,300-bit coefficients up to j = 7; past it the packed size stays
+        # at 2^17 bits, which keeps the conjugate product within a second
+        for bits in (1, 64, min(1300, 2**17 // n)):
+            g = UniPoly([rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(n, 2 * n + 1))] + [1])
+            cases = [g, g * UniPoly((0, 0, 2**rng.randint(1, 40))), phi * UniPoly((-3, 2**bits))]
+            for h in cases:
+                value = resultant_phi_int(2, j, h)
+                x = resultants.reduce_mod_phi(h.coeffs, 2, j)
+                assert resultants._tower_norm(2, j, x) == value, (j, bits)
+                assert value == conjugate_product_norm(2, j, x), (j, bits)
+                if n <= 16 or (n <= 64 and bits <= 64):
+                    assert value == resultant_prs(phi, h), (j, bits)
+            assert resultant_phi_int(2, j, cases[2]) == 0
+        # linear elements: the closed form against the root-squaring steps
+        for a, b in [(rng.randint(-(2**1300), 2**1300), rng.randint(1, 2**1300)), (2**201 + 3, -(2**200))]:
+            x = resultants.reduce_mod_phi([a, b], 2, j)
+            assert resultants._linear_norm(2, j, a, b) == resultants._tower_norm(2, j, x), (j, a, b)
 
 
 def test_cyclic_example_full_mask():
