@@ -8,21 +8,24 @@ products are the resultant engine's mul_mod_phi, the one Z[zeta_{p^m}]
 product, which its odd-p tower norms use too.
 
 The extension is totally ramified with uniformizer pi = 1 - zeta and
-v_pi(p) = phi(p^m).  pi-adic valuations are computed over the integers, as
-v_p of the resultant of the representing polynomial with Phi_{p^m} (the
-field norm), never inside the truncated ring, so no precision is lost there.
-Unit-ness needs no norm: x = x(1) (mod pi) and the residue field is F_p, so
-x is a unit exactly when p does not divide x(1), the sum of its coefficients.
+v_pi(p) = phi(p^m).  pi-adic valuations need no norm: the content p^c of the
+coefficients gives c*phi, and since Phi_{p^m} = (t - 1)^phi mod p, the rest
+is the order of t - 1 in the residues of x/p^c mod p, exact for the
+canonical lift.  Unit-ness is the case c = 0, order 0: x = x(1) (mod pi)
+and the residue field is F_p, so x is a unit exactly when p does not divide
+x(1), the sum of its coefficients.
 
 The 2-adic logarithm follows the squaring device: square until
-v_pi(y - 1) > v_pi(2), take the series, and remember the number s of
-squarings (log x = series / 2^s).  Torsion units collapse to exactly 1
+v_pi(y - 1) > v_pi(2), take the series (by Paterson-Stockmeyer, in about
+2 sqrt(r) products for r terms), and remember the number s of squarings
+(log x = series / 2^s).  Torsion units collapse to exactly 1
 under squaring and are reported as degenerate rather than silently given
 log 0 at some precision.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Tuple
 
@@ -187,16 +190,40 @@ class CycloPadic:
 
 
 def pi_valuation(x: CycloPadic) -> int:
-    """v_pi(x), an integer (v_pi(p) = phi(p^m) by total ramification)."""
-    n = x.norm_lift()
-    if n == 0:
+    """v_pi of the canonical lift of x, an integer (v_pi(p) = phi(p^m) by
+    total ramification), read off residues: with p^c the largest power of p
+    dividing every coefficient, v_pi(x) = c*phi + the order of t - 1 in
+    x/p^c mod p, since pi = 1 - zeta and Phi_{p^m} = (t - 1)^phi mod p.
+    Raises PrecisionExhaustedError for x = 0 and for v_pi(x) >= prec."""
+    p = x.p
+    content = math.gcd(*x.coeffs)
+    if content == 0:
         raise PrecisionExhaustedError("value indistinguishable from 0 at this precision")
-    v = vp(n, x.p)
+    c = vp(content, p)
+    scale = p**c
+    v = c * phi_degree(p, x.level) + _order_at_one([a // scale % p for a in x.coeffs], p)
     if v >= x.prec:
         raise PrecisionExhaustedError(
             f"pi-adic valuation >= precision ({v} >= {x.prec})"
         )
     return v
+
+
+def _order_at_one(residues, p: int) -> int:
+    """The multiplicity of t = 1 as a root of a nonzero polynomial over F_p,
+    given by its coefficients: synthetic divisions by t - 1 until the value
+    at 1, the remainder, is nonzero."""
+    order = 0
+    while True:
+        quotient = []
+        acc = 0
+        for a in reversed(residues):
+            acc = (acc + a) % p
+            quotient.append(acc)
+        if quotient.pop():
+            return order
+        residues = quotient[::-1]
+        order += 1
 
 
 # ---------------------------------------------------------------------------
@@ -261,35 +288,49 @@ def cyclo_log(x: CycloPadic) -> CycloPadic:
 
 
 def _log_series(y: CycloPadic, t: int) -> CycloPadic:
-    """Sum of the log series at y = 1 + w, v_pi(w) = t > v_pi(p); the result
-    precision reflects the exact divisions by the p-parts of the indices."""
+    """Sum of the log series at y = 1 + w, v_pi(w) = t > v_pi(p), over the
+    terms k = 1..r before the tail is negligible; the result precision
+    reflects the exact divisions by the p-parts p^a of the indices k.
+
+    The sum is taken mod p^(prec + L), L the largest a, as
+    sum (-1)^(k+1) p^(L-a) (k/p^a)^(-1) w^k and then divided by p^L
+    exactly, by Paterson-Stockmeyer: the baby steps w^0..w^(b-1) and w^b,
+    b about sqrt(r), scalar sums of the baby steps for each block of b
+    coefficients, and Horner's rule in w^b over the blocks, so about
+    2 sqrt(r) ring products instead of r.  A sum that p^L does not divide
+    (t overstates v_pi(w)) raises PrecisionExhaustedError.
+    """
     p, level, prec = y.p, y.level, y.prec
     deg = phi_degree(p, level)
-    w = y - CycloPadic.from_int(1, p, level, prec)
-    target = deg * prec
-    total = CycloPadic.from_int(0, p, level, prec)
-    loss = 0
-    k = 1
-    wk = w
-    mod = p**prec
-    while True:
-        if k > 1 and _tail_negligible(k, t, deg, target):
-            break
+    r = 1
+    while not _tail_negligible(r + 1, t, deg, deg * prec):
+        r += 1
+    loss = max(vp(k, p) for k in range(1, r + 1))
+    work = prec + loss
+    mod = p**work
+    scalars = [0]
+    for k in range(1, r + 1):
         a = vp(k, p)
-        kk = k // p**a
-        coeffs = list(wk.coeffs)
-        if a:
-            pa = p**a
-            if any(c % pa for c in coeffs):
-                raise PrecisionExhaustedError("inexact division in cyclotomic log series")
-            coeffs = [c // pa for c in coeffs]
-            loss = max(loss, a)
-        inv_kk = pow(kk, -1, mod)
-        term = CycloPadic(p, level, prec, [c * inv_kk for c in coeffs])
-        total = total + (term if k % 2 == 1 else -term)
-        k += 1
-        wk = wk * w
-    return CycloPadic(p, level, max(prec - loss, 1), total.coeffs)
+        c = p ** (loss - a) * pow(k // p**a, -1, mod)
+        scalars.append(c if k % 2 else -c)
+    w = CycloPadic(p, level, work, (y - 1).coeffs)
+    b = math.isqrt(r + 1)
+    powers = [CycloPadic.from_int(1, p, level, work), w]
+    while len(powers) <= b:
+        powers.append(powers[-1] * w)
+    giant = powers.pop()
+    total = None
+    for start in reversed(range(0, r + 1, b)):
+        acc = [0] * deg
+        for c, power in zip(scalars[start:start + b], powers):
+            if c:
+                acc = [s + c * e for s, e in zip(acc, power.coeffs)]
+        block = CycloPadic(p, level, work, acc)
+        total = block if total is None else total * giant + block
+    scale = p**loss
+    if any(c % scale for c in total.coeffs):
+        raise PrecisionExhaustedError("inexact division in cyclotomic log series")
+    return CycloPadic(p, level, max(prec - loss, 1), [c // scale for c in total.coeffs])
 
 
 def _tail_negligible(k: int, t: int, deg: int, target: int) -> bool:

@@ -369,9 +369,13 @@ def _level_log_norm_adaptive(m: int, level: int, extra: int):
 def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
     """Work of whitehead_closed_form, in cost_estimate's units, estimated
     before doing any: only the p = 2 product for odd k >= 3 costs.  Level L
-    makes about 16 * 2^(L/2) products of phi = 2^(L-1) coefficients of
+    makes L squarings into the log's convergence region, about
+    1.5 * 2^(L/2) products in its Paterson-Stockmeyer series and about 5
+    full-size ones for the argument and its inverse, counted here as
+    2 (L + 2^(L/2) + 5) products of phi = 2^(L-1) coefficients of
     _level_prec bits P, each W^1.585 / 5 units for W = phi * (2P + 16) / 64
-    words plus 20 per coefficient; fitted to the level 6-8 timings."""
+    words plus 20 per coefficient: 1.3-2 times the measured time at
+    truncation levels 6-9 on a 2-core host."""
     if p != 2 or k % 2 == 0 or k < 3:
         return 0.0
     total = 0.0
@@ -379,7 +383,7 @@ def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
         for level in range(2, truncation_level + 1):
             phi = 2.0 ** (level - 1)
             words = phi * (2 * _level_prec(level, K + 14) + 16) / 64
-            total += 16 * 2 ** (level / 2) * (words**1.585 / 5 + 20 * phi)
+            total += 2 * (level + 2 ** (level / 2) + 5) * (words**1.585 / 5 + 20 * phi)
     except OverflowError:  # levels past the float range
         return math.inf
     return total

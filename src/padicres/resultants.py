@@ -654,9 +654,29 @@ def modular_root_product(f: MultiPoly, p: int, masks) -> int:
     raise BudgetExceededError(f"too few primes q = 1 (mod {m}) below 2^64 for the oracle")
 
 
+# (p, m) -> the oracle primes found so far and the search that finds more;
+# a pure function of the key, so one process shares it across calls
+_ORACLE_PRIMES: dict = {}
+
+
 def _oracle_primes(p: int, m: int):
     """The primes q = 1 (mod m), 2^62 < q < 2^64, ascending, each with a
-    zeta of multiplicative order m in F_q (m a power of p)."""
+    zeta of multiplicative order m in F_q (m a power of p).  Each modulus
+    is searched once per process: later calls replay the primes found and
+    resume the search past them."""
+    found, search = _ORACLE_PRIMES.setdefault((p, m), ([], _search_oracle_primes(p, m)))
+    i = 0
+    while True:
+        if i == len(found):
+            prime = next(search, None)
+            if prime is None:
+                return
+            found.append(prime)
+        yield found[i]
+        i += 1
+
+
+def _search_oracle_primes(p: int, m: int):
     k = (1 << 62) // m + 1
     while k * m + 1 < 1 << 64:
         q = k * m + 1

@@ -130,6 +130,23 @@ def test_whitehead_level_budget_accepts_level_six(capsys):
     assert code == 0 and "agree: True" in out and "[6, 34, 91]" in out
 
 
+@pytest.mark.parametrize(
+    "k, residue, nu_sums",
+    [
+        ("3", 3, [[2, 4, 35], [3, 6, 39], [4, 10, 46], [5, 18, 62], [6, 34, 93], [7, 66, 156]]),
+        ("25", 57, [[2, 6, 33], [3, 10, 35], [4, 18, 39], [5, 34, 46], [6, 66, 61], [7, 130, 92]]),
+    ],
+)
+def test_whitehead_2adic_level_seven_outputs(capsys, k, residue, nu_sums):
+    # every level's nu sum and factor precision through level 7, pinned
+    code, out, _ = run(capsys, "whitehead", "-k", k, "-p", "2", "-K", "6", "--lmax", "7", "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["closed_form_residue"], record["achieved_digits"]) == (residue, 6)
+    assert record["per_level_nu_sums"] == nu_sums
+    assert record["agree"] is True
+
+
 @pytest.mark.parametrize("raw", ["1e12", "abc", "0", "-5"])
 def test_malformed_budget_is_user_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("PADIC_RES_BUDGET", raw)

@@ -5,6 +5,8 @@ import pytest
 
 from padicres.cyclo import (
     CycloPadic,
+    _log_series,
+    _tail_negligible,
     cyclo_log,
     evaluate_at_unity,
     log_with_shift,
@@ -16,7 +18,7 @@ from padicres.cyclo import (
 from padicres.errors import DegenerateValueError, PrecisionExhaustedError
 from padicres.multipoly import random_multipoly
 from padicres.padic import vp
-from padicres.resultants import resultant_prs
+from padicres.resultants import mul_mod_phi, resultant_prs
 from padicres.unipoly import UniPoly, cyclotomic
 
 
@@ -191,6 +193,85 @@ def test_pi_valuation_additive():
         if vx + vy < K:  # within trustworthy range
             assert vxy == vx + vy
         done += 1
+
+
+def test_pi_valuation_against_the_norm():
+    # the residue route against v_p of the norm of the canonical lift: random
+    # elements, high content, multiples of pi^k = (1 - zeta)^k, zero, and
+    # every valuation at or past the precision, which must raise
+    rng = random.Random(32)
+    raised = 0
+    for p, top in [(2, 6), (3, 3), (5, 2), (7, 1)]:
+        for level in range(1, top + 1):
+            deg = phi_degree(p, level)
+            for K in (1, 2, 5, 12):
+                pi = CycloPadic.from_int(1, p, level, K) - CycloPadic.zeta(p, level, K)
+                cases = [CycloPadic(p, level, K, []), pi**deg, CycloPadic.from_int(p ** (K - 1), p, level, K)]
+                for _ in range(6):
+                    x = CycloPadic(p, level, K, [rng.randrange(p**K) for _ in range(deg)])
+                    cases += [x, x * p ** rng.randint(1, K), x * pi ** rng.randint(1, 2 * deg + 2)]
+                for x in cases:
+                    norm = x.norm_lift()
+                    if norm == 0 or vp(norm, p) >= K:
+                        with pytest.raises(PrecisionExhaustedError):
+                            pi_valuation(x)
+                        raised += 1
+                    else:
+                        assert pi_valuation(x) == vp(norm, p), (p, level, K, x)
+    assert raised > 50
+
+
+def _log_series_by_terms(y, t):
+    """The log series at y = 1 + w term by term, each w^k exact in Z[zeta]
+    (powers of the canonical lift of w, no p-adic truncation), divided by
+    p^a = p^(v_p(k)) with an exact-division check, over as many terms as
+    _tail_negligible asks for; precision prec - max(a), at least 1."""
+    p, level, prec = y.p, y.level, y.prec
+    deg = phi_degree(p, level)
+    w = (y - 1).coeffs
+    total, power, loss, k = [0] * deg, w, 0, 1
+    while k == 1 or not _tail_negligible(k, t, deg, deg * prec):
+        a = vp(k, p)
+        if any(c % p**a for c in power):
+            raise PrecisionExhaustedError("inexact division")
+        loss = max(loss, a)
+        inverse = pow(k // p**a, -1, p**prec)
+        sign = 1 if k % 2 else -1
+        total = [s + sign * (c // p**a) * inverse for s, c in zip(total, power)]
+        power = mul_mod_phi(power, w, p, level)
+        k += 1
+    return CycloPadic(p, level, max(prec - loss, 1), total)
+
+
+def test_log_series_against_the_term_by_term_sum():
+    # w = pi^t * unit with t past the convergence threshold log_with_shift
+    # uses; precision 1 takes in indices whose p-part exceeds it
+    rng = random.Random(33)
+    for p, levels in [(2, (1, 2, 3, 4, 5)), (3, (1, 2, 3)), (5, (1, 2))]:
+        for level in levels:
+            deg = phi_degree(p, level)
+            threshold = deg if p == 2 else max(deg // (p - 1), 1) - 1
+            for prec in (1, 2, 5, 17, 40):
+                pi = CycloPadic.from_int(1, p, level, prec) - CycloPadic.zeta(p, level, prec)
+                for _ in range(3):
+                    t = rng.randint(threshold + 1, threshold + deg + 2)
+                    unit = CycloPadic(p, level, prec, [rng.randrange(p**prec) for _ in range(deg)] + [1])
+                    y = pi**t * unit + 1
+                    expected = _log_series_by_terms(y, t)
+                    got = _log_series(y, t)
+                    assert (got.prec, got.coeffs) == (expected.prec, expected.coeffs), (p, level, prec, t)
+
+
+def test_log_series_inexact_division_raises():
+    # t claims a valuation that w = y - 1 = 1 does not have: the terms
+    # 1/2, 1/4, ... are not integral and neither is their sum
+    for p, level in [(2, 3), (3, 1)]:
+        y = CycloPadic.from_int(2, p, level, 20)
+        t = phi_degree(p, level) + 1
+        with pytest.raises(PrecisionExhaustedError):
+            _log_series_by_terms(y, t)
+        with pytest.raises(PrecisionExhaustedError, match="inexact division"):
+            _log_series(y, t)
 
 
 def test_precision_mismatch_rejected():

@@ -8,6 +8,7 @@ from padicres.limits import limit_estimate
 from padicres.links import (
     CoveringSpec,
     character_oracle,
+    closed_form_cost,
     h1_nonp_limit,
     h1_order,
     load_link_spec,
@@ -21,6 +22,7 @@ from padicres.multipoly import MultiPoly
 from padicres.padic import PadicApprox, nonp_part, teichmuller, vp
 from padicres.parsing import parse_poly
 from padicres.resultants import (
+    COST_BUDGET_DEFAULT,
     CyclicResultantRequest,
     cyclic_resultant,
     sylvester_resultant,
@@ -329,3 +331,9 @@ def test_negative_masked_values_absolute_order():
         CyclicResultantRequest.rprime(parse_poly("t1 - 3", 1), 2, (6,))
     )
     assert est.nonp_value.residue(4) == nonp_part(abs(deep), 2) % 2**4
+
+
+def test_closed_form_budget_admits_level_nine_and_refuses_ten():
+    # whitehead -k 3 -K 4: --lmax 9 runs (about 16 s on a 2-core host),
+    # --lmax 10 is refused at the default budget
+    assert closed_form_cost(3, 2, 4, 9) < COST_BUDGET_DEFAULT < closed_form_cost(3, 2, 4, 10)

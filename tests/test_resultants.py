@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -19,7 +20,7 @@ from padicres.resultants import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from padicres.unipoly import UniPoly, cyclotomic, power_minus_one
+from padicres.unipoly import UniPoly, cyclotomic, is_prime, power_minus_one
 
 
 def cofactor_det(rows):
@@ -580,3 +581,24 @@ def test_modular_root_product_zero_residue_is_not_zero():
     assert modular_root_product(f, 2, [{1}]) == q
     assert modular_root_product(f - MultiPoly.const(1, 2 * q), 2, [{1}]) == -q
     assert modular_root_product(parse_poly("1 + t1", 1), 2, [{0, 1}]) == 0
+
+
+def test_oracle_primes_are_searched_once_per_modulus(monkeypatch):
+    # character_oracle asks for the same modulus once per level and once per
+    # sublink: a repeat call replays the primes found, with no primality test
+    f = parse_poly("3 + 2*t1 - t2 + t1*t2^2", 2)
+    masks = [{1, 2}, {2}]
+    req = CyclicResultantRequest.custom(f, 3, (2, 2), masks)
+    first = modular_root_product(f, 3, masks)
+    primes = list(itertools.islice(resultants._oracle_primes(3, 9), 4))
+    for q, zeta in primes:
+        assert q % 9 == 1 and 2**62 < q < 2**64 and is_prime(q)
+        assert pow(zeta, 9, q) == 1 and pow(zeta, 3, q) != 1
+    assert [q for q, _ in primes] == sorted({q for q, _ in primes})
+
+    def no_search(q):
+        raise AssertionError("the oracle primes were searched again")
+
+    monkeypatch.setattr(resultants, "is_prime", no_search)
+    assert modular_root_product(f, 3, masks) == first == cyclic_resultant(req)
+    assert list(itertools.islice(resultants._oracle_primes(3, 9), 4)) == primes
