@@ -33,7 +33,7 @@ from .resultants import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from .padic import PadicApprox, nonp_part, padic_log, padic_log_unit, teichmuller, vp, vp_split
+from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
 from .cyclo import (
     CycloPadic,
     cyclo_log,

@@ -320,14 +320,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call and reused: parsing does not change a parser
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
     # big integers print in full: lift the int/str digit limit (Python
     # 3.10.7+) for the whole process, since callers may parse the output back
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USER if exc.code not in (0, None) else EXIT_OK
     try:

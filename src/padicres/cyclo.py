@@ -20,7 +20,9 @@ v_pi(y - 1) > v_pi(2), take the series (by Paterson-Stockmeyer, in about
 2 sqrt(r) products for r terms), and remember the number s of squarings
 (log x = series / 2^s).  Torsion units collapse to exactly 1
 under squaring and are reported as degenerate rather than silently given
-log 0 at some precision.
+log 0 at some precision.  The Whitehead log norms read s and v_pi(y - 1)
+first, at low precision, and run the series once, at the precision those
+values prove enough (level_log_norm).
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import math
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import DegenerateValueError, PrecisionExhaustedError
+from .errors import DegenerateValueError, InvariantError, PrecisionExhaustedError
 from .multipoly import MultiPoly
-from .padic import vp
+from .padic import vp, vp_split
 from .resultants import conjugate, cyclotomic_norm, mul_mod_phi, phi_degree, reduce_mod_phi
 from .unipoly import is_prime
 
@@ -194,19 +196,18 @@ def pi_valuation(x: CycloPadic) -> int:
     total ramification), read off residues: with p^c the largest power of p
     dividing every coefficient, v_pi(x) = c*phi + the order of t - 1 in
     x/p^c mod p, since pi = 1 - zeta and Phi_{p^m} = (t - 1)^phi mod p.
-    Raises PrecisionExhaustedError for x = 0 and for v_pi(x) >= prec."""
+
+    This is v_pi of every element congruent to x mod p^prec, not only of the
+    lift: x != 0 mod p^prec gives c < prec and an order below phi, so
+    v_pi(x) < prec*phi = v_pi(p^prec).  Raises PrecisionExhaustedError only
+    for x = 0 mod p^prec."""
     p = x.p
     content = math.gcd(*x.coeffs)
     if content == 0:
         raise PrecisionExhaustedError("value indistinguishable from 0 at this precision")
     c = vp(content, p)
     scale = p**c
-    v = c * phi_degree(p, x.level) + _order_at_one([a // scale % p for a in x.coeffs], p)
-    if v >= x.prec:
-        raise PrecisionExhaustedError(
-            f"pi-adic valuation >= precision ({v} >= {x.prec})"
-        )
-    return v
+    return c * phi_degree(p, x.level) + _order_at_one([a // scale % p for a in x.coeffs], p)
 
 
 def _order_at_one(residues, p: int) -> int:
@@ -242,34 +243,34 @@ def log_with_shift(x: CycloPadic) -> Tuple[CycloPadic, int]:
     torsion unit and DegenerateValueError is raised; more than _MAX_SQUARINGS
     maps raise PrecisionExhaustedError.
     """
+    y, s, t = _into_convergence(x)
+    return _log_series(y, t), s
+
+
+def _into_convergence(x: CycloPadic) -> Tuple[CycloPadic, int, int]:
+    """(y, s, t): y = x^(p^s) for the least s with t = v_pi(y - 1) past the
+    convergence threshold of the log series (v_pi(2) = phi for p = 2).  Each
+    t is exact whenever y - 1 != 0 at the working precision (pi_valuation),
+    so s and t do not depend on the precision; y - 1 = 0 raises
+    DegenerateValueError."""
     p = x.p
     deg = phi_degree(p, x.level)
     threshold = deg if p == 2 else max(deg // (p - 1), 1) - 1
     y = x
     s = 0
     while True:
-        diff = y - CycloPadic.from_int(1, p, x.level, x.prec)
+        diff = y - 1
         if diff.is_zero_at_precision:
             raise DegenerateValueError(
                 "torsion unit: argument collapses to 1 under p-power maps; log is 0"
             )
-        try:
-            t = pi_valuation(diff)
-        except PrecisionExhaustedError:
-            # v_pi(y-1) >= prec: a valid lower bound, and (for prec beyond
-            # the threshold) proof that y sits deep in the convergence region
-            if x.prec > threshold:
-                t = x.prec
-                break
-            raise
+        t = pi_valuation(diff)
         if t > threshold:
-            break
+            return y, s, t
         y = y * y if p == 2 else y**p
         s += 1
         if s > _MAX_SQUARINGS:
             raise PrecisionExhaustedError("log argument will not enter the convergence region")
-    z = _log_series(y, t)
-    return z, s
 
 
 def cyclo_log(x: CycloPadic) -> CycloPadic:
@@ -302,10 +303,7 @@ def _log_series(y: CycloPadic, t: int) -> CycloPadic:
     """
     p, level, prec = y.p, y.level, y.prec
     deg = phi_degree(p, level)
-    r = 1
-    while not _tail_negligible(r + 1, t, deg, deg * prec):
-        r += 1
-    loss = max(vp(k, p) for k in range(1, r + 1))
+    r, loss = _series_terms(p, deg, t, prec)
     work = prec + loss
     mod = p**work
     scalars = [0]
@@ -331,6 +329,16 @@ def _log_series(y: CycloPadic, t: int) -> CycloPadic:
     if any(c % scale for c in total.coeffs):
         raise PrecisionExhaustedError("inexact division in cyclotomic log series")
     return CycloPadic(p, level, max(prec - loss, 1), [c // scale for c in total.coeffs])
+
+
+def _series_terms(p: int, deg: int, t: int, prec: int) -> Tuple[int, int]:
+    """(r, L) for the log series mod p^prec at v_pi(w) = t: the number r of
+    terms before the tail is negligible, and L = max v_p(k) over k <= r, the
+    digits its divisions by k lose."""
+    r = 1
+    while not _tail_negligible(r + 1, t, deg, deg * prec):
+        r += 1
+    return r, max(vp(k, p) for k in range(1, r + 1))
 
 
 def _tail_negligible(k: int, t: int, deg: int, target: int) -> bool:
@@ -375,24 +383,79 @@ def nu_zeta(m: int, level: int, prec: int) -> Fraction:
     """
     if level < 2:
         raise DegenerateValueError("level 1 roots (+-1) are excluded from the product")
-    n, s, _ = level_log_norm(m, level, prec)
-    return Fraction(vp(n, 2), phi_degree(2, level)) - s
+    s, t = level_log_valuation(m, level, prec)
+    return Fraction(t, phi_degree(2, level)) - s
 
 
-def level_log_norm(m: int, level: int, prec: int) -> Tuple[int, int, int]:
-    """Norm data of log(u) at one cyclotomic level for the Whitehead family.
+# the cheap pass's first precision; it doubles only while y - 1 vanishes
+_VALUATION_PREC = 32
 
-    Returns (norm_of_series, shift s, available residue precision): the true
-    Nm(log u) is norm_of_series / 2^(s*phi), so the summed nu over the level's
-    primitive roots is v_2(norm_of_series) - s*phi, and the unit part of
-    Nm(log u) equals the unit part of norm_of_series.
+
+def level_log_valuation(m: int, level: int, prec: int) -> Tuple[int, int]:
+    """(s, t) for the Whitehead argument u at a primitive 2^level-th root:
+    s squarings carry u into the log's convergence region, and
+    t = v_pi(u^(2^s) - 1) > phi.
+
+    No series and no norm: since t > phi = v_pi(2), every term w^k/k (k >= 2)
+    of log(1 + w) has v_pi > t, so v_pi(log u^(2^s)) = t and the level's sum
+    of nu is t - s*phi.  s and t are exact at any precision where y - 1 does
+    not vanish, so the pass starts at _VALUATION_PREC digits and doubles only
+    while it vanishes; vanishing mod 2^prec raises DegenerateValueError.
     """
-    u = whitehead_log_argument(m, 2, level, prec)
-    z, s = log_with_shift(u)
-    n = z.norm_lift()
-    if n == 0 or vp(n, 2) >= z.prec:
-        raise PrecisionExhaustedError("norm of log indistinguishable from 0; raise prec")
-    return n, s, z.prec
+    work = min(prec, _VALUATION_PREC)
+    while True:
+        try:
+            _, s, t = _into_convergence(whitehead_log_argument(m, 2, level, work))
+            return s, t
+        except DegenerateValueError:
+            if work >= prec:
+                raise
+            work = min(2 * work, prec)
+
+
+def level_log_norm(m: int, level: int, prec: int) -> Tuple[int, int, int, int]:
+    """Norm data of log(u) at one cyclotomic level for the Whitehead family:
+    (s, nu, F, unit), with s and nu = t - s*phi the shift and the level's sum
+    of nu from level_log_valuation, and unit the unit part of Nm(log u)
+    mod 2^F.
+
+    F is what the direct route certifies (the argument at prec, the log
+    series, the norm of z = 2^s log u): prec - L - t digits, L the digits the
+    series at prec loses, with prec doubled until that is positive.  The
+    series then runs once, at the least precision P that proves F:
+
+    - z = log(u^(2^s)) has v_pi(z) = t (see level_log_valuation), so
+      z / 2^e is integral for e = t // phi, and Nm(z / 2^e) = Nm(log u) times
+      a power of 2 has the same unit part and v_2 = t - e*phi < phi.
+    - Let x = z / 2^e be known as x + d, d in 2^Q Z[zeta].  Every term of
+      Nm(x + d) - Nm(x) is a product of one conjugate of d and phi - 1
+      conjugates of x or d, so it has v_pi >= Q*phi + (phi - 1)(t - e*phi),
+      and the unit part of Nm(x + d) equals that of Nm(x) mod
+      2^(Q - ceil((t - e*phi)/phi)).  With Q = P - L - e that is
+      2^(P - L - ceil(t/phi)), so P = F + L + ceil(t/phi) suffices.
+    """
+    deg = phi_degree(2, level)
+    s, t = level_log_valuation(m, level, prec)
+    loss = _series_terms(2, deg, t, prec)[1]
+    while t >= prec - loss:
+        prec *= 2
+        loss = _series_terms(2, deg, t, prec)[1]
+    digits = prec - loss - t
+    shift, need = t // deg, digits - (-t // deg)
+    work = need
+    while work - _series_terms(2, deg, t, work)[1] < need:
+        work += 1
+    y = whitehead_log_argument(m, 2, level, work)
+    for _ in range(s):
+        y = y * y
+    z = _log_series(y, t)
+    scale = 2**shift
+    if any(c % scale for c in z.coeffs):
+        raise InvariantError(f"log at level {level} is not divisible by 2^{shift}")
+    v, unit = vp_split(CycloPadic(2, level, z.prec - shift, [c // scale for c in z.coeffs]).norm_lift(), 2)
+    if v != t - shift * deg:
+        raise InvariantError(f"norm of log at level {level} has v_2 {v}, not {t - shift * deg}")
+    return s, t - s * deg, digits, unit % 2**digits
 
 
 def evaluate_at_unity(f: MultiPoly, p: int, level: int, exps, prec: int) -> CycloPadic:

@@ -27,13 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
-from .cyclo import level_log_norm, phi_degree
-from .errors import (
-    DegenerateValueError,
-    OracleMismatchError,
-    PolyParseError,
-    PrecisionExhaustedError,
-)
+from .cyclo import level_log_norm, level_log_valuation, phi_degree
+from .errors import OracleMismatchError, PolyParseError
 from .limits import LimitEstimate, limit_estimate, window_requests
 from .multipoly import MultiPoly
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
@@ -353,37 +348,33 @@ def _level_prec(level: int, extra: int) -> int:
     return (level + 3) * 2 ** (level - 1) + 16 + extra
 
 
-def _level_log_norm_adaptive(m: int, level: int, extra: int):
-    """level_log_norm at _level_prec, doubling the precision on exhaustion."""
-    prec = _level_prec(level, extra)
-    for _ in range(4):
-        try:
-            return level_log_norm(m, level, prec)
-        except PrecisionExhaustedError:
-            prec *= 2
-    raise PrecisionExhaustedError(
-        f"cyclotomic level {level} would not stabilize below precision {prec}"
-    )
-
-
 def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
     """Work of whitehead_closed_form, in cost_estimate's units, estimated
-    before doing any: only the p = 2 product for odd k >= 3 costs.  Level L
-    makes L squarings into the log's convergence region, about
-    1.5 * 2^(L/2) products in its Paterson-Stockmeyer series and about 5
-    full-size ones for the argument and its inverse, counted here as
-    2 (L + 2^(L/2) + 5) products of phi = 2^(L-1) coefficients of
-    _level_prec bits P, each W^1.585 / 5 units for W = phi * (2P + 16) / 64
-    words plus 20 per coefficient: 1.3-2 times the measured time at
-    truncation levels 6-9 on a 2-core host."""
+    before doing any: only the p = 2 product for odd k >= 3 costs.
+
+    Level L runs its log series once, at P = F + ceil(t/phi) + (series loss)
+    digits, F = prec - (series loss) - t with prec = _level_prec(L, K + 14)
+    doubled while F <= 0 (level_log_norm).  The estimate takes
+    t = (L + v_2(k^2 - 1) - 2) phi + 2 and the loss as L; that t held at every
+    level 2..9 for every odd k <= 259.  It counts L squarings, 2 sqrt(r)
+    series products for r = phi P / t terms and 8 more for the argument, its
+    inverse and the norm, each of phi = 2^(L-1) coefficients of P bits:
+    W^1.585 / 5 units for W = phi * (2P + 16) / 64 words plus 20 per
+    coefficient.  That was 0.8-1.8 times the measured time at truncation
+    levels 6-10 for k = 3, 15 and 31 on a 2-core host."""
     if p != 2 or k % 2 == 0 or k < 3:
         return 0.0
     total = 0.0
     try:
         for level in range(2, truncation_level + 1):
-            phi = 2.0 ** (level - 1)
-            words = phi * (2 * _level_prec(level, K + 14) + 16) / 64
-            total += 2 * (level + 2 ** (level / 2) + 5) * (words**1.585 / 5 + 20 * phi)
+            phi = 2 ** (level - 1)
+            t = (level + vp(k * k - 1, 2) - 2) * phi + 2
+            prec = _level_prec(level, K + 14)
+            while t >= prec - level:
+                prec *= 2
+            work = prec - t + level - (-t // phi)
+            words = phi * (2 * work + 16) / 64
+            total += (level + 2 * math.sqrt(phi * work / t) + 8) * (words**1.585 / 5 + 20 * phi)
     except OverflowError:  # levels past the float range
         return math.inf
     return total
@@ -446,15 +437,7 @@ def whitehead_closed_form(k: int, p: int, K: int, truncation_level: int = 5) -> 
     factors = []
     per_level = []
     for level in range(2, truncation_level + 1):
-        norm, shift, prec = _level_log_norm_adaptive(m, level, work)
-        deg = phi_degree(2, level)
-        v, unit = vp_split(norm, 2)
-        nu_sum = v - shift * deg
-        factor_prec = prec - v
-        if factor_prec < 1:
-            raise DegenerateValueError(
-                f"working precision {prec} does not cover the valuation {v} of the level {level} norm"
-            )
+        _, nu_sum, factor_prec, unit = level_log_norm(m, level, _level_prec(level, work))
         factors.append(PadicApprox.from_int(unit, 2, factor_prec))
         per_level.append((level, nu_sum, factor_prec))
     # measured tail estimate: distance of the last factors from 1
@@ -502,9 +485,8 @@ def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
     link = whitehead_link_spec(k)
     nu_sums = {}
     for level in range(2, n_max + 1):
-        # only the valuation of the norm is read, so a fixed margin suffices
-        norm, shift, _ = _level_log_norm_adaptive(m, level, 24)
-        nu_sums[level] = vp(norm, 2) - shift * phi_degree(2, level)
+        shift, t = level_log_valuation(m, level, _level_prec(level, 24))
+        nu_sums[level] = t - shift * phi_degree(2, level)
     rows = []
     ok = True
     for n in range(1, n_max + 1):

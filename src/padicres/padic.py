@@ -281,88 +281,3 @@ def teichmuller(x: int, p: int, prec: int) -> PadicApprox:
         if y_next == y:
             return PadicApprox(p, prec, 0, y)
         y = y_next
-
-
-def padic_log(u: int | PadicApprox, p: int, prec: int) -> PadicApprox:
-    """Truncated p-adic logarithm of a principal unit.
-
-    Requires u = 1 mod p for odd p, u = 1 mod 4 for p = 2 (padic_log_unit
-    wraps the squaring device that lifts the restriction).  The truncation
-    index is chosen so every dropped term x^k/k has valuation >= prec, via
-    v_p(x^k/k) >= k*v_p(x) - log_p(k).
-    """
-    slack = _log_slack(p, prec)
-    out_prec = prec
-    if isinstance(u, PadicApprox):
-        if u.valuation() != 0:
-            raise ValueError("padic_log requires a unit")
-        if u.exact_value is None and u.prec < prec + slack:
-            out_prec = max(1, u.prec - slack)
-        u_int = u.residue(min(out_prec + slack, prec + slack))
-    else:
-        u_int = u
-    prec = out_prec
-    work = prec + slack
-    need = 4 if p == 2 else p
-    if u_int % need != 1:
-        raise ValueError(f"padic_log requires u = 1 mod {need}")
-    mod = p**work
-    x = (u_int - 1) % mod
-    if x == 0:
-        if isinstance(u, int) and u == 1:
-            return PadicApprox.zero(p, prec)
-        return PadicApprox(p, prec, None, None)
-    v = vp(x, p)
-    total = 0
-    k = 1
-    xk = x
-    while True:
-        log_p_k = 0
-        t = k
-        while t >= p:
-            t //= p
-            log_p_k += 1
-        if k > 1 and k * v - log_p_k >= work:
-            break
-        a = vp(k, p)
-        term = xk // p**a
-        kk = k // p**a
-        term = term * pow(kk, -1, mod) % mod
-        if k % 2 == 0:
-            total -= term
-        else:
-            total += term
-        k += 1
-        xk = xk * x % mod
-    return PadicApprox.from_int(total % p**prec, p, prec)
-
-
-def padic_log_unit(u: int, p: int, prec: int) -> PadicApprox:
-    """Iwasawa logarithm of an arbitrary unit.
-
-    Kills the Teichmuller part: for p = 2 this is log(u^2)/2 (the documented
-    safe device), for odd p log(u^(p-1))/(p-1); the division is exact because
-    the valuation is tracked separately from the unit part.
-    """
-    if u % p == 0:
-        raise ValueError("not a unit")
-    e = 2 if p == 2 else p - 1
-    extra = 1 if p == 2 else 0
-    inner = padic_log(pow(u, e, p ** (prec + extra + _log_slack(p, prec + extra))), p, prec + extra)
-    if inner.valuation() is None:
-        return PadicApprox(p, prec, None, None)
-    val = inner.val - extra
-    scaled = PadicApprox(p, prec, val, inner.unit) if val < prec else PadicApprox(p, prec, None, None)
-    odd_e = nonp_part(e, p)
-    if odd_e == 1:
-        return scaled
-    return scaled * PadicApprox.from_int(odd_e, p, prec, exact=True).inverse()
-
-
-def _log_slack(p: int, prec: int) -> int:
-    s = 2
-    t = prec + 4
-    while t >= p:
-        t //= p
-        s += 1
-    return s

@@ -104,11 +104,11 @@ def test_whitehead_level_budget_refuses_before_any_work(capsys, monkeypatch):
 
     monkeypatch.setattr(links, "level_log_norm", no_work)
     monkeypatch.setattr(resultants, "_masked_product", no_work)
-    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "10")
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "12")
     assert code == 3 and "budget" in err and not out
     # PADIC_RES_BUDGET lifts the refusal: the first log norm then starts
     monkeypatch.setenv("PADIC_RES_BUDGET", str(10**11))
-    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "10")
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "12")
     assert code == 1 and "a log norm started" in err
 
 
@@ -145,6 +145,13 @@ def test_whitehead_2adic_level_seven_outputs(capsys, k, residue, nu_sums):
     assert (record["closed_form_residue"], record["achieved_digits"]) == (residue, 6)
     assert record["per_level_nu_sums"] == nu_sums
     assert record["agree"] is True
+
+
+def test_whitehead_2adic_level_nine_nu_sums(capsys):
+    # levels 8 and 9 as the fixed-precision log norms reported them
+    code, out, _ = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "9", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["per_level_nu_sums"][-2:] == [[8, 130, 281], [9, 258, 536]]
 
 
 @pytest.mark.parametrize("raw", ["1e12", "abc", "0", "-5"])
@@ -358,3 +365,32 @@ def test_truncate_marks_non_canonical(capsys):
 
 def test_unknown_subcommand_is_user_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main reuses one parser: good and failing parses in sequence give the
+    # stdout and exit code a freshly built parser gives
+    from padicres import cli
+
+    calls = [
+        ("res", "-p", "2", "-n", "1,1", "t1*t2-2"),
+        ("res", "-p", "2", "t1-2"),
+        ("twopart", "-k", "3", "--n-max", "2", "--format", "json"),
+        ("whitehead", "-k", "4", "-p", "3", "-K", "2", "--bogus"),
+        ("linkh1", "--whitehead", "3", "-p", "3", "-n", "2,2"),
+        ("frobnicate",),
+        ("whitehead", "-k", "4", "-p", "3", "-K", "2", "--format", "json"),
+        ("res", "-p", "3", "-n", "1", "--mask", "rprime", "t1-2"),
+    ]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser: built.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [run(capsys, *argv)[:2] for argv in calls]
+    assert len(built) == 1
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(capsys, *argv)[:2])
+    assert len(built) == 1 + len(calls)
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 2, 0, 2, 0, 2, 0, 0]

@@ -9,6 +9,8 @@ from padicres.cyclo import (
     _tail_negligible,
     cyclo_log,
     evaluate_at_unity,
+    level_log_norm,
+    level_log_valuation,
     log_with_shift,
     nu_zeta,
     phi_degree,
@@ -17,7 +19,8 @@ from padicres.cyclo import (
 )
 from padicres.errors import DegenerateValueError, PrecisionExhaustedError
 from padicres.multipoly import random_multipoly
-from padicres.padic import vp
+from padicres.links import _level_prec
+from padicres.padic import vp, vp_split
 from padicres.resultants import mul_mod_phi, resultant_prs
 from padicres.unipoly import UniPoly, cyclotomic
 
@@ -198,27 +201,31 @@ def test_pi_valuation_additive():
 def test_pi_valuation_against_the_norm():
     # the residue route against v_p of the norm of the canonical lift: random
     # elements, high content, multiples of pi^k = (1 - zeta)^k, zero, and
-    # every valuation at or past the precision, which must raise
+    # v_pi = K*phi - 1, the largest a nonzero residue mod p^K can have;
+    # every nonzero case returns, those with v_pi >= K included
     rng = random.Random(32)
-    raised = 0
+    zeros = at_or_above_k = 0
     for p, top in [(2, 6), (3, 3), (5, 2), (7, 1)]:
         for level in range(1, top + 1):
             deg = phi_degree(p, level)
             for K in (1, 2, 5, 12):
                 pi = CycloPadic.from_int(1, p, level, K) - CycloPadic.zeta(p, level, K)
-                cases = [CycloPadic(p, level, K, []), pi**deg, CycloPadic.from_int(p ** (K - 1), p, level, K)]
+                edge = pi ** (deg - 1) * p ** (K - 1)
+                cases = [CycloPadic(p, level, K, []), pi**deg, CycloPadic.from_int(p ** (K - 1), p, level, K), edge]
                 for _ in range(6):
                     x = CycloPadic(p, level, K, [rng.randrange(p**K) for _ in range(deg)])
-                    cases += [x, x * p ** rng.randint(1, K), x * pi ** rng.randint(1, 2 * deg + 2)]
+                    cases += [x, x * p ** rng.randint(1, K), x * pi ** rng.randint(1, 2 * deg + 2), x * edge]
                 for x in cases:
-                    norm = x.norm_lift()
-                    if norm == 0 or vp(norm, p) >= K:
+                    if x.is_zero_at_precision:
                         with pytest.raises(PrecisionExhaustedError):
                             pi_valuation(x)
-                        raised += 1
-                    else:
-                        assert pi_valuation(x) == vp(norm, p), (p, level, K, x)
-    assert raised > 50
+                        zeros += 1
+                        continue
+                    v = pi_valuation(x)
+                    assert v == vp(x.norm_lift(), p) < K * deg, (p, level, K, x)
+                    at_or_above_k += v >= K
+                assert pi_valuation(edge) == K * deg - 1
+    assert zeros > 100 and at_or_above_k > 200
 
 
 def _log_series_by_terms(y, t):
@@ -335,10 +342,48 @@ def test_nu_zeta_values_and_normalization():
 
 
 def test_nu_zeta_degenerate_cases():
-    with pytest.raises(DegenerateValueError):
-        nu_zeta(0, 2, 12)  # torsion argument zeta^(-1)
+    for level in range(2, 7):
+        with pytest.raises(DegenerateValueError):
+            nu_zeta(0, level, 12)  # torsion argument zeta^(-1)
     with pytest.raises(DegenerateValueError):
         nu_zeta(1, 1, 12)  # level-1 roots are excluded from the product
+
+
+def _direct_log_norm(m, level, extra):
+    """The fixed-precision route level_log_norm replaces: the argument at
+    _level_prec, log_with_shift, norm_lift, with the precision doubled until
+    the norm's valuation is below the series' precision; (s, nu, F, unit mod
+    2^F) with F = that precision minus the valuation."""
+    prec = _level_prec(level, extra)
+    while True:
+        z, s = log_with_shift(whitehead_log_argument(m, 2, level, prec))
+        norm = z.norm_lift()
+        if norm and vp(norm, 2) < z.prec:
+            break
+        prec *= 2
+    v, unit = vp_split(norm, 2)
+    return s, v - s * phi_degree(2, level), z.prec - v, unit % 2 ** (z.prec - v)
+
+
+def test_level_log_norm_against_the_direct_route():
+    # the valuation-first route reports the shift, nu sum and factor
+    # precision of the direct route, and the same unit mod 2^F; nu is
+    # t - s*phi from the cheap pass alone
+    cases = [(level, m) for level in range(2, 8) for m in range(1, 13)] + [(8, 1), (8, 7)]
+    for level, m in cases:
+        got = level_log_norm(m, level, _level_prec(level, 18))
+        assert got == _direct_log_norm(m, level, 18), (level, m)
+        s, t = level_log_valuation(m, level, _level_prec(level, 18))
+        assert got[:2] == (s, t - s * phi_degree(2, level)), (level, m)
+
+
+def test_level_log_norm_doubles_like_the_direct_route():
+    # k = 31 (m = 15): t reaches _level_prec from level 6 on, so F comes from
+    # the doubled precision, as the direct route reports it
+    for level in (5, 6):
+        got = level_log_norm(15, level, _level_prec(level, 18))
+        assert got == _direct_log_norm(15, level, 18), level
+    assert level_log_valuation(15, 6, 64)[1] >= _level_prec(6, 18)
 
 
 def test_whitehead_log_argument_is_unit():

@@ -253,10 +253,19 @@ def test_whitehead_closed_form_p2_cross_agreement():
         assert closed.value.eq_mod(empirical.nonp_value, digits)
 
 
-def test_two_part_exponent_report():
+def test_two_part_exponent_report(monkeypatch):
+    # the nu sums come from the squaring loop alone: no cyclotomic norm
+    from padicres.cyclo import CycloPadic
+
+    def no_norm(self):
+        raise AssertionError("two_part_exponent_check took a norm")
+
+    monkeypatch.setattr(CycloPadic, "norm_lift", no_norm)
     report = two_part_exponent_check(3, 4)
     assert report.ok
     assert report.rows == ((1, 1, 1), (2, 9, 9), (3, 29, 29), (4, 77, 77))
+    assert two_part_exponent_check(5, 4).rows == report.rows
+    assert two_part_exponent_check(25, 4).rows == ((1, 1, 1), (2, 11, 11), (3, 35, 35), (4, 91, 91))
     with pytest.raises(ValueError):
         two_part_exponent_check(4, 2)
     with pytest.raises(ValueError):
@@ -333,7 +342,9 @@ def test_negative_masked_values_absolute_order():
     assert est.nonp_value.residue(4) == nonp_part(abs(deep), 2) % 2**4
 
 
-def test_closed_form_budget_admits_level_nine_and_refuses_ten():
-    # whitehead -k 3 -K 4: --lmax 9 runs (about 16 s on a 2-core host),
-    # --lmax 10 is refused at the default budget
-    assert closed_form_cost(3, 2, 4, 9) < COST_BUDGET_DEFAULT < closed_form_cost(3, 2, 4, 10)
+def test_closed_form_budget_admits_level_eleven_and_refuses_twelve():
+    # whitehead -k 3 -K 4: --lmax 11 runs (about 70 s on a 2-core host),
+    # --lmax 12 is refused at the default budget; k = 31, whose log norms
+    # work at doubled precision from level 6 on, is refused from level 10
+    assert closed_form_cost(3, 2, 4, 11) < COST_BUDGET_DEFAULT < closed_form_cost(3, 2, 4, 12)
+    assert closed_form_cost(31, 2, 4, 9) < COST_BUDGET_DEFAULT < closed_form_cost(31, 2, 4, 10)

@@ -7,8 +7,6 @@ from padicres.multipoly import MultiPoly
 from padicres.padic import (
     PadicApprox,
     nonp_part,
-    padic_log,
-    padic_log_unit,
     teichmuller,
     vp,
     vp_split,
@@ -86,31 +84,6 @@ def test_teichmuller_properties():
                     )
 
 
-def test_padic_log_example():
-    got = padic_log(6, 5, 3)
-    assert got.residue(3) == 55
-    assert padic_log(1, 5, 3).is_exact_zero
-
-
-def test_padic_log_additivity():
-    for p, u in ((5, 6), (3, 4), (7, 8)):
-        base = padic_log(u, p, 6)
-        for k in range(2, 51):
-            got = padic_log(pow(u, k, p**9), p, 6)
-            assert got.eq_mod(base * k, 6), (p, u, k)
-
-
-def test_padic_log_domain():
-    with pytest.raises(ValueError):
-        padic_log(2, 5, 3)
-    with pytest.raises(ValueError):
-        padic_log(3, 2, 4)  # 3 = 1 mod 2 but not mod 4
-    # the unit-log helper accepts any unit
-    got = padic_log_unit(3, 2, 6)
-    doubled = padic_log(9, 2, 7)
-    assert (got * 2).eq_mod(doubled, 6)
-
-
 def test_padic_approx_roundtrip_and_str():
     x = PadicApprox.from_int(50, 5, 4)
     assert x.val == 2 and x.unit == 2 and x.residue(4) == 50
@@ -156,13 +129,3 @@ def test_residue_beyond_precision_raises():
     x = PadicApprox.from_int(7, 5, 3)
     with pytest.raises(PrecisionExhaustedError):
         x.residue(4)
-
-
-def test_padic_log_unit_additivity_odd_p():
-    a = padic_log_unit(2, 5, 4)
-    b = padic_log_unit(3, 5, 4)
-    c = padic_log_unit(6, 5, 4)
-    assert (a + b).eq_mod(c, 4)
-    # the Teichmuller part carries no log: log(omega * u) = log(u)
-    w = teichmuller(2, 5, 6).residue(6)
-    assert padic_log_unit(w * 6 % 5**6, 5, 4).eq_mod(padic_log_unit(6, 5, 4), 4)
