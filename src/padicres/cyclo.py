@@ -22,7 +22,10 @@ v_pi(y - 1) > v_pi(2), take the series (by Paterson-Stockmeyer, in about
 under squaring and are reported as degenerate rather than silently given
 log 0 at some precision.  The Whitehead log norms read s and v_pi(y - 1)
 first, at low precision, and run the series once, at the precision those
-values prove enough (level_log_norm).
+values prove enough (level_log_norm).  Their argument takes no ring
+product: with n = p^m, (a + b*zeta) sum_{k<n} a^(n-1-k) (-b)^k zeta^k is
+the integer a^n - (-b)^n, so a linear denominator is inverted by n scalar
+products and one integer inverse (whitehead_log_argument).
 """
 
 from __future__ import annotations
@@ -212,19 +215,40 @@ def pi_valuation(x: CycloPadic) -> int:
 
 def _order_at_one(residues, p: int) -> int:
     """The multiplicity of t = 1 as a root of a nonzero polynomial over F_p,
-    given by its coefficients: synthetic divisions by t - 1 until the value
-    at 1, the remainder, is nonzero."""
+    given by its coefficients, base-p digit by digit from the highest: over
+    F_p, (t - 1)^q = t^q - 1 for q = p^i, so the digit at q counts the exact
+    divisions by t^q - 1 (at most p - 1, or the digit above would be
+    larger): at most p (log_p deg + 1) divisions, each O(deg)."""
+    g = list(residues)
+    while not g[-1]:
+        g.pop()
+    q = 1
+    while q * p < len(g):
+        q *= p
     order = 0
-    while True:
-        quotient = []
-        acc = 0
-        for a in reversed(residues):
-            acc = (acc + a) % p
-            quotient.append(acc)
-        if quotient.pop():
-            return order
-        residues = quotient[::-1]
-        order += 1
+    while q:
+        quotient = _divide_by_power_minus_one(g, q, p)
+        if quotient is None:
+            q //= p
+        else:
+            g, order = quotient, order + q
+    return order
+
+
+def _divide_by_power_minus_one(g, q: int, p: int):
+    """g / (t^q - 1) over F_p, or None when it does not divide g: in blocks
+    of q coefficients, g_k = h_(k-q) - h_k makes each block of the quotient
+    h the sum of the blocks of g above it, and the remainder their sum."""
+    blocks = [g[i:i + q] for i in range(0, len(g), q)]
+    blocks[-1] = blocks[-1] + [0] * (q - len(blocks[-1]))
+    acc = [0] * q
+    quotient = []
+    for block in reversed(blocks):
+        acc = [(a + b) % p for a, b in zip(acc, block)]
+        quotient.append(acc)
+    if any(quotient.pop()):
+        return None
+    return [c for block in reversed(quotient) for c in block]
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +391,35 @@ def _tail_negligible(k: int, t: int, deg: int, target: int) -> bool:
 
 
 def whitehead_log_argument(m: int, p: int, level: int, prec: int) -> CycloPadic:
-    """(m*zeta + m + 1) / (m*zeta + m + zeta) at a primitive p^level-th root."""
-    z = CycloPadic.zeta(p, level, prec)
-    numer = z * m + (m + 1)
-    denom = z * m + z + m
-    return numer * denom.invert_unit()
+    """(m*zeta + m + 1) / (m*zeta + m + zeta) at a primitive p^level-th root,
+    with no ring product.
+
+    With a = m, b = m + 1 and n = p^level, the sum telescopes:
+    (a + b*zeta) * sum_{k<n} a^(n-1-k) (-b)^k zeta^k = a^n - (-b*zeta)^n,
+    which is c = a^n - (-b)^n as zeta^n = 1.  So the denominator's inverse
+    is that length-n list times c^(-1) mod p^prec, reduced mod Phi_{p^level}
+    by the constructor, and the numerator (m + 1) + m*zeta multiplies it by
+    a shift and an add.  c = (a + b)^n mod p, so c is a unit exactly when
+    the denominator is (invert_unit's test), as always at p = 2, where
+    a + b = 2m + 1.  Inverses mod p^prec are unique, so this equals
+    numer * denom.invert_unit().
+    """
+    mod = p**prec
+    n = p**level
+    a, b = m, m + 1
+    c = (pow(a, n, mod) - pow(-b, n, mod)) % mod
+    if c % p == 0:
+        raise ValueError("not a unit (positive pi-adic valuation)")
+    powers_of_a = [1] * n
+    for k in range(1, n):
+        powers_of_a[k] = powers_of_a[k - 1] * a % mod
+    scale = pow(c, -1, mod)
+    inverse = []
+    for k in range(n):
+        inverse.append(powers_of_a[n - 1 - k] * scale % mod)
+        scale = scale * -b % mod
+    # times (m + 1) + m*zeta, with zeta * zeta^(n-1) = 1
+    return CycloPadic(p, level, prec, [(m + 1) * x + m * y for x, y in zip(inverse, inverse[-1:] + inverse[:-1])])
 
 
 def nu_zeta(m: int, level: int, prec: int) -> Fraction:

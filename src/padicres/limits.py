@@ -6,6 +6,10 @@ cyclotomic fields that are 1 mod the relevant p-power, so consecutive
 diagonal values agree mod p^(level).  limit_estimate computes the whole
 diagonal window 1..K, re-verifies those congruences inside the window
 instead of taking them on faith, and reports how many digits are certified.
+Level k is the product of one cyclotomic factor per index tuple with every
+index <= k, so level k shares every factor of level k - 1: the window walks
+the tuples of level K once, computing each factor once, and takes the
+levels as prefix products.
 
 The zero/nonzero dichotomy is decided by f(1,...,1) mod p: every masked
 factor f(zeta_1,...,zeta_d) has the same residue as f(1,...,1) in the
@@ -24,6 +28,7 @@ horizontal length under the negative slopes, i.e. roots with |a|_p = 1 and
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -31,7 +36,14 @@ from .errors import VanishingResultantError, WindowTooShortError
 from .multipoly import MultiPoly
 from .newton import newton_polygon
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
-from .resultants import CyclicResultantRequest, check_budget, cost_estimate, cyclic_resultant, resultant_phi_int
+from .resultants import (
+    CyclicResultantRequest,
+    _factors,
+    check_budget,
+    cost_estimate,
+    cyclic_resultant,
+    resultant_phi_int,
+)
 from .unipoly import UniPoly
 
 
@@ -74,14 +86,20 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
     at (K,...,K) is the limit mod p^K, and the window's consecutive
     congruences (raw and non-p) are verified rather than assumed.  A masked
     resultant that vanishes identically is a distinguished degenerate
-    outcome: the whole tail is exactly 0, and so is its non-p part.
+    outcome: the whole tail is exactly 0, and so is its non-p part.  The
+    window is refused before any work when its levels' cost estimates sum
+    past cost_budget().
     """
+    check_budget(sum(map(cost_estimate, window_requests(f, p, K, mask))))
+    return _window(f, p, K, mask)
+
+
+def _window(f: MultiPoly, p: int, K: int, mask: str) -> LimitEstimate:
+    """limit_estimate without its budget check."""
     if K < 1:
         raise ValueError("K must be >= 1")
     d = f.num_vars
-    requests = window_requests(f, p, K, mask)
-    check_budget(sum(map(cost_estimate, requests)))
-    diag = [cyclic_resultant(req) for req in requests]
+    diag = _diagonal(f, p, K, mask)
     if any(v == 0 for v in diag):
         # a masked resultant vanishes identically: the sequence (and its
         # non-p part, since nonp(0) = 0) is exactly 0 from that level on
@@ -129,6 +147,16 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
         degenerate=False,
         window=window,
     )
+
+
+def _diagonal(f: MultiPoly, p: int, K: int, mask: str) -> list:
+    """The masked resultants at levels (1,...,1) to (K,...,K), K >= 1:
+    acc[k] collects the factors whose largest index is k (index 0 joins
+    level 1), and the levels are the prefix products of acc."""
+    acc = [1] * (K + 1)
+    for index, factor in _factors(f, p, _request(f, p, (K,) * f.num_vars, mask).factor_mask):
+        acc[max((1, *index))] *= factor
+    return list(itertools.accumulate(acc[1:], operator.mul))
 
 
 def sign_of(f: MultiPoly, p: int, levels, mask: str = "r") -> int:

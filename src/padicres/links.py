@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, Tuple
 
 from .cyclo import level_log_norm, level_log_valuation, phi_degree
 from .errors import OracleMismatchError, PolyParseError
-from .limits import LimitEstimate, limit_estimate, window_requests
+from .limits import LimitEstimate, _window, window_requests
 from .multipoly import MultiPoly
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
 from .parsing import parse_poly
@@ -258,7 +258,7 @@ def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
     certificates combine multiplicatively (weakest certified digit wins).
     """
     check_budget(nonp_limit_cost(link, p, K))
-    estimates = [limit_estimate(link.alexander(s), p, K, mask="rprime") for s in link.subsets()]
+    estimates = [_window(link.alexander(s), p, K, "rprime") for s in link.subsets()]
     if any(e.degenerate for e in estimates):
         # some cover is not a rational homology sphere: |H_1| = 0 by the
         # infinite-group convention, and its non-p part is 0 with it
@@ -357,11 +357,13 @@ def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
     doubled while F <= 0 (level_log_norm).  The estimate takes
     t = (L + v_2(k^2 - 1) - 2) phi + 2 and the loss as L; that t held at every
     level 2..9 for every odd k <= 259.  It counts L squarings, 2 sqrt(r)
-    series products for r = phi P / t terms and 8 more for the argument, its
-    inverse and the norm, each of phi = 2^(L-1) coefficients of P bits:
-    W^1.585 / 5 units for W = phi * (2P + 16) / 64 words plus 20 per
-    coefficient.  That was 0.8-1.8 times the measured time at truncation
-    levels 6-10 for k = 3, 15 and 31 on a 2-core host."""
+    series products for r = phi P / t terms and 8 more, each of
+    phi = 2^(L-1) coefficients of P bits: W^1.585 / 5 units for
+    W = phi * (2P + 16) / 64 words plus 20 per coefficient.  The 8 were
+    fitted when the argument's inverse took ring products, which it no
+    longer does; kept, they leave the estimate 1.1-2.0 times the measured
+    time of each level 6-10 for k = 3 and 31, and 1.7-5.5 times for k = 15
+    (at most 13 ms a level), on a 2-core host."""
     if p != 2 or k % 2 == 0 or k < 3:
         return 0.0
     total = 0.0

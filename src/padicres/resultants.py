@@ -6,7 +6,8 @@ The production path and the oracles it is tested against:
   is eliminated against one cyclotomic factor Phi_{p^j} at a time
   (phi_resultant_last_var: the norm of f(t', zeta_{p^j}), with the remaining
   variables t' Kronecker-packed into one integer), and the factors multiply
-  back together by resultant multiplicativity.
+  back together by resultant multiplicativity (_factors, which a limit
+  window also walks).
 * resultant_phi_int: the final univariate Res(Phi_{p^j}, g).
 * mul_mod_phi: the one product of Z[zeta_{p^j}], by Kronecker substitution,
   reduced mod t^(p^j) - 1 and mod Phi_{p^j} on the packed integer itself (a
@@ -486,19 +487,35 @@ class CyclicResultantRequest:
         return cls(f, p, tuple(levels), tuple(frozenset(m) for m in masks))
 
 
-def _masked_product(f: MultiPoly, p: int, masks) -> int:
-    # eliminate the last variable once per index j in its mask, then recurse
-    # on each result with the remaining masks; a zero factor ends the product
-    if not masks:
-        return f.constant_value()
-    total = 1
-    for j in sorted(masks[-1]):
-        g = phi_resultant_last_var(f, p, j)
-        value = 0 if g.is_zero else _masked_product(g, p, masks[:-1])
-        if value == 0:
-            return 0
-        total *= value
-    return total
+def _factors(f: MultiPoly, p: int, masks):
+    """(index tuple, factor) for every tuple (j_1, ..., j_d) the masks
+    select: the product of f over its primitive p^(j_i)-th roots.  The last
+    variable is eliminated once per index in its mask, and each result
+    recurses on the other masks, so each elimination runs once per index
+    prefix.  An elimination that vanishes yields (its trailing indices, 0)
+    once for its whole subtree.  Its key, the largest of those indices and
+    1, is the first diagonal level the subtree reaches, so every diagonal
+    value from there on is 0, and the walk yields no tuple with a key as
+    large after it."""
+    bound = math.inf
+
+    def walk(g: MultiPoly, masks, index: Tuple[int, ...], top: int):
+        # top is the key of index
+        nonlocal bound
+        for j in sorted(masks[-1]):
+            key = max(top, j)
+            if key >= bound:
+                return
+            h = phi_resultant_last_var(g, p, j)
+            if h.is_zero:
+                bound = key
+                yield (j,) + index, 0
+            elif len(masks) == 1:
+                yield (j,) + index, h.constant_value()
+            else:
+                yield from walk(h, masks[:-1], (j,) + index, key)
+
+    return walk(f, masks, (), 1) if masks else iter([((), f.constant_value())])
 
 
 def cost_estimate(req: CyclicResultantRequest) -> float:
@@ -553,10 +570,19 @@ def cyclic_resultant(req: CyclicResultantRequest) -> int:
     prod_{j in mask} Phi_{p^j}(t_i): every first argument is monic, so the
     value is the product of f over the selected root-of-unity tuples and the
     factorization is exact, signs included.  Each elimination runs once per
-    prefix (j_d, ..., j_i) of trailing indices.
+    prefix (j_d, ..., j_i) of trailing indices, and the first zero factor
+    ends the product.
     """
     check_budget(cost_estimate(req))
-    return _masked_product(req.f, req.p, req.factor_mask)
+    # a product per last index first: the large product then meets one
+    # value per index, not one per factor
+    groups = {}
+    for index, factor in _factors(req.f, req.p, req.factor_mask):
+        if factor == 0:
+            return 0
+        last = index[-1:]
+        groups[last] = groups.get(last, 1) * factor
+    return math.prod(groups.values())
 
 
 def check_budget(cost: float) -> None:

@@ -57,7 +57,7 @@ def test_res_budget_bounds_three_variable_elimination(capsys, monkeypatch, level
     def no_work(*args):
         raise AssertionError("the elimination started")
 
-    monkeypatch.setattr(resultants, "_masked_product", no_work)
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
     code, out, err = run(capsys, "res", "-p", "2", "-n", levels, "5+t1+t2+t3")
     assert code == 3 and "budget" in err and not out
 
@@ -75,7 +75,7 @@ def test_window_budget_refuses_before_any_elimination(capsys, monkeypatch, argv)
     def no_work(*args):
         raise AssertionError("the elimination started")
 
-    monkeypatch.setattr(resultants, "_masked_product", no_work)
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
     code, out, err = run(capsys, *argv)
     assert code == 3 and "budget" in err and not out
 
@@ -103,7 +103,7 @@ def test_whitehead_level_budget_refuses_before_any_work(capsys, monkeypatch):
         raise AssertionError("a log norm started")
 
     monkeypatch.setattr(links, "level_log_norm", no_work)
-    monkeypatch.setattr(resultants, "_masked_product", no_work)
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
     code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "12")
     assert code == 3 and "budget" in err and not out
     # PADIC_RES_BUDGET lifts the refusal: the first log norm then starts
@@ -152,6 +152,40 @@ def test_whitehead_2adic_level_nine_nu_sums(capsys):
     code, out, _ = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "9", "--format", "json")
     assert code == 0
     assert json.loads(out)["per_level_nu_sums"][-2:] == [[8, 130, 281], [9, 258, 536]]
+
+
+@pytest.mark.parametrize(
+    "argv, record",
+    [
+        (
+            ["5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "8"],
+            {
+                "command": "climit", "p": 2, "K": 8, "mask": "r", "zero_limit": True,
+                "raw_limit": "0 (exact)", "nonp_limit": "2^0 * 117 mod 2^8",
+                "certified_digits": "exact", "nonp_certified_digits": 8,
+                "stabilized": False, "degenerate": False, "levels_used": [8, 8],
+                "window": [
+                    [1, 9, 1], [2, 27, 1], [3, 73, 5], [4, 183, 5],
+                    [5, 437, 21], [6, 1011, 53], [7, 2289, 117], [8, 5103, 117],
+                ],
+            },
+        ),
+        (
+            ["7-2*t2+t1-3*t1*t2", "--vars", "2", "-p", "3", "-K", "4", "--mask", "r"],
+            {
+                "command": "climit", "p": 3, "K": 4, "mask": "r", "zero_limit": True,
+                "raw_limit": "0 (exact)", "nonp_limit": "3^0 * 28 mod 3^4",
+                "certified_digits": "exact", "nonp_certified_digits": 4,
+                "stabilized": False, "degenerate": False, "levels_used": [4, 4],
+                "window": [[1, 7, 1], [2, 22, 1], [3, 67, 1], [4, 202, 28]],
+            },
+        ),
+    ],
+)
+def test_climit_json_records(capsys, argv, record):
+    # every level's v_p and non-p residue, pinned byte for byte
+    code, out, _ = run(capsys, "climit", *argv, "--format", "json")
+    assert code == 0 and out.strip() == json.dumps(record, sort_keys=True)
 
 
 @pytest.mark.parametrize("raw", ["1e12", "abc", "0", "-5"])

@@ -145,6 +145,43 @@ def test_invert_unit_takes_no_norm(monkeypatch):
     assert u * (u ** -1) == CycloPadic.from_int(1, 2, 4, 30)
 
 
+def test_whitehead_log_argument_against_the_inverse(monkeypatch):
+    from padicres import cyclo
+
+    def no_product(*args):
+        raise AssertionError("the argument took a ring product")
+
+    ms = list(range(21)) + [63, 64, 1000]
+    for level in range(1, 11):
+        # the oracle: the numerator times invert_unit's inverse of the
+        # denominator, mod 2^700; its residues mod 2^prec are the inverse
+        # there too, since inverses are unique
+        oracle = {}
+        for m in ms:
+            z = CycloPadic.zeta(2, level, 700)
+            oracle[m] = (z * m + (m + 1)) * (z * m + z + m).invert_unit()
+        with monkeypatch.context() as patch:
+            patch.setattr(cyclo, "mul_mod_phi", no_product)
+            for m in ms:
+                for prec in (1, 2, 5, 32, 700):
+                    assert whitehead_log_argument(m, 2, level, prec) == CycloPadic(2, level, prec, oracle[m].coeffs)
+    # at odd p the denominator m + (m + 1) zeta is a unit exactly when p does
+    # not divide 2m + 1, and both routes raise otherwise
+    for p in (3, 5):
+        for level in (1, 2, 3):
+            for m in range(11):
+                for prec in (1, 5, 32):
+                    z = CycloPadic.zeta(p, level, prec)
+                    if (2 * m + 1) % p == 0:
+                        with pytest.raises(ValueError):
+                            (z * m + z + m).invert_unit()
+                        with pytest.raises(ValueError):
+                            whitehead_log_argument(m, p, level, prec)
+                    else:
+                        oracle = (z * m + (m + 1)) * (z * m + z + m).invert_unit()
+                        assert whitehead_log_argument(m, p, level, prec) == oracle
+
+
 def test_invert_rejects_non_units():
     z = CycloPadic.zeta(2, 2, 5)
     non_unit = CycloPadic.from_int(1, 2, 2, 5) - z  # the uniformizer

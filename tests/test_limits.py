@@ -4,13 +4,16 @@ import random
 import pytest
 
 from padicres.errors import VanishingResultantError, WindowTooShortError
+from padicres import resultants
 from padicres.limits import (
+    _diagonal,
     closed_form_limit,
     iwasawa_fit,
     lambda_mu_structural,
     limit_estimate,
     order_invariance_check,
     sign_of,
+    window_requests,
     zero_limit_predicate,
 )
 from padicres.multipoly import MultiPoly, random_multipoly
@@ -231,6 +234,74 @@ def test_closed_form_limit_random_verify():
         p = rng.choice([2, 3, 5])
         closed_form_limit(a, n, g, p, 3, verify=True, verify_levels=3 if p < 5 else 2)
         done += 1
+
+
+def test_window_walk_against_the_per_level_resultants():
+    # one walk over the top level's tuples gives every level's value
+    rng = random.Random(4412)
+    # window depth per (p, d)
+    depth = {
+        (2, 1): 5, (2, 2): 4, (2, 3): 3,
+        (3, 1): 4, (3, 2): 3, (3, 3): 2,
+        (5, 1): 3, (5, 2): 2, (5, 3): 1,
+        (7, 1): 2, (7, 2): 2, (7, 3): 1,
+    }
+    # vanishing factors: t1 = -1, zeta_1 zeta_2 = -1 and t1 = 1 from level
+    # 1 on, Phi_4(t1) and Phi_9(t1) from level 2 on
+    cases = [
+        (parse_poly("(1+t1)*(5+t2)", 2), 2, 4, "r"),
+        (parse_poly("1+t1*t2", 2), 2, 3, "rprime"),
+        (parse_poly("t1-1", 1), 3, 3, "r"),
+        (parse_poly("(1+t1^2)*(5+t2)", 2), 2, 4, "r"),
+        (parse_poly("(1+t1^3+t1^6)*(4+t2+t3)", 3), 3, 2, "rprime"),
+    ]
+    for (p, d), K in depth.items():
+        for mask in ("r", "rprime"):
+            unit = zero = 0
+            while unit < 2 or zero < 2:
+                f = random_multipoly(rng, d, 4, 2, 6)
+                if f.is_zero:
+                    continue
+                if zero_limit_predicate(f, p):
+                    if zero == 2:
+                        continue
+                    zero += 1
+                else:
+                    if unit == 2:
+                        continue
+                    unit += 1
+                cases.append((f, p, K, mask))
+    degenerate = 0
+    for f, p, K, mask in cases:
+        values = [cyclic_resultant(req) for req in window_requests(f, p, K, mask)]
+        assert _diagonal(f, p, K, mask) == values
+        est = limit_estimate(f, p, K, mask)
+        assert [row[1] for row in est.window] == [vp(v, p) if v else -1 for v in values]
+        degenerate += est.degenerate
+    assert degenerate >= 5
+
+
+def test_window_eliminates_once_per_index_prefix(monkeypatch):
+    # a d = 2 rprime window of depth K: K eliminations of t2, and K of t1
+    # after each; none past a zero factor
+    calls = []
+    original = resultants.phi_resultant_last_var
+
+    def counting(f, p, j):
+        calls.append((f.num_vars, j))
+        return original(f, p, j)
+
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", counting)
+    for K in (1, 2, 5):
+        calls.clear()
+        limit_estimate(whitehead(3), 2, K, mask="rprime")
+        assert len(calls) == K + K * K
+        assert sorted(calls) == sorted([(2, j) for j in range(1, K + 1)] + [(1, j) for j in range(1, K + 1)] * K)
+    # a zero at level 1 ends the walk: t2 at index 0, then t1 at 0 and at 1,
+    # where 1 + t1 vanishes
+    calls.clear()
+    assert limit_estimate(parse_poly("(1+t1)*(5+t2)", 2), 2, 6).degenerate
+    assert calls == [(2, 0), (1, 0), (1, 1)]
 
 
 def test_order_invariance_examples():

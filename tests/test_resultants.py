@@ -491,7 +491,7 @@ def test_cost_estimate_tracks_the_elimination(monkeypatch):
     # levels past the float range are refused, not an overflow
     assert cost(parse_poly("t1 - 2", 1), 2, (2000,)) == float("inf")
     # the override lifts the refusal
-    monkeypatch.setattr(resultants, "_masked_product", lambda f, p, masks: 7)
+    monkeypatch.setattr(resultants, "_factors", lambda f, p, masks: iter([((2, 7, 7), 7)]))
     monkeypatch.setenv("PADIC_RES_BUDGET", str(10**12))
     assert cyclic_resultant(CyclicResultantRequest.full(three, 2, (2, 7, 7))) == 7
 
