@@ -1,9 +1,10 @@
 """Exact iterated p-power cyclic resultants, their p-adic limits, and
 first-homology orders of branched p-power coverings of links.
 
-Everything is exact big-integer arithmetic, the two cross-checking oracles
-included (complex_root_product, character_oracle): they evaluate at the
-p-power roots of unity modulo primes q = 1 (mod p^N) and recover the
+Everything is exact big-integer arithmetic, the cross-checking oracles
+included: the Sylvester determinant and the subresultant PRS (in
+`oracles`), and complex_root_product and character_oracle, which evaluate
+at the p-power roots of unity modulo primes q = 1 (mod p^N) and recover the
 integer by the CRT, apart from the resultant engine.
 """
 
@@ -22,11 +23,10 @@ from .multipoly import MultiPoly
 from .parsing import parse_poly
 from .unipoly import UniPoly, cyclotomic, is_prime, power_minus_one
 from .newton import NewtonPolygon, newton_polygon
-from .resultants import (
-    CyclicResultantRequest,
+from .resultants import CyclicResultantRequest, cyclic_resultant
+from .oracles import (
     bareiss_det,
     complex_root_product,
-    cyclic_resultant,
     cyclic_resultant_baseline,
     modular_root_product,
     resultant_prs,

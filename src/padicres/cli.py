@@ -27,9 +27,9 @@ from .errors import (
 from .limits import iwasawa_fit, lambda_mu_structural, limit_estimate, zero_limit_predicate
 from .links import (
     CoveringSpec,
+    _nonp_limit,
     character_oracle,
     closed_form_cost,
-    h1_nonp_limit,
     h1_order,
     load_link_spec,
     nonp_limit_cost,
@@ -39,14 +39,9 @@ from .links import (
     whitehead_degenerate,
     whitehead_link_spec,
 )
+from .oracles import complex_root_product, cyclic_resultant_baseline
 from .parsing import parse_poly
-from .resultants import (
-    CyclicResultantRequest,
-    check_budget,
-    complex_root_product,
-    cyclic_resultant,
-    cyclic_resultant_baseline,
-)
+from .resultants import CyclicResultantRequest, check_budget, cyclic_resultant
 from .unipoly import UniPoly
 
 EXIT_OK = 0
@@ -218,7 +213,7 @@ def cmd_whitehead(args) -> int:
         payload["note"] = closed.note
         _emit(args, payload)
         return EXIT_OK
-    empirical = h1_nonp_limit(link, args.prime, args.digits)
+    empirical = _nonp_limit(link, args.prime, args.digits)
     digits = min(
         closed.achieved_digits,
         args.digits if empirical.nonp_value is None else empirical.nonp_certified_digits,

@@ -31,9 +31,10 @@ from .cyclo import level_log_norm, level_log_valuation, phi_degree
 from .errors import OracleMismatchError, PolyParseError
 from .limits import LimitEstimate, _window, window_requests
 from .multipoly import MultiPoly
+from .oracles import modular_root_product
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
 from .parsing import parse_poly
-from .resultants import CyclicResultantRequest, check_budget, cost_estimate, cyclic_resultant, modular_root_product
+from .resultants import CyclicResultantRequest, check_budget, cost_estimate, cyclic_resultant
 from .unipoly import cyclotomic, is_prime
 
 
@@ -256,8 +257,14 @@ def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
 
     The product over sublinks of the masked-resultant non-p limits; the
     certificates combine multiplicatively (weakest certified digit wins).
+    Refused before any work when nonp_limit_cost exceeds cost_budget().
     """
     check_budget(nonp_limit_cost(link, p, K))
+    return _nonp_limit(link, p, K)
+
+
+def _nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
+    """h1_nonp_limit without its budget check."""
     estimates = [_window(link.alexander(s), p, K, "rprime") for s in link.subsets()]
     if any(e.degenerate for e in estimates):
         # some cover is not a rational homology sphere: |H_1| = 0 by the

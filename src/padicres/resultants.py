@@ -1,6 +1,4 @@
-"""Exact resultants and iterated p-power cyclic resultants.
-
-The production path and the oracles it is tested against:
+"""Exact resultants and iterated p-power cyclic resultants: the engine.
 
 * cyclic_resultant: r_{n1..nd}(f) and its masked variants.  Each variable
   is eliminated against one cyclotomic factor Phi_{p^j} at a time
@@ -21,17 +19,10 @@ The production path and the oracles it is tested against:
   s^h + 1 on the packed integer (the even/odd split of Harvey's multipoint
   Kronecker substitution); at odd p it is the product of the p conjugates
   by mul_mod_phi.  No packed product is unpacked before its reduction.
-* sylvester_resultant: the defining determinant, computed fraction-free
-  (Bareiss) over the integers or over a sparse polynomial ring; the oracle
-  everything else is tested against.
-* resultant_prs: the subresultant polynomial-remainder sequence for
-  univariate pairs; agrees with the determinant exactly, sign included, and
-  serves as the oracle for the tower norm and, over polynomial
-  coefficients, for the packed elimination.
-* modular_root_product (complex_root_product for a request): the product of
-  f over the masked root-of-unity tuples, evaluated in F_q for enough
-  primes q and recovered by the CRT (Collins' modular method); it shares no
-  code with the engine.
+
+The oracles this engine is tested against (the Sylvester determinant, the
+subresultant PRS, the literal baseline and the root product modulo primes)
+live in `oracles`, which shares no code with it.
 
 Sign conventions follow the Sylvester determinant with the first argument's
 coefficient rows on top.  Elimination order is t_d first, then t_{d-1}, and
@@ -47,17 +38,19 @@ window; the literal baseline has its own degree budget.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
 from typing import FrozenSet, Sequence, Tuple
 
-from .errors import BudgetExceededError, ExactDivisionError, InvariantError
+from .errors import BudgetExceededError, InvariantError
 from .multipoly import MultiPoly
-from .unipoly import UniPoly, cyclotomic, is_prime, power_minus_one
 
-BASELINE_BUDGET_DEFAULT = 256
+# re-exported: the benchmark's tracer (perfbench/tracing.py) looks these
+# two oracles up here
+from .oracles import complex_root_product, cyclic_resultant_baseline  # noqa: F401
+from .unipoly import UniPoly, is_prime
+
 COST_BUDGET_DEFAULT = 10**9
 
 
@@ -69,139 +62,6 @@ def cost_budget() -> int:
     if raw and not (raw.isascii() and raw.isdigit() and int(raw) > 0):
         raise ValueError(f"PADIC_RES_BUDGET must be a positive decimal integer, got {raw!r}")
     return int(raw) if raw else COST_BUDGET_DEFAULT
-
-
-# ---------------------------------------------------------------------------
-# fraction-free linear algebra
-# ---------------------------------------------------------------------------
-
-
-def _is_zero(x) -> bool:
-    return x == 0
-
-
-def _divexact(a, b):
-    if isinstance(b, int):
-        if b == 1:
-            return a
-        if b == -1:
-            return -a
-        if isinstance(a, int):
-            q, r = divmod(a, b)
-            if r:
-                raise ExactDivisionError(f"{a} not divisible by {b}")
-            return q
-        return a.divexact(MultiPoly.const(a.num_vars, b))
-    if isinstance(a, int):
-        return MultiPoly.const(b.num_vars, a).divexact(b)
-    return a.divexact(b)
-
-
-def bareiss_det(rows):
-    """Determinant by fraction-free Gaussian elimination.
-
-    Entries are ints or MultiPoly values over one common ring; every interior
-    division is exact by the Bareiss identity.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    mat = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if _is_zero(mat[k][k]):
-            for r in range(k + 1, n):
-                if not _is_zero(mat[r][k]):
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return mat[k][k] * 0
-        piv = mat[k][k]
-        for i in range(k + 1, n):
-            row_i = mat[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = _divexact(row_i[j] * piv - lead * mat[k][j], prev)
-            row_i[k] = lead * 0
-        prev = piv
-    last = mat[n - 1][n - 1]
-    return -last if sign < 0 else last
-
-
-def sylvester_matrix(f: UniPoly, g: UniPoly):
-    """The (m+n) x (m+n) Sylvester matrix, f's coefficient rows on top."""
-    m, n = f.degree(), g.degree()
-    size = m + n
-    zero = f.lc() * 0 if isinstance(f.lc(), MultiPoly) else (g.lc() * 0 if isinstance(g.lc(), MultiPoly) else 0)
-
-    def lift(c):
-        if isinstance(zero, MultiPoly) and isinstance(c, int):
-            return MultiPoly.const(zero.num_vars, c)
-        return c
-
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for k in range(m + 1):
-            row[i + k] = lift(f[m - k])
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[i + k] = lift(g[n - k])
-        rows.append(row)
-    return rows
-
-
-def sylvester_resultant(f: UniPoly, g: UniPoly):
-    """Res(f, g) as the Sylvester determinant (Bareiss elimination)."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of the zero polynomial is undefined")
-    if f.degree() == 0 and g.degree() == 0:
-        one = f.lc() * 0 + 1
-        return one
-    return bareiss_det(sylvester_matrix(f, g))
-
-
-# ---------------------------------------------------------------------------
-# subresultant PRS
-# ---------------------------------------------------------------------------
-
-
-def resultant_prs(f: UniPoly, g: UniPoly):
-    """Res(f, g) by the subresultant PRS; equals sylvester_resultant exactly."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of the zero polynomial is undefined")
-    A, B = f, g
-    s = 1
-    if A.degree() < B.degree():
-        if A.degree() % 2 == 1 and B.degree() % 2 == 1:
-            s = -1
-        A, B = B, A
-    if B.degree() == 0:
-        base = B.lc() ** A.degree() if A.degree() else B.lc() * 0 + 1
-        return s * base
-    gg = 1
-    h = 1
-    while True:
-        delta = A.degree() - B.degree()
-        if A.degree() % 2 == 1 and B.degree() % 2 == 1:
-            s = -s
-        R = A.pseudo_rem(B)
-        A = B
-        divisor = gg * h**delta
-        B = UniPoly([_divexact(c, divisor) for c in R.coeffs])
-        gg = A.lc()
-        if delta > 0:
-            h = _divexact(gg**delta, h ** (delta - 1)) if delta > 1 else gg
-        if B.is_zero:
-            return s * 0 if isinstance(gg, int) else gg * 0
-        if B.degree() == 0:
-            q = A.degree()
-            final = _divexact(B.lc() ** q, h ** (q - 1)) if q > 1 else B.lc() ** q
-            return s * final if isinstance(final, int) else (-final if s < 0 else final)
 
 
 # ---------------------------------------------------------------------------
@@ -591,132 +451,3 @@ def check_budget(cost: float) -> None:
     cap = cost_budget()
     if cost > cap:
         raise BudgetExceededError(f"estimated cost {cost:.3g} exceeds the budget {cap}")
-
-
-def cyclic_resultant_baseline(req: CyclicResultantRequest, budget: int = BASELINE_BUDGET_DEFAULT) -> int:
-    """Oracle route: literal iterated Sylvester determinants, no factorization.
-
-    Full masks use t^(p^n) - 1 itself; partial masks use the explicit divisor
-    polynomial prod_{j in mask} Phi_{p^j}.  Degree-guarded: the product of
-    the p^(n_i) with deg f must stay within `budget`.
-    """
-    degree_load = 1
-    for n in req.levels:
-        degree_load *= req.p**n
-    degree_load *= max(1, req.f.total_degree())
-    if degree_load > budget:
-        raise BudgetExceededError(
-            f"baseline degree load {degree_load} exceeds budget {budget}"
-        )
-    divisors = []
-    for n, mask in zip(req.levels, req.factor_mask):
-        if mask == frozenset(range(n + 1)):
-            divisors.append(power_minus_one(req.p**n))
-        else:
-            d = UniPoly((1,))
-            for j in sorted(mask):
-                d = d * cyclotomic(req.p, j)
-            divisors.append(d)
-    g = req.f
-    for idx in range(len(req.levels) - 1, -1, -1):
-        if g.is_zero:
-            return 0
-        coeffs = g.coeffs_in_last_var()
-        if g.num_vars == 1:
-            gU = UniPoly([c.constant_value() for c in coeffs])
-        else:
-            gU = UniPoly(coeffs)
-        value = sylvester_resultant(divisors[idx], gU)
-        if g.num_vars == 1:
-            return value if isinstance(value, int) else value.constant_value()
-        g = value
-    return g.constant_value()
-
-
-# ---------------------------------------------------------------------------
-# multi-modular root-product oracle
-# ---------------------------------------------------------------------------
-
-
-def modular_root_product(f: MultiPoly, p: int, masks) -> int:
-    """The product of f over the root-of-unity tuples the masks select
-    (variable i runs over the primitive p^j-th roots of unity, j in
-    masks[i]), exactly, by Collins' modular method and apart from the
-    engine: no norm, tower or packing, just f evaluated at each tuple in
-    F_q.  The primes q = 1 (mod p^N), N the largest index in the masks,
-    hold the p^N-th roots of unity; each of the `count` factors is at most
-    ||f||_1 in absolute value, so primes are added until their product
-    exceeds 2 * ||f||_1^count, and the CRT in the symmetric range is the
-    value, sign included.  A residue of 0 modulo one q decides nothing.
-    """
-    if f.is_zero:
-        return 0
-    m = p ** max(max(mask) for mask in masks) if masks else 1
-    # each root as the exponent k of zeta_{p^N}^k
-    roots = [[a * (m // p**j) for j in sorted(mask) for a in range(p**j) if j == 0 or a % p] for mask in masks]
-    count = math.prod(len(r) for r in roots)
-    terms = list(f.terms())
-    # per term, the exponent of zeta_{p^N} of its monomial at every tuple
-    columns = [
-        [sum(ks) % m for ks in itertools.product(*[[e * k for k in r] for e, r in zip(exp, roots)])]
-        for exp, _ in terms
-    ]
-    bound = 2 * sum(abs(c) for _, c in terms) ** count
-    value, modulus = 0, 1
-    for q, zeta in _oracle_primes(p, m):
-        powers = [1] * m
-        for i in range(1, m):
-            powers[i] = powers[i - 1] * zeta % q
-        sums = [0] * count
-        for (_, c), column in zip(terms, columns):
-            sums = [s + c * powers[i] for s, i in zip(sums, column)]
-        residue = 1
-        for s in sums:
-            residue = residue * s % q
-        value += modulus * ((residue - value % q) * pow(modulus % q, -1, q) % q)
-        modulus *= q
-        if modulus > bound:
-            return value - modulus if 2 * value > modulus else value
-    raise BudgetExceededError(f"too few primes q = 1 (mod {m}) below 2^64 for the oracle")
-
-
-# (p, m) -> the oracle primes found so far and the search that finds more;
-# a pure function of the key, so one process shares it across calls
-_ORACLE_PRIMES: dict = {}
-
-
-def _oracle_primes(p: int, m: int):
-    """The primes q = 1 (mod m), 2^62 < q < 2^64, ascending, each with a
-    zeta of multiplicative order m in F_q (m a power of p).  Each modulus
-    is searched once per process: later calls replay the primes found and
-    resume the search past them."""
-    found, search = _ORACLE_PRIMES.setdefault((p, m), ([], _search_oracle_primes(p, m)))
-    i = 0
-    while True:
-        if i == len(found):
-            prime = next(search, None)
-            if prime is None:
-                return
-            found.append(prime)
-        yield found[i]
-        i += 1
-
-
-def _search_oracle_primes(p: int, m: int):
-    k = (1 << 62) // m + 1
-    while k * m + 1 < 1 << 64:
-        q = k * m + 1
-        if is_prime(q):
-            for a in itertools.count(2):
-                zeta = pow(a, (q - 1) // m, q)
-                if m == 1 or pow(zeta, m // p, q) != 1:
-                    yield q, zeta
-                    break
-        k += 1
-
-
-def complex_root_product(req: CyclicResultantRequest) -> int:
-    """The masked iterated cyclic resultant by the independent route: the
-    product of f over the selected tuples of complex p-power roots of unity,
-    computed exactly in F_q by modular_root_product."""
-    return modular_root_product(req.f, req.p, req.factor_mask)

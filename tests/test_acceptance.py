@@ -28,12 +28,8 @@ from padicres.links import (
 )
 from padicres.multipoly import MultiPoly, random_multipoly
 from padicres.padic import PadicApprox, nonp_part, teichmuller, vp
-from padicres.resultants import (
-    CyclicResultantRequest,
-    complex_root_product,
-    cyclic_resultant,
-    cyclic_resultant_baseline,
-)
+from padicres.oracles import complex_root_product, cyclic_resultant_baseline
+from padicres.resultants import CyclicResultantRequest, cyclic_resultant
 from padicres.unipoly import UniPoly
 from padicres.errors import VanishingResultantError, WindowTooShortError
 

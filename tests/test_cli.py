@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from padicres import resultants
+from padicres import oracles, resultants
 from padicres.cli import main
-from padicres.errors import ExactDivisionError
+from padicres.errors import BudgetExceededError, ExactDivisionError
 from padicres.parsing import parse_poly
 from padicres.resultants import CyclicResultantRequest, cyclic_resultant
 
@@ -188,6 +189,73 @@ def test_climit_json_records(capsys, argv, record):
     assert code == 0 and out.strip() == json.dumps(record, sort_keys=True)
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["-p", "2", "-n", "3,3", "--", "1+2*t1-3*t2+5*t1*t2"], "-9707620948289165543525880836739540753018099375"),
+        (["-p", "3", "-n", "2,2", "--", "3-t1+2*t2+t1*t2"], "781845578630854699793772891326580476562500"),
+        (["-p", "2", "-n", "2,2,2", "--", "5+t1+t2+t3"], "499390390066128213510595805184000000000000000"),
+    ],
+)
+def test_res_verify_json_records(capsys, argv, value):
+    # the Sylvester baseline's value, pinned byte for byte with the record
+    code, out, _ = run(capsys, "res", "--format", "json", "--verify", *argv)
+    p, levels = int(argv[1]), [int(n) for n in argv[3].split(",")]
+    record = {
+        "command": "res", "levels": levels, "mask": "r", "p": p, "value": value,
+        "verify": {"agree": True, "baseline": value, "complex_root_product": value},
+    }
+    assert code == 0 and out == json.dumps(record, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, load",
+    [(["-p", "3", "-n", "2,2", "t1*t2^3-2"], 324), (["-p", "2", "-n", "3,3,3", "5+t1+t2+t3"], 512)],
+)
+def test_baseline_budget_refusals_exit_3(capsys, argv, load):
+    # the degree guard at its default of 256 refuses before any determinant
+    code, out, err = run(capsys, "res", "--verify", *argv)
+    assert code == 3 and not out
+    assert f"baseline degree load {load} exceeds budget 256" in err
+    code, out, _ = run(capsys, "res", "--verify", "--baseline-budget", str(load), *argv)
+    assert code == 0 and "agree" in out
+
+
+@pytest.mark.parametrize("argv", [["-k", "3", "-p", "2", "-K", "4", "--lmax", "5"], ["-k", "4", "-p", "3", "-K", "3"]])
+def test_whitehead_estimates_its_window_once(capsys, monkeypatch, argv):
+    from padicres import cli, links
+
+    calls = []
+    original = links.nonp_limit_cost
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(links, "nonp_limit_cost", counting)
+    monkeypatch.setattr(cli, "nonp_limit_cost", counting)
+    code, out, _ = run(capsys, "whitehead", *argv)
+    assert code == 0 and "agree: True" in out
+    assert len(calls) == 1
+
+
+def test_h1_nonp_limit_refuses_over_budget(monkeypatch):
+    from padicres import links
+
+    def no_work(*args):
+        raise AssertionError("the elimination started")
+
+    link = links.whitehead_link_spec(3)
+    cap = math.ceil(links.nonp_limit_cost(link, 3, 3))
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(cap - 1))
+    with pytest.raises(BudgetExceededError):
+        links.h1_nonp_limit(link, 3, 3)
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(cap))
+    with pytest.raises(AssertionError, match="the elimination started"):
+        links.h1_nonp_limit(link, 3, 3)
+
+
 @pytest.mark.parametrize("raw", ["1e12", "abc", "0", "-5"])
 def test_malformed_budget_is_user_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("PADIC_RES_BUDGET", raw)
@@ -224,7 +292,7 @@ def test_inexact_division_is_internal_not_user_error(capsys, monkeypatch):
     def inexact(a, b):
         raise ExactDivisionError(f"{a} not divisible by {b}")
 
-    monkeypatch.setattr(resultants, "_divexact", inexact)
+    monkeypatch.setattr(oracles, "_divexact", inexact)
     code, out, err = run(capsys, "res", "-p", "2", "-n", "1,1", "--verify", "t1*t2-2")
     assert code == 1 and not out
     assert "unexpected error" in err and "not divisible" in err

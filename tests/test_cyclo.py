@@ -20,8 +20,9 @@ from padicres.cyclo import (
 from padicres.errors import DegenerateValueError, PrecisionExhaustedError
 from padicres.multipoly import random_multipoly
 from padicres.links import _level_prec
+from padicres.oracles import resultant_prs
 from padicres.padic import vp, vp_split
-from padicres.resultants import mul_mod_phi, resultant_prs
+from padicres.resultants import mul_mod_phi
 from padicres.unipoly import UniPoly, cyclotomic
 
 

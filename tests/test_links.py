@@ -20,13 +20,9 @@ from padicres.links import (
 )
 from padicres.multipoly import MultiPoly
 from padicres.padic import PadicApprox, nonp_part, teichmuller, vp
+from padicres.oracles import sylvester_resultant
 from padicres.parsing import parse_poly
-from padicres.resultants import (
-    COST_BUDGET_DEFAULT,
-    CyclicResultantRequest,
-    cyclic_resultant,
-    sylvester_resultant,
-)
+from padicres.resultants import COST_BUDGET_DEFAULT, CyclicResultantRequest, cyclic_resultant
 from padicres.unipoly import UniPoly, cyclotomic, power_minus_one
 
 

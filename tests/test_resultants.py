@@ -4,22 +4,20 @@ import random
 
 import pytest
 
-from padicres import resultants
+from padicres import oracles, resultants
 from padicres.errors import BudgetExceededError
 from padicres.multipoly import MultiPoly, random_multipoly
-from padicres.parsing import parse_poly
-from padicres.resultants import (
-    CyclicResultantRequest,
+from padicres.oracles import (
     bareiss_det,
     complex_root_product,
-    cyclic_resultant,
     cyclic_resultant_baseline,
     modular_root_product,
-    resultant_phi_int,
     resultant_prs,
     sylvester_matrix,
     sylvester_resultant,
 )
+from padicres.parsing import parse_poly
+from padicres.resultants import CyclicResultantRequest, cyclic_resultant, resultant_phi_int
 from padicres.unipoly import UniPoly, cyclotomic, is_prime, power_minus_one
 
 
@@ -576,7 +574,7 @@ def test_modular_root_product_against_the_baseline():
 def test_modular_root_product_zero_residue_is_not_zero():
     # the value is the first oracle prime itself: 0 modulo that prime, and
     # only the second prime's residue, through the CRT, decides it
-    q, _ = next(resultants._oracle_primes(2, 2))
+    q, _ = next(oracles._oracle_primes(2, 2))
     f = MultiPoly.const(1, q)
     assert modular_root_product(f, 2, [{1}]) == q
     assert modular_root_product(f - MultiPoly.const(1, 2 * q), 2, [{1}]) == -q
@@ -590,7 +588,7 @@ def test_oracle_primes_are_searched_once_per_modulus(monkeypatch):
     masks = [{1, 2}, {2}]
     req = CyclicResultantRequest.custom(f, 3, (2, 2), masks)
     first = modular_root_product(f, 3, masks)
-    primes = list(itertools.islice(resultants._oracle_primes(3, 9), 4))
+    primes = list(itertools.islice(oracles._oracle_primes(3, 9), 4))
     for q, zeta in primes:
         assert q % 9 == 1 and 2**62 < q < 2**64 and is_prime(q)
         assert pow(zeta, 9, q) == 1 and pow(zeta, 3, q) != 1
@@ -599,6 +597,6 @@ def test_oracle_primes_are_searched_once_per_modulus(monkeypatch):
     def no_search(q):
         raise AssertionError("the oracle primes were searched again")
 
-    monkeypatch.setattr(resultants, "is_prime", no_search)
+    monkeypatch.setattr(oracles, "is_prime", no_search)
     assert modular_root_product(f, 3, masks) == first == cyclic_resultant(req)
-    assert list(itertools.islice(resultants._oracle_primes(3, 9), 4)) == primes
+    assert list(itertools.islice(oracles._oracle_primes(3, 9), 4)) == primes
