@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, Tuple
 
 from .cyclo import level_log_norm, level_log_valuation, phi_degree
 from .errors import OracleMismatchError, PolyParseError
-from .limits import LimitEstimate, _window, window_requests
+from .limits import LimitEstimate, _diagonal, _window, window_requests
 from .multipoly import MultiPoly
 from .oracles import modular_root_product
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
@@ -218,6 +218,14 @@ def _parity_sign(delta: MultiPoly) -> int:
     return (value > 0) - (value < 0)
 
 
+def _check_parity_sign(subset, delta: MultiPoly, p: int, value: int) -> None:
+    """The sign of the nonzero masked resultant of Delta_S against its
+    parity prediction: +1 for odd p, sign of Delta_S(-1,...,-1) for p = 2."""
+    predicted = _parity_sign(delta) if p == 2 else 1
+    if predicted and (value > 0) != (predicted > 0):
+        raise OracleMismatchError(f"sign of masked resultant for sublink {subset} contradicts the parity prediction")
+
+
 def h1_order(link: LinkSpec, cov: CoveringSpec) -> H1Result:
     """|H_1| of the diagonal branched cover, as the product over nonempty
     sublinks S of |masked resultant of Delta_S at levels (n_i)_{i in S}|.
@@ -237,11 +245,7 @@ def h1_order(link: LinkSpec, cov: CoveringSpec) -> H1Result:
         value = cyclic_resultant(CyclicResultantRequest.rprime(delta, cov.p, levels))
         if value == 0:
             return H1Result(order=0, nonp_part=0, p_exponent=0)
-        predicted = _parity_sign(delta) if cov.p == 2 else 1
-        if predicted and (value > 0) != (predicted > 0):
-            raise OracleMismatchError(
-                f"sign of masked resultant for sublink {subset} contradicts the parity prediction"
-            )
+        _check_parity_sign(subset, delta, cov.p, value)
         order *= abs(value)
     p_exponent, unit = vp_split(order, cov.p)
     return H1Result(order=order, nonp_part=unit, p_exponent=p_exponent)
@@ -482,7 +486,11 @@ def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
     2-power roots zeta != +-1 of order <= 2^n, for n = 1..n_max, 1 <= n_max <= 4.
 
     The per-level nu sums come from the cyclotomic-log norms under the
-    Q_2-normalized valuation; the left side is the exact masked resultant.
+    Q_2-normalized valuation.  The left side is exact: v_2 of h1_order's
+    product over sublinks, read from one diagonal walk per sublink
+    (limits._diagonal, levels (1,...,1) to (n_max,...,n_max)) with
+    h1_order's conventions: a vanishing factor gives exponent 0, and each
+    factor's sign is checked against its parity prediction.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("need odd k = 2m+1 with m >= 1")
@@ -492,15 +500,23 @@ def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
         raise ValueError("n_max is capped at 4 (degree growth)")
     m = (k - 1) // 2
     link = whitehead_link_spec(k)
+    check_budget(nonp_limit_cost(link, 2, n_max))
     nu_sums = {}
     for level in range(2, n_max + 1):
         shift, t = level_log_valuation(m, level, _level_prec(level, 24))
         nu_sums[level] = t - shift * phi_degree(2, level)
+    diagonals = [(s, link.alexander(s), _diagonal(link.alexander(s), 2, n_max, "rprime")) for s in link.subsets()]
     rows = []
     ok = True
     for n in range(1, n_max + 1):
-        result = h1_order(link, CoveringSpec(2, (n, n)))
-        exact = result.p_exponent
+        _assert_prefactor_cancels(CoveringSpec(2, (n, n)))
+        exact = 0
+        for subset, delta, values in diagonals:
+            if values[n - 1] == 0:
+                exact = 0
+                break
+            _check_parity_sign(subset, delta, 2, values[n - 1])
+            exact += vp(values[n - 1], 2)
         predicted = n * 2**n - 2 * n + 1 + sum(nu_sums[lv] for lv in range(2, n + 1))
         rows.append((n, exact, predicted))
         if exact != predicted:

@@ -17,8 +17,13 @@
   Dandelin-Graeffe root-squaring step x(t) x(-t) = E(s)^2 - s O(s)^2,
   s = t^2: the even and odd parts are packed once, squared, and folded mod
   s^h + 1 on the packed integer (the even/odd split of Harvey's multipoint
-  Kronecker substitution); at odd p it is the product of the p conjugates
-  by mul_mod_phi.  No packed product is unpacked before its reduction.
+  Kronecker substitution).  At odd p a level is the product of the p
+  conjugates of x (p - 1 at level 1) by Itoh and Tsujii's addition chain,
+  about log2(p) products by mul_mod_phi, whose last product is taken only
+  on the fixed subring Z[zeta^p]: the factors are split by exponent mod p,
+  and the p pairs of classes whose exponents sum to 0 mod p are packed and
+  multiplied, p products of a p-th of the size.  No packed product is
+  unpacked before its reduction.
 
 The oracles this engine is tested against (the Sylvester determinant, the
 subresultant PRS, the literal baseline and the root product modulo primes)
@@ -102,26 +107,80 @@ def cyclotomic_norm(p: int, j: int, coeffs) -> int:
 
 def _tower_norm(p: int, j: int, x) -> int:
     """N(x(zeta_{p^j})), x reduced mod Phi_{p^j}, one level at a time: at
-    p = 2 by root-squaring steps (_graeffe_step); at odd p the norm from
-    level j to j-1 is the product of the p conjugates
-    zeta -> zeta^(1 + k*p^(j-1)) (at level 1, the p-1 conjugates
-    zeta -> zeta^a), which lies in Z[zeta^p], so only the coefficients at
-    multiples of p survive."""
+    p = 2 by root-squaring steps (_graeffe_step); at odd p by _level_norm.
+    Each odd level is checked: every conjugate of x is x(1) mod pi, so the
+    norm y to level j-1 has y(1) = x(1) mod p, and the norm to Q is an
+    integer."""
     if p == 2:
         for _ in range(j - 1):
             x = _graeffe_step(x)
         return x[0]
-    while j:
-        order = p**j
-        step = order // p
-        y = x
-        for a in range(1 + step, order, step):
-            y = mul_mod_phi(y, conjugate(x, a, p, j), p, j)
-        if any(any(y[r::p]) for r in range(1, p)):
-            raise InvariantError(f"norm from level {j} left Z[zeta^{p}]")
-        x = y[::p]
-        j -= 1
-    return x[0]
+    for level in range(j, 1, -1):
+        y = _level_norm(p, level, x)
+        if (sum(y) - sum(x)) % p:
+            raise InvariantError(f"norm from level {level} is not x(1) mod {p}")
+        x = y
+    y = _level_norm(p, 1, x)
+    if any(y[1:]):
+        raise InvariantError("norm from level 1 is not an integer")
+    return y[0]
+
+
+def _level_norm(p: int, j: int, x) -> list:
+    """The norm of x from Z[zeta_{p^j}] to Z[zeta_{p^(j-1)}], odd p, x given
+    by phi(p^j) coefficients: the product of the conjugates sigma^k(x) over
+    the cyclic Galois group, k < p with sigma: zeta -> zeta^(1 + p^(j-1))
+    for j >= 2, and k < p - 1 with sigma: zeta -> zeta^g, g a primitive
+    root mod p, at j = 1.  The partial products y_m = prod_{k<m} sigma^k(x)
+    follow the binary digits of p - 1 (Itoh and Tsujii's addition chain):
+    y_2m = y_m sigma^m(y_m) and y_(m+1) = y_m sigma^m(x), each one
+    mul_mod_phi.  At j = 1, y_(p-1) is the norm.  For j >= 2 the last
+    product y_p = y_(p-1) sigma^(p-1)(x) lies in Z[zeta^p] and is taken
+    there only (_fixed_product): phi(p^(j-1)) coefficients."""
+    order = p**j
+    sigma = _primitive_root(p) if j == 1 else 1 + order // p
+    y, m = x, 1
+    for bit in bin(p - 1)[3:]:
+        y = mul_mod_phi(y, conjugate(y, pow(sigma, m, order), p, j), p, j)
+        m *= 2
+        if bit == "1":
+            y = mul_mod_phi(y, conjugate(x, pow(sigma, m, order), p, j), p, j)
+            m += 1
+    return y if j == 1 else _fixed_product(y, conjugate(x, pow(sigma, m, order), p, j), p, j)
+
+
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod the odd prime p: the least g with
+    g^((p-1)/r) != 1 mod p for every prime r dividing p - 1."""
+    primes, rest, r = [], p - 1, 2
+    while r * r <= rest:
+        if rest % r == 0:
+            primes.append(r)
+            while rest % r == 0:
+                rest //= r
+        r += 1
+    if rest > 1:
+        primes.append(rest)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
+
+
+def _fixed_product(y, z, p: int, j: int) -> list:
+    """The Z[zeta^p] part of y(zeta) z(zeta) in Z[zeta_{p^j}], j >= 2, y and
+    z given by phi(p^j) coefficients, as the phi(p^(j-1)) coefficients of an
+    element of Z[zeta_{p^(j-1)}]: with y = sum_{r<p} t^r Y_r(t^p) and z
+    likewise, it is Y_0 Z_0 + s sum_{r>=1} Y_r Z_{p-r}, s = t^p, reduced mod
+    s^(p^(j-1)) - 1 and mod Phi_{p^(j-1)}(s), since Phi_{p^j}(t) =
+    Phi_{p^(j-1)}(t^p).  It is y z itself when y z lies in Z[zeta^p], as
+    the last product of a level's norm does.  p packed products of
+    phi(p^(j-1)) digits each, folded as mul_mod_phi folds; the coefficients
+    of the sum are those of y z at multiples of p, so mul_mod_phi's digit
+    bound covers them."""
+    size = _product_size(y, z)
+    half = 1 << (8 * size - 1)
+    ys = [_pack(y[r::p], size, half) for r in range(p)]
+    zs = [_pack(z[r::p], size, half) for r in range(p)]
+    value = ys[0] * zs[0] + (sum(ys[r] * zs[p - r] for r in range(1, p)) << (8 * size))
+    return _fold(value, p, j - 1, size)
 
 
 def _graeffe_step(x) -> list:
@@ -172,20 +231,31 @@ def phi_degree(p: int, j: int) -> int:
 def mul_mod_phi(a, b, p: int, j: int) -> list:
     """The product of a(zeta) and b(zeta) in Z[zeta_{p^j}], j >= 1, a and b
     given by at most p^j integer coefficients each, as phi(p^j)
-    coefficients.  One Kronecker product, reduced on the packed integer:
-    mod t^(p^j) - 1 (the digits from p^j up are added onto those below),
-    then mod Phi_{p^j} = sum_{k<p} t^(k*q), q = p^(j-1) (the top q digits
-    are subtracted from each of the p-1 blocks of q digits below them).
-    Every digit holds c + 2^(w-1), so the width w covers the inputs'
-    coefficients as well as every digit on the way, each at most
-    4 max|a| max|b| min(len(a), len(b))."""
-    top_a, top_b = max(map(abs, a)), max(map(abs, b))
-    size = _digit_bytes(max(top_a, top_b, 4 * top_a * top_b * min(len(a), len(b))))
+    coefficients: one Kronecker product, reduced on the packed integer
+    (_fold)."""
+    size = _product_size(a, b)
     half = 1 << (8 * size - 1)
+    return _fold(_pack(a, size, half) * _pack(b, size, half), p, j, size)
+
+
+def _product_size(a, b) -> int:
+    """Bytes per digit for a folded product of a and b: every digit holds
+    c + 2^(w-1), so the width w covers the inputs' coefficients as well as
+    every digit on the way, each at most 4 max|a| max|b| min(len(a), len(b))."""
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    return _digit_bytes(max(top_a, top_b, 4 * top_a * top_b * min(len(a), len(b))))
+
+
+def _fold(value: int, p: int, j: int, size: int) -> list:
+    """The packed polynomial value, of degree below 2 p^j with digits of
+    8*size bits, reduced mod t^(p^j) - 1 (the digits from p^j up are added
+    onto those below), then mod Phi_{p^j} = sum_{k<p} t^(k*q), q = p^(j-1)
+    (the top q digits are subtracted from each of the p-1 blocks of q
+    digits below them), and unpacked: phi(p^j) coefficients."""
     order = p**j
     q = order // p
     w = 8 * size
-    low, high = _split(_pack(a, size, half) * _pack(b, size, half), w * order)
+    low, high = _split(value, w * order)
     low, top = _split(low + high, w * (order - q))
     for k in range(p - 1):
         low -= top << (w * q * k)
@@ -415,9 +485,16 @@ def _cost(degrees, bits: float, p: int, masks) -> float:
 
 
 def _norm_cost(p: int, j: int, words: float) -> float:
-    """Karatsuba units of a tower norm from level j of a W-word element:
-    j*(p-1) products of W words, or at p = 2 one root-squaring step per
-    level, two squarings of W/2 words."""
+    """Karatsuba units of a tower norm from level j of a W-word element: at
+    p = 2 one root-squaring step per level, two squarings of W/2 words; at
+    odd p, j*(p-1) products of W words.  The addition chain (_level_norm)
+    takes about log2(p) + 1 products per level, but the partial products
+    grow to p times the coefficient bits of x along it, so the chain costs
+    more than log2(p) products of W words; j*(p-1) stays within the factor
+    of about 4 cost_estimate documents (5+t1+t2+t1*t2, full mask, at
+    p = 3, 5 and 7, levels (6,5), (4,3) and (3,3), on a 2-core host:
+    0.35-0.49, 0.25-0.40 and 0.86-1.33 s measured, 1.16, 0.61 and 1.57 s
+    estimated)."""
     if p == 2:
         return 2 * j * (words / 2) ** 1.585
     return j * (p - 1) * words**1.585

@@ -268,6 +268,30 @@ def test_two_part_exponent_report(monkeypatch):
         two_part_exponent_check(3, 5)
 
 
+def test_two_part_exact_side_equals_h1_order(monkeypatch):
+    # one diagonal walk per sublink gives h1_order's exponent at every level
+    for k in (3, 5, 13, 25):
+        link = whitehead_link_spec(k)
+        rows = two_part_exponent_check(k, 4).rows
+        assert [n for n, _, _ in rows] == [1, 2, 3, 4]
+        for n, exact, _ in rows:
+            assert exact == h1_order(link, CoveringSpec(2, (n, n))).p_exponent, (k, n)
+    # h1_order's conventions, on walks patched per sublink (the Whitehead
+    # link's sublinks {1} and {2} have Delta = 1, and every parity sign is +)
+    from padicres import links
+
+    def patched(values_by_vars):
+        return lambda f, p, K, mask: values_by_vars[f.num_vars][:K]
+
+    # a vanishing factor at level 3 gives exponent 0 from there on
+    monkeypatch.setattr(links, "_diagonal", patched({1: [1, 1, 1, 1], 2: [2, 8, 0, 0]}))
+    assert [exact for _, exact, _ in two_part_exponent_check(3, 4).rows] == [1, 3, 0, 0]
+    # a sign against the parity prediction at level 2 is an oracle mismatch
+    monkeypatch.setattr(links, "_diagonal", patched({1: [1, 1, 1, 1], 2: [2, -8, 32, 64]}))
+    with pytest.raises(OracleMismatchError, match=r"sublink \(1, 2\)"):
+        two_part_exponent_check(3, 4)
+
+
 def test_whitehead_even_nonp_limit():
     # k = 2m at odd p with p !| m: non-p limit is m|m|_p / omega_p(m|m|_p)
     est = h1_nonp_limit(whitehead_link_spec(4), 3, 3)

@@ -287,22 +287,97 @@ def test_linear_norm_against_the_tower():
     assert resultant_phi_int(5, 2, UniPoly((-3, 2))) == resultant_prs(cyclotomic(5, 2), UniPoly((-3, 2)))
 
 
+def literal_level_norm(p, j, x):
+    """The norm of x from level j to level j - 1 as the literal product of
+    its conjugates zeta -> zeta^a by mul_mod_phi: the p with a = 1 mod
+    p^(j-1) for j >= 2, whose product lies in Z[zeta^p] and is returned as
+    its coefficients at multiples of p; at j = 1 the p - 1 with a prime to
+    p, whose product is an integer."""
+    order = p**j
+    y = x
+    for a in range(1 + order // p, order, order // p):
+        y = resultants.mul_mod_phi(y, resultants.conjugate(x, a, p, j), p, j)
+    assert not any(any(y[r::p]) for r in range(1, p))
+    return y if j == 1 else y[::p]
+
+
 def conjugate_product_norm(p, j, x):
-    """The tower norm by the product of the conjugates of x at every level,
-    the route odd p takes."""
+    """The tower norm by the literal product of the conjugates of x at every
+    level."""
     while j:
-        order = p**j
-        y = x
-        for a in range(1 + order // p, order, order // p):
-            y = resultants.mul_mod_phi(y, resultants.conjugate(x, a, p, j), p, j)
-        assert not any(any(y[r::p]) for r in range(1, p))
-        x, j = y[::p], j - 1
+        x, j = literal_level_norm(p, j, x), j - 1
     return x[0]
 
 
+def test_level_norm_against_the_conjugate_product():
+    # the addition chain and the restricted last product against the literal
+    # product of the conjugates; p = 3 and 5 take doubling steps only, 7, 11
+    # and 13 also add a conjugate of x.  Coefficients are 10^30-sized and the
+    # shared power 2^40 up to phi = 300, past which the literal product of
+    # 13 such conjugates takes over a second
+    rng = random.Random(71)
+    for p, top in [(3, 5), (5, 3), (7, 3), (11, 3), (13, 3)]:
+        for j in range(1, top + 1):
+            n = resultants.phi_degree(p, j)
+            big, shift = (10**30, 40) if n <= 300 else (3, 2)
+            e = rng.randrange(1, n)
+            dense = [rng.randint(-big, big) for _ in range(n)]
+            cases = [
+                dense,
+                [0] * e + [-big] + [0] * (n - e - 1),  # a single monomial
+                [big] + [0] * (e - 1) + [-2] + [0] * (n - e - 1),  # a binomial
+                [c << shift for c in [rng.randint(-9, 9) for _ in range(n - 1)] + [5]],  # a shared power of 2
+            ]
+            for x in cases:
+                assert resultants._level_norm(p, j, x) == literal_level_norm(p, j, x), (p, j, x[:3])
+
+
+def prs_cyclic_resultant(f, p, masks):
+    """The masked iterated resultant of a bivariate f by the subresultant
+    PRS: t2 against prod_{j in masks[1]} Phi_{p^j}, then t1 against the
+    product over masks[0]."""
+    divisors = [math.prod((cyclotomic(p, j) for j in sorted(mask)), start=UniPoly((1,))) for mask in masks]
+    h = resultant_prs(divisors[1], UniPoly(f.coeffs_in_last_var()))
+    h = h if isinstance(h, MultiPoly) else MultiPoly.const(1, h)
+    return resultant_prs(divisors[0], UniPoly([c.constant_value() for c in h.coeffs_in_last_var()]))
+
+
+def test_odd_p_cyclic_resultant_against_prs_and_the_root_product():
+    # bivariate requests whose eliminations and final norms run the odd-p
+    # tower at levels 1 and 2, with both masks
+    texts = ["3 - t1 + 2*t2 + t1*t2^2", "5 + t1 + t2 + t1*t2", "-7*t1^2*t2^2 + 2*t1*t2^3 - t2 + 11"]
+    texts.append("2^40 - 3*t1*t2^2 + 987654321987*t1*t2 - t2^2")
+    for p, levels in [(3, (2, 2)), (5, (2, 1)), (7, (2, 1))]:
+        for text in texts:
+            f = parse_poly(text, 2)
+            for req in (CyclicResultantRequest.full(f, p, levels), CyclicResultantRequest.rprime(f, p, levels)):
+                value = cyclic_resultant(req)
+                assert value == prs_cyclic_resultant(f, p, req.factor_mask), (text, p, levels)
+                assert value == modular_root_product(f, p, req.factor_mask), (text, p, levels)
+
+
+def test_a_wrong_restricted_product_is_an_internal_error(capsys, monkeypatch):
+    # one digit off in the last product of a level breaks y(1) = x(1) mod p
+    from padicres.cli import main
+
+    fixed = resultants._fixed_product
+
+    def off_by_one(y, z, p, j):
+        value = fixed(y, z, p, j)
+        value[0] += 1
+        return value
+
+    monkeypatch.setattr(resultants, "_fixed_product", off_by_one)
+    code = main(["res", "-p", "3", "-n", "2,2", "3-t1+2*t2+t1*t2^2"])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert "unexpected error" in captured.err and "norm from level 2 is not x(1) mod 3" in captured.err
+
+
 def test_graeffe_route_against_prs_and_the_conjugate_product():
-    # at p = 2 the tower takes root-squaring steps; the product of the
-    # conjugates on the same element and the PRS (while it stays fast) agree
+    # at p = 2 the tower takes root-squaring steps; the literal product of
+    # the conjugates on the same element and the PRS (while it stays fast)
+    # agree
     rng = random.Random(41)
     for j in range(1, 11):
         phi = cyclotomic(2, j)
