@@ -25,8 +25,8 @@ COMMANDS = [
     ["climit", "t1+t2-2", "--vars", "2", "-p", "5", "-K", "2", "--format", "json"],
     ["iwasawa", "t-6", "-p", "5", "--format", "json"],
     ["iwasawa", "3*t-6", "-p", "3", "--format", "json"],
-    ["linkh1", "--trefoil", "-p", "2", "-n", "1", "--verify", "--format", "json"],
-    ["linkh1", "--trefoil", "-p", "5", "-n", "2", "--format", "json"],
+    ["linkh1", "-p", "2", "-n", "1", "--verify", "--format", "json"],
+    ["linkh1", "-p", "5", "-n", "2", "--format", "json"],
     ["linkh1", "--whitehead", "2", "-p", "2", "-n", "1,1", "--verify", "--format", "json"],
     ["linkh1", "--whitehead", "1", "-p", "3", "-n", "1,1", "--verify", "--format", "json"],
     ["linkh1", "--whitehead", "1", "-p", "2", "-n", "2,2", "--format", "json"],

@@ -131,7 +131,7 @@ def cmd_climit(args) -> int:
         "mask": args.mask,
         "zero_limit": zero_limit_predicate(f, args.prime),
         "raw_limit": str(est.value),
-        "nonp_limit": str(est.nonp_value) if est.nonp_value is not None else "undefined (vanishing resultants)",
+        "nonp_limit": str(est.nonp_value),
         "certified_digits": "exact" if est.certified_digits is None else est.certified_digits,
         "nonp_certified_digits": est.nonp_certified_digits,
         "stabilized": est.stabilized,
@@ -214,11 +214,8 @@ def cmd_whitehead(args) -> int:
         _emit(args, payload)
         return EXIT_OK
     empirical = _nonp_limit(link, args.prime, args.digits)
-    digits = min(
-        closed.achieved_digits,
-        args.digits if empirical.nonp_value is None else empirical.nonp_certified_digits,
-    )
-    agree = empirical.nonp_value is not None and closed.value.eq_mod(empirical.nonp_value, digits)
+    digits = min(closed.achieved_digits, empirical.nonp_certified_digits)
+    agree = closed.value.eq_mod(empirical.nonp_value, digits)
     payload.update(
         {
             "closed_form": str(closed.value),
@@ -289,11 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(iwasawa)
     iwasawa.set_defaults(func=cmd_iwasawa)
 
-    linkh1 = sub.add_parser("linkh1", help="|H_1| of a diagonal branched cover")
+    linkh1 = sub.add_parser("linkh1", help="|H_1| of a diagonal branched cover (of the trefoil by default)")
     group = linkh1.add_mutually_exclusive_group()
     group.add_argument("--spec", help="link spec JSON file")
     group.add_argument("--whitehead", type=int, default=None, metavar="K", help="built-in twisted Whitehead link")
-    group.add_argument("--trefoil", action="store_true")
     linkh1.add_argument("-n", "--levels", required=True)
     linkh1.add_argument("--verify", action="store_true", help="cross-check against the character sum, exact modulo primes")
     common(linkh1)

@@ -18,11 +18,12 @@ x(1), the sum of its coefficients.
 The 2-adic logarithm follows the squaring device: square until
 v_pi(y - 1) > v_pi(2), take the series (by Paterson-Stockmeyer, in about
 2 sqrt(r) products for r terms), and remember the number s of squarings
-(log x = series / 2^s).  Torsion units collapse to exactly 1
-under squaring and are reported as degenerate rather than silently given
-log 0 at some precision.  The Whitehead log norms read s and v_pi(y - 1)
-first, at low precision, and run the series once, at the precision those
-values prove enough (level_log_norm).  Their argument takes no ring
+(log x = series / 2^s).  The series of y mod p^K is log y mod p^K.
+Torsion units collapse to exactly 1 under squaring and are reported as
+degenerate rather than silently given log 0 at some precision.  The
+Whitehead log norms read s and t = v_pi(y - 1) first, at low precision,
+and run the series once, at F + ceil(t/phi) digits for the unit part of
+the norm mod 2^F (level_log_norm).  Their argument takes no ring
 product: with n = p^m, (a + b*zeta) sum_{k<n} a^(n-1-k) (-b)^k zeta^k is
 the integer a^n - (-b)^n, so a linear denominator is inverted by n scalar
 products and one integer inverse (whitehead_log_argument).
@@ -313,14 +314,17 @@ def cyclo_log(x: CycloPadic) -> CycloPadic:
 
 
 def _log_series(y: CycloPadic, t: int) -> CycloPadic:
-    """Sum of the log series at y = 1 + w, v_pi(w) = t > v_pi(p), over the
-    terms k = 1..r before the tail is negligible; the result precision
-    reflects the exact divisions by the p-parts p^a of the indices k.
+    """log y mod p^prec at y = 1 + w, v_pi(w) = t > v_pi(p), from the terms
+    k = 1..r before the tail is negligible mod p^prec.
 
-    The sum is taken mod p^(prec + L), L the largest a, as
-    sum (-1)^(k+1) p^(L-a) (k/p^a)^(-1) w^k and then divided by p^L
-    exactly, by Paterson-Stockmeyer: the baby steps w^0..w^(b-1) and w^b,
-    b about sqrt(r), scalar sums of the baby steps for each block of b
+    y mod p^prec fixes log y mod p^prec: changing w by d in p^prec Z[zeta]
+    changes w^k/k by sum_i C(k-1, i-1) w^(k-i) d^i/i, and
+    v_p(d^i/i) >= i*prec - v_p(i) >= prec.  The sum is taken mod
+    p^(prec + L), L the largest p-part a of an index k, as
+    sum (-1)^(k+1) p^(L-a) (k/p^a)^(-1) w^k, which is p^L times the sum of
+    the w^k/k mod p^(prec + L), and then divided by p^L exactly, by
+    Paterson-Stockmeyer: the baby steps w^0..w^(b-1) and w^b, b about
+    sqrt(r), scalar sums of the baby steps for each block of b
     coefficients, and Horner's rule in w^b over the blocks, so about
     2 sqrt(r) ring products instead of r.  A sum that p^L does not divide
     (t overstates v_pi(w)) raises PrecisionExhaustedError.
@@ -352,7 +356,7 @@ def _log_series(y: CycloPadic, t: int) -> CycloPadic:
     scale = p**loss
     if any(c % scale for c in total.coeffs):
         raise PrecisionExhaustedError("inexact division in cyclotomic log series")
-    return CycloPadic(p, level, max(prec - loss, 1), [c // scale for c in total.coeffs])
+    return CycloPadic(p, level, prec, [c // scale for c in total.coeffs])
 
 
 def _series_terms(p: int, deg: int, t: int, prec: int) -> Tuple[int, int]:
@@ -422,16 +426,14 @@ def whitehead_log_argument(m: int, p: int, level: int, prec: int) -> CycloPadic:
     return CycloPadic(p, level, prec, [(m + 1) * x + m * y for x, y in zip(inverse, inverse[-1:] + inverse[:-1])])
 
 
-def nu_zeta(m: int, level: int, prec: int) -> Fraction:
+def nu_zeta(m: int, level: int) -> Fraction:
     """nu_zeta = v_2(log((m*zeta+m+1)/(m*zeta+m+zeta))), normalized to Q_2
     (v_pi / phi(2^level)); the same for every primitive root at the level.
 
     level 1 (zeta = -1) is excluded by the defining product, and m = 0 makes
     the argument the torsion unit zeta^(-1); both raise DegenerateValueError.
     """
-    if level < 2:
-        raise DegenerateValueError("level 1 roots (+-1) are excluded from the product")
-    s, t = level_log_valuation(m, level, prec)
+    s, t = level_log_valuation(m, level)
     return Fraction(t, phi_degree(2, level)) - s
 
 
@@ -439,7 +441,7 @@ def nu_zeta(m: int, level: int, prec: int) -> Fraction:
 _VALUATION_PREC = 32
 
 
-def level_log_valuation(m: int, level: int, prec: int) -> Tuple[int, int]:
+def level_log_valuation(m: int, level: int) -> Tuple[int, int]:
     """(s, t) for the Whitehead argument u at a primitive 2^level-th root:
     s squarings carry u into the log's convergence region, and
     t = v_pi(u^(2^s) - 1) > phi.
@@ -447,63 +449,63 @@ def level_log_valuation(m: int, level: int, prec: int) -> Tuple[int, int]:
     No series and no norm: since t > phi = v_pi(2), every term w^k/k (k >= 2)
     of log(1 + w) has v_pi > t, so v_pi(log u^(2^s)) = t and the level's sum
     of nu is t - s*phi.  s and t are exact at any precision where y - 1 does
-    not vanish, so the pass starts at _VALUATION_PREC digits and doubles only
-    while it vanishes; vanishing mod 2^prec raises DegenerateValueError.
+    not vanish, so the pass starts at _VALUATION_PREC digits and doubles
+    while it vanishes.  That ends for every m >= 1 at level >= 2, where u is
+    no root of unity: with N = m(1 + zeta) + 1, u = zeta^(-1) N / conj(N),
+    and at zeta = exp(2 pi i / 2^level), N = 1 + 2m cos(pi / 2^level)
+    exp(i pi / 2^level) has its argument strictly between 0 and
+    pi / 2^level, so N / conj(N) = exp(2i arg N) is no 2^level-th root of
+    unity, as every root of unity in Q(zeta) is.  The torsion cases, level 1
+    (u = -1) and m = 0 (u = zeta^(-1)), raise DegenerateValueError.
     """
-    work = min(prec, _VALUATION_PREC)
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if level < 2:
+        raise DegenerateValueError("level 1 roots (+-1) are excluded from the product")
+    if m == 0:
+        raise DegenerateValueError("torsion unit: the argument is zeta^(-1); log is 0")
+    work = _VALUATION_PREC
     while True:
         try:
             _, s, t = _into_convergence(whitehead_log_argument(m, 2, level, work))
             return s, t
         except DegenerateValueError:
-            if work >= prec:
-                raise
-            work = min(2 * work, prec)
+            work *= 2
 
 
-def level_log_norm(m: int, level: int, prec: int) -> Tuple[int, int, int, int]:
+def level_log_norm(m: int, level: int, digits: int) -> Tuple[int, int, int]:
     """Norm data of log(u) at one cyclotomic level for the Whitehead family:
-    (s, nu, F, unit), with s and nu = t - s*phi the shift and the level's sum
+    (s, nu, unit), with s and nu = t - s*phi the shift and the level's sum
     of nu from level_log_valuation, and unit the unit part of Nm(log u)
-    mod 2^F.
+    mod 2^digits.
 
-    F is what the direct route certifies (the argument at prec, the log
-    series, the norm of z = 2^s log u): prec - L - t digits, L the digits the
-    series at prec loses, with prec doubled until that is positive.  The
-    series then runs once, at the least precision P that proves F:
+    The series runs once, at P = digits + ceil(t/phi):
 
-    - z = log(u^(2^s)) has v_pi(z) = t (see level_log_valuation), so
-      z / 2^e is integral for e = t // phi, and Nm(z / 2^e) = Nm(log u) times
+    - y = u^(2^s) mod 2^P fixes z = log y mod 2^P (_log_series), and
+      v_pi(z) = t (see level_log_valuation), so z / 2^e is integral for
+      e = t // phi, known mod 2^(P - e), and Nm(z / 2^e) = Nm(log u) times
       a power of 2 has the same unit part and v_2 = t - e*phi < phi.
     - Let x = z / 2^e be known as x + d, d in 2^Q Z[zeta].  Every term of
       Nm(x + d) - Nm(x) is a product of one conjugate of d and phi - 1
       conjugates of x or d, so it has v_pi >= Q*phi + (phi - 1)(t - e*phi),
       and the unit part of Nm(x + d) equals that of Nm(x) mod
-      2^(Q - ceil((t - e*phi)/phi)).  With Q = P - L - e that is
-      2^(P - L - ceil(t/phi)), so P = F + L + ceil(t/phi) suffices.
+      2^(Q - ceil((t - e*phi)/phi)).  With Q = P - e that is
+      2^(P - ceil(t/phi)) = 2^digits.
     """
     deg = phi_degree(2, level)
-    s, t = level_log_valuation(m, level, prec)
-    loss = _series_terms(2, deg, t, prec)[1]
-    while t >= prec - loss:
-        prec *= 2
-        loss = _series_terms(2, deg, t, prec)[1]
-    digits = prec - loss - t
-    shift, need = t // deg, digits - (-t // deg)
-    work = need
-    while work - _series_terms(2, deg, t, work)[1] < need:
-        work += 1
-    y = whitehead_log_argument(m, 2, level, work)
+    s, t = level_log_valuation(m, level)
+    y = whitehead_log_argument(m, 2, level, digits - (-t // deg))
     for _ in range(s):
         y = y * y
     z = _log_series(y, t)
+    shift = t // deg
     scale = 2**shift
     if any(c % scale for c in z.coeffs):
         raise InvariantError(f"log at level {level} is not divisible by 2^{shift}")
     v, unit = vp_split(CycloPadic(2, level, z.prec - shift, [c // scale for c in z.coeffs]).norm_lift(), 2)
     if v != t - shift * deg:
         raise InvariantError(f"norm of log at level {level} has v_2 {v}, not {t - shift * deg}")
-    return s, t - s * deg, digits, unit % 2**digits
+    return s, t - s * deg, unit % 2**digits
 
 
 def evaluate_at_unity(f: MultiPoly, p: int, level: int, exps, prec: int) -> CycloPadic:

@@ -68,7 +68,7 @@ def window_requests(f: MultiPoly, p: int, K: int, mask: str) -> list:
 @dataclass(frozen=True)
 class LimitEstimate:
     value: PadicApprox
-    nonp_value: PadicApprox | None
+    nonp_value: PadicApprox
     certified_digits: int | None  # None = the raw value is exact
     nonp_certified_digits: int
     levels_used: Tuple[int, ...]
@@ -204,11 +204,15 @@ def iwasawa_fit(f: UniPoly, p: int, n_max: int = 5) -> IwasawaInvariants:
 
     Requires the law to hold exactly on at least the final three levels up to
     n_max; the verified window is extended backwards as far as it holds.
+    Refused before any work when the cost_estimate of the full-mask
+    resultant at level n_max, whose factors these are, exceeds cost_budget().
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
     if n_max < 3:
         raise WindowTooShortError("need n_max >= 3 for a three-level window")
+    g = MultiPoly(1, {(i,): c for i, c in enumerate(f.coeffs) if c})
+    check_budget(cost_estimate(CyclicResultantRequest.full(g, p, (n_max,))))
     factors = []
     for j in range(n_max + 1):
         r = resultant_phi_int(p, j, f)

@@ -354,27 +354,21 @@ def character_oracle(link: LinkSpec, cov: CoveringSpec) -> H1Result:
 # ---------------------------------------------------------------------------
 
 
-def _level_prec(level: int, extra: int) -> int:
-    # valuations inside the squaring device grow with the level
-    return (level + 3) * 2 ** (level - 1) + 16 + extra
-
-
 def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
     """Work of whitehead_closed_form, in cost_estimate's units, estimated
     before doing any: only the p = 2 product for odd k >= 3 costs.
 
-    Level L runs its log series once, at P = F + ceil(t/phi) + (series loss)
-    digits, F = prec - (series loss) - t with prec = _level_prec(L, K + 14)
-    doubled while F <= 0 (level_log_norm).  The estimate takes
-    t = (L + v_2(k^2 - 1) - 2) phi + 2 and the loss as L; that t held at every
-    level 2..9 for every odd k <= 259.  It counts L squarings, 2 sqrt(r)
-    series products for r = phi P / t terms and 8 more, each of
-    phi = 2^(L-1) coefficients of P bits: W^1.585 / 5 units for
-    W = phi * (2P + 16) / 64 words plus 20 per coefficient.  The 8 were
-    fitted when the argument's inverse took ring products, which it no
-    longer does; kept, they leave the estimate 1.1-2.0 times the measured
-    time of each level 6-10 for k = 3 and 31, and 1.7-5.5 times for k = 15
-    (at most 13 ms a level), on a 2-core host."""
+    Level L runs its log series once, at P = K + 14 + ceil(t/phi) digits
+    (level_log_norm).  The estimate takes t = (L + v_2(k^2 - 1) - 2) phi + 2,
+    which held at every level 2..9 for every odd k <= 259, and counts
+    L squarings, 2 sqrt(r) series products for r = phi P / t terms and
+    8 more, each of phi = 2^(L-1) coefficients of P bits: 20 units per
+    coefficient (packing, unpacking and reducing them in Python dominates
+    at these small P) plus W^1.585 / 150 for W = phi * (2P + 16) / 64
+    words.  Fitted to whitehead_closed_form(k, 2, 4, L) for k = 3 and 31 on
+    a 2-core host: the estimate is 0.95-1.25 times the measured time at
+    every L from 10 to 17 (0.06 s to 14 s), and the default budget admits
+    L = 19 and refuses L = 20."""
     if p != 2 or k % 2 == 0 or k < 3:
         return 0.0
     total = 0.0
@@ -382,12 +376,9 @@ def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
         for level in range(2, truncation_level + 1):
             phi = 2 ** (level - 1)
             t = (level + vp(k * k - 1, 2) - 2) * phi + 2
-            prec = _level_prec(level, K + 14)
-            while t >= prec - level:
-                prec *= 2
-            work = prec - t + level - (-t // phi)
+            work = K + 14 - (-t // phi)
             words = phi * (2 * work + 16) / 64
-            total += (level + 2 * math.sqrt(phi * work / t) + 8) * (words**1.585 / 5 + 20 * phi)
+            total += (level + 2 * math.sqrt(phi * work / t) + 8) * (words**1.585 / 150 + 20 * phi)
     except OverflowError:  # levels past the float range
         return math.inf
     return total
@@ -447,23 +438,17 @@ def whitehead_closed_form(k: int, p: int, K: int, truncation_level: int = 5) -> 
             "the product degenerates (and the covers stop being rational homology spheres)",
         )
     work = K + 14
-    factors = []
+    units = []
     per_level = []
     for level in range(2, truncation_level + 1):
-        _, nu_sum, factor_prec, unit = level_log_norm(m, level, _level_prec(level, work))
-        factors.append(PadicApprox.from_int(unit, 2, factor_prec))
-        per_level.append((level, nu_sum, factor_prec))
+        _, nu_sum, unit = level_log_norm(m, level, work)
+        units.append(unit)
+        per_level.append((level, nu_sum, work))
     # measured tail estimate: distance of the last factors from 1
-    tails = []
-    for f in factors[-2:]:
-        delta = (f.residue(f.prec) - 1) % 2**f.prec
-        tails.append(f.prec if delta == 0 else vp(delta, 2))
+    tails = [work if u == 1 else vp(u - 1, 2) for u in units[-2:]]
     tail = tails[-1] if len(tails) < 2 else tails[-1] + max(0, tails[-1] - tails[-2])
-    value = PadicApprox.from_int(1, 2, work, exact=True)
-    for f in factors:
-        value = value * f
-    value = value * PadicApprox.from_int(k, 2, work, exact=True).inverse()
-    achieved = min([K, tail] + [f.prec for f in factors])
+    value = PadicApprox(2, work, 0, math.prod(units) * pow(k, -1, 2**work))
+    achieved = min(K, tail)
     return WhiteheadLimit(
         value=value,
         achieved_digits=achieved,
@@ -483,10 +468,13 @@ class TwoPartReport:
 
 def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
     """Verify v_2(|H_1(S^3_{n,n})|) = n*2^n - 2n + 1 + sum of nu over the
-    2-power roots zeta != +-1 of order <= 2^n, for n = 1..n_max, 1 <= n_max <= 4.
+    2-power roots zeta != +-1 of order <= 2^n, for n = 1..n_max >= 1.
+    Refused before any work when nonp_limit_cost of the window exceeds
+    cost_budget().
 
-    The per-level nu sums come from the cyclotomic-log norms under the
-    Q_2-normalized valuation.  The left side is exact: v_2 of h1_order's
+    The per-level nu sums are t - s*phi from level_log_valuation, the
+    valuation of the cyclotomic-log norms under the Q_2-normalized
+    valuation.  The left side is exact: v_2 of h1_order's
     product over sublinks, read from one diagonal walk per sublink
     (limits._diagonal, levels (1,...,1) to (n_max,...,n_max)) with
     h1_order's conventions: a vanishing factor gives exponent 0, and each
@@ -496,14 +484,12 @@ def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
         raise ValueError("need odd k = 2m+1 with m >= 1")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > 4:
-        raise ValueError("n_max is capped at 4 (degree growth)")
     m = (k - 1) // 2
     link = whitehead_link_spec(k)
     check_budget(nonp_limit_cost(link, 2, n_max))
     nu_sums = {}
     for level in range(2, n_max + 1):
-        shift, t = level_log_valuation(m, level, _level_prec(level, 24))
+        shift, t = level_log_valuation(m, level)
         nu_sums[level] = t - shift * phi_degree(2, level)
     diagonals = [(s, link.alexander(s), _diagonal(link.alexander(s), 2, n_max, "rprime")) for s in link.subsets()]
     rows = []

@@ -457,7 +457,8 @@ def cost_estimate(req: CyclicResultantRequest) -> float:
     takes the norm of a result-sized integer of W words (_norm_cost), at
     half the units, or one product if f is linear in the eliminated variable
     mod Phi.  The final norm touches p^j coefficients and takes the norm of
-    n * bits / 64 words.
+    n * bits / 64 words, or one product of that size if g is linear
+    (cyclotomic_norm's closed form).
     """
     f = req.f
     degrees = [f.degree_in(i + 1) for i in range(f.num_vars)]
@@ -473,7 +474,9 @@ def _cost(degrees, bits: float, p: int, masks) -> float:
     for j in masks[-1]:
         n = phi_degree(p, j)
         if len(masks) == 1:
-            total += max(degrees[0] + 1, p**j) + _norm_cost(p, j, n * bits / 64)
+            words = n * bits / 64
+            norm = _norm_cost(p, j, words) if min(degrees[0], n - 1) > 1 else words**1.585
+            total += max(degrees[0] + 1, p**j) + norm
             continue
         rest = [n * d for d in degrees[:-1]]
         digits = math.prod(d + 1 for d in rest)

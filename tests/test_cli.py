@@ -105,11 +105,11 @@ def test_whitehead_level_budget_refuses_before_any_work(capsys, monkeypatch):
 
     monkeypatch.setattr(links, "level_log_norm", no_work)
     monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
-    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "12")
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "20")
     assert code == 3 and "budget" in err and not out
     # PADIC_RES_BUDGET lifts the refusal: the first log norm then starts
     monkeypatch.setenv("PADIC_RES_BUDGET", str(10**11))
-    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "12")
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "20")
     assert code == 1 and "a log norm started" in err
 
 
@@ -128,18 +128,19 @@ def test_whitehead_budget_is_the_closed_form_plus_the_window(capsys, monkeypatch
 
 def test_whitehead_level_budget_accepts_level_six(capsys):
     code, out, _ = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "6")
-    assert code == 0 and "agree: True" in out and "[6, 34, 91]" in out
+    assert code == 0 and "agree: True" in out and "[6, 34, 18]" in out
 
 
 @pytest.mark.parametrize(
     "k, residue, nu_sums",
     [
-        ("3", 3, [[2, 4, 35], [3, 6, 39], [4, 10, 46], [5, 18, 62], [6, 34, 93], [7, 66, 156]]),
-        ("25", 57, [[2, 6, 33], [3, 10, 35], [4, 18, 39], [5, 34, 46], [6, 66, 61], [7, 130, 92]]),
+        ("3", 3, [[2, 4, 20], [3, 6, 20], [4, 10, 20], [5, 18, 20], [6, 34, 20], [7, 66, 20]]),
+        ("25", 57, [[2, 6, 20], [3, 10, 20], [4, 18, 20], [5, 34, 20], [6, 66, 20], [7, 130, 20]]),
     ],
 )
 def test_whitehead_2adic_level_seven_outputs(capsys, k, residue, nu_sums):
-    # every level's nu sum and factor precision through level 7, pinned
+    # every level's nu sum through level 7, pinned; each factor is worked
+    # at the closed form's K + 14 digits
     code, out, _ = run(capsys, "whitehead", "-k", k, "-p", "2", "-K", "6", "--lmax", "7", "--format", "json")
     assert code == 0
     record = json.loads(out)
@@ -149,10 +150,44 @@ def test_whitehead_2adic_level_seven_outputs(capsys, k, residue, nu_sums):
 
 
 def test_whitehead_2adic_level_nine_nu_sums(capsys):
-    # levels 8 and 9 as the fixed-precision log norms reported them
+    # the nu sums of levels 8 and 9, each factor at K + 14 digits
     code, out, _ = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "9", "--format", "json")
     assert code == 0
-    assert json.loads(out)["per_level_nu_sums"][-2:] == [[8, 130, 281], [9, 258, 536]]
+    assert json.loads(out)["per_level_nu_sums"][-2:] == [[8, 130, 18], [9, 258, 18]]
+
+
+@pytest.mark.parametrize(
+    "k, lmax, closed_form, residue",
+    [
+        ("3", "8", 133123, 3),
+        ("3", "9", 4099, 3),
+        ("3", "10", 8195, 3),
+        ("25", "8", 45625, 9),
+        ("25", "9", 120377, 9),
+        ("25", "10", 7737, 9),
+    ],
+)
+def test_whitehead_2adic_deep_records(capsys, k, lmax, closed_form, residue):
+    # the records the fixed-precision log norms printed, apart from the
+    # factor precisions in per_level_nu_sums
+    code, out, _ = run(capsys, "whitehead", "-k", k, "-p", "2", "-K", "4", "--lmax", lmax, "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    del record["per_level_nu_sums"]
+    assert record == {
+        "K": 4, "achieved_digits": 4, "agree": True, "closed_form": f"2^0 * {closed_form} mod 2^18",
+        "closed_form_residue": residue, "command": "whitehead", "compared_digits": 4, "degenerate": False,
+        "empirical": f"2^0 * {residue} mod 2^4", "k": int(k), "p": 2,
+    }
+
+
+def test_whitehead_k31_closed_form_keeps_the_old_digits(capsys):
+    # the fixed-precision route printed 2^0 * 4095 mod 2^12 here; the value
+    # now has K + 14 = 18 digits and agrees with it mod 2^12
+    code, out, _ = run(capsys, "whitehead", "-k", "31", "-p", "2", "-K", "4", "--lmax", "9", "--format", "json")
+    assert code == 0
+    unit, modulus = json.loads(out)["closed_form"].removeprefix("2^0 * ").split(" mod ")
+    assert modulus == "2^18" and int(unit) % 2**12 == 4095
 
 
 @pytest.mark.parametrize(
@@ -386,7 +421,7 @@ def test_linkh1_builtin_whitehead(capsys):
 
 
 def test_linkh1_trefoil_json(capsys):
-    code, out, _ = run(capsys, "linkh1", "--trefoil", "-p", "2", "-n", "1", "--format", "json")
+    code, out, _ = run(capsys, "linkh1", "-p", "2", "-n", "1", "--format", "json")
     assert code == 0
     record = json.loads(out)
     assert record == {"order": "3", "nonp": "3", "p_exponent": 0}
@@ -437,6 +472,33 @@ def test_whitehead_truncation_below_level_two_is_user_error(capsys, lmax):
     code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", lmax)
     assert code == 2 and out == ""
     assert f"truncation level must be >= 2, got {lmax}" in err
+
+
+def test_twopart_budget_refuses_before_any_elimination(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the elimination started")
+
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
+    code, out, err = run(capsys, "twopart", "-k", "3", "--n-max", "12")
+    assert code == 3 and "budget" in err and not out
+
+
+def test_iwasawa_budget_refuses_before_any_norm(capsys, monkeypatch):
+    # the same budget as res on the level-n_max resultant of the factors
+    from padicres import limits
+
+    def no_work(*args):
+        raise AssertionError("a norm started")
+
+    monkeypatch.setattr(limits, "resultant_phi_int", no_work)
+    monkeypatch.setenv("PADIC_RES_BUDGET", "1")
+    code, out, err = run(capsys, "iwasawa", "t-6", "-p", "5", "--n-max", "8")
+    assert code == 3 and "budget" in err and not out
+    code, out, err = run(capsys, "res", "t1-6", "-p", "5", "-n", "8")
+    assert code == 3 and "budget" in err and not out
+    monkeypatch.delenv("PADIC_RES_BUDGET")
+    code, out, err = run(capsys, "iwasawa", "t-6", "-p", "5", "--n-max", "8")
+    assert code == 1 and "a norm started" in err
 
 
 def test_twopart_empty_range_is_user_error(capsys):

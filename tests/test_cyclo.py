@@ -6,6 +6,7 @@ import pytest
 from padicres.cyclo import (
     CycloPadic,
     _log_series,
+    _into_convergence,
     _tail_negligible,
     cyclo_log,
     evaluate_at_unity,
@@ -19,7 +20,6 @@ from padicres.cyclo import (
 )
 from padicres.errors import DegenerateValueError, PrecisionExhaustedError
 from padicres.multipoly import random_multipoly
-from padicres.links import _level_prec
 from padicres.oracles import resultant_prs
 from padicres.padic import vp, vp_split
 from padicres.resultants import mul_mod_phi
@@ -270,22 +270,21 @@ def _log_series_by_terms(y, t):
     """The log series at y = 1 + w term by term, each w^k exact in Z[zeta]
     (powers of the canonical lift of w, no p-adic truncation), divided by
     p^a = p^(v_p(k)) with an exact-division check, over as many terms as
-    _tail_negligible asks for; precision prec - max(a), at least 1."""
+    _tail_negligible asks for; precision prec."""
     p, level, prec = y.p, y.level, y.prec
     deg = phi_degree(p, level)
     w = (y - 1).coeffs
-    total, power, loss, k = [0] * deg, w, 0, 1
+    total, power, k = [0] * deg, w, 1
     while k == 1 or not _tail_negligible(k, t, deg, deg * prec):
         a = vp(k, p)
         if any(c % p**a for c in power):
             raise PrecisionExhaustedError("inexact division")
-        loss = max(loss, a)
         inverse = pow(k // p**a, -1, p**prec)
         sign = 1 if k % 2 else -1
         total = [s + sign * (c // p**a) * inverse for s, c in zip(total, power)]
         power = mul_mod_phi(power, w, p, level)
         k += 1
-    return CycloPadic(p, level, max(prec - loss, 1), total)
+    return CycloPadic(p, level, prec, total)
 
 
 def test_log_series_against_the_term_by_term_sum():
@@ -374,25 +373,28 @@ def test_cyclo_log_integral_case():
 
 def test_nu_zeta_values_and_normalization():
     # Q_2-normalized: may be fractional per root, integral after summing a level
-    assert nu_zeta(1, 2, 24) == 2
-    assert nu_zeta(1, 3, 24) == Fraction(3, 2)
-    assert phi_degree(2, 3) * nu_zeta(1, 3, 24) == 6
+    assert nu_zeta(1, 2) == 2
+    assert nu_zeta(1, 3) == Fraction(3, 2)
+    assert phi_degree(2, 3) * nu_zeta(1, 3) == 6
 
 
 def test_nu_zeta_degenerate_cases():
     for level in range(2, 7):
         with pytest.raises(DegenerateValueError):
-            nu_zeta(0, level, 12)  # torsion argument zeta^(-1)
+            nu_zeta(0, level)  # torsion argument zeta^(-1)
     with pytest.raises(DegenerateValueError):
-        nu_zeta(1, 1, 12)  # level-1 roots are excluded from the product
+        nu_zeta(1, 1)  # level-1 roots are excluded from the product
+    with pytest.raises(ValueError):
+        nu_zeta(-1, 3)
 
 
 def _direct_log_norm(m, level, extra):
-    """The fixed-precision route level_log_norm replaces: the argument at
-    _level_prec, log_with_shift, norm_lift, with the precision doubled until
-    the norm's valuation is below the series' precision; (s, nu, F, unit mod
-    2^F) with F = that precision minus the valuation."""
-    prec = _level_prec(level, extra)
+    """The fixed-precision route level_log_norm replaced: the argument at
+    (level + 3) 2^(level - 1) + 16 + extra digits, log_with_shift,
+    norm_lift, with the precision doubled until the norm's valuation is
+    below the series' precision; (s, nu, F, unit mod 2^F) with F = that
+    precision minus the valuation."""
+    prec = (level + 3) * 2 ** (level - 1) + 16 + extra
     while True:
         z, s = log_with_shift(whitehead_log_argument(m, 2, level, prec))
         norm = z.norm_lift()
@@ -403,25 +405,40 @@ def _direct_log_norm(m, level, extra):
     return s, v - s * phi_degree(2, level), z.prec - v, unit % 2 ** (z.prec - v)
 
 
+def _check_against_the_direct_route(m, level):
+    # the same shift and nu sum, and the same unit mod 2^min(F_direct, F),
+    # at the closed form's 18 digits and at the direct route's own F
+    s, nu, direct_digits, direct_unit = _direct_log_norm(m, level, 18)
+    for digits in (18, direct_digits):
+        common = 2 ** min(digits, direct_digits)
+        got = level_log_norm(m, level, digits)
+        assert (got[0], got[1], got[2] % common) == (s, nu, direct_unit % common), (level, m, digits)
+    shift, t = level_log_valuation(m, level)
+    assert (s, nu) == (shift, t - shift * phi_degree(2, level)), (level, m)
+
+
 def test_level_log_norm_against_the_direct_route():
-    # the valuation-first route reports the shift, nu sum and factor
-    # precision of the direct route, and the same unit mod 2^F; nu is
-    # t - s*phi from the cheap pass alone
+    # nu is t - s*phi from the cheap pass alone
     cases = [(level, m) for level in range(2, 8) for m in range(1, 13)] + [(8, 1), (8, 7)]
     for level, m in cases:
-        got = level_log_norm(m, level, _level_prec(level, 18))
-        assert got == _direct_log_norm(m, level, 18), (level, m)
-        s, t = level_log_valuation(m, level, _level_prec(level, 18))
-        assert got[:2] == (s, t - s * phi_degree(2, level)), (level, m)
+        _check_against_the_direct_route(m, level)
 
 
-def test_level_log_norm_doubles_like_the_direct_route():
-    # k = 31 (m = 15): t reaches _level_prec from level 6 on, so F comes from
-    # the doubled precision, as the direct route reports it
-    for level in (5, 6):
-        got = level_log_norm(15, level, _level_prec(level, 18))
-        assert got == _direct_log_norm(15, level, 18), level
-    assert level_log_valuation(15, 6, 64)[1] >= _level_prec(6, 18)
+def test_level_log_norm_at_doubled_direct_precision():
+    # k = 31 (m = 15): t passes the direct route's first precision from
+    # level 6 on, so that route doubles it; the unit is asked for at 18
+    # digits all the same
+    for level in (5, 6, 7):
+        _check_against_the_direct_route(15, level)
+
+
+def test_level_log_valuation_past_the_first_precision():
+    # k = 2^50 + 1: u^(2^s) - 1 vanishes mod 2^32, so the pass doubles its
+    # precision; s and t equal the squaring loop's at 400 digits
+    m = 2**49
+    for level in (2, 3):
+        assert level_log_valuation(m, level) == _into_convergence(whitehead_log_argument(m, 2, level, 400))[1:]
+        assert level_log_valuation(m, level)[1] > 32 * phi_degree(2, level)
 
 
 def test_whitehead_log_argument_is_unit():

@@ -264,8 +264,16 @@ def test_two_part_exponent_report(monkeypatch):
     assert two_part_exponent_check(25, 4).rows == ((1, 1, 1), (2, 11, 11), (3, 35, 35), (4, 91, 91))
     with pytest.raises(ValueError):
         two_part_exponent_check(4, 2)
-    with pytest.raises(ValueError):
-        two_part_exponent_check(3, 5)
+
+
+def test_two_part_rows_through_level_eight():
+    # past the old cap of 4: the identity holds, and n = 8 takes well under
+    # a second
+    k3 = two_part_exponent_check(3, 8)
+    assert k3.ok and k3.rows[4:] == ((5, 189, 189), (6, 445, 445), (7, 1021, 1021), (8, 2301, 2301))
+    assert two_part_exponent_check(5, 8).rows == k3.rows
+    k25 = two_part_exponent_check(25, 8)
+    assert k25.ok and k25.rows[4:] == ((5, 219, 219), (6, 507, 507), (7, 1147, 1147), (8, 2555, 2555))
 
 
 def test_two_part_exact_side_equals_h1_order(monkeypatch):
@@ -362,9 +370,9 @@ def test_negative_masked_values_absolute_order():
     assert est.nonp_value.residue(4) == nonp_part(abs(deep), 2) % 2**4
 
 
-def test_closed_form_budget_admits_level_eleven_and_refuses_twelve():
-    # whitehead -k 3 -K 4: --lmax 11 runs (about 70 s on a 2-core host),
-    # --lmax 12 is refused at the default budget; k = 31, whose log norms
-    # work at doubled precision from level 6 on, is refused from level 10
-    assert closed_form_cost(3, 2, 4, 11) < COST_BUDGET_DEFAULT < closed_form_cost(3, 2, 4, 12)
-    assert closed_form_cost(31, 2, 4, 9) < COST_BUDGET_DEFAULT < closed_form_cost(31, 2, 4, 10)
+def test_closed_form_budget_admits_level_nineteen_and_refuses_twenty():
+    # whitehead -K 4: --lmax 17 runs in about 14 s on a 2-core host for
+    # k = 3 and 31 alike, each level about 2.5 times the one before;
+    # --lmax 20 is refused at the default budget
+    for k in (3, 31):
+        assert closed_form_cost(k, 2, 4, 19) < COST_BUDGET_DEFAULT < closed_form_cost(k, 2, 4, 20)
