@@ -20,13 +20,23 @@ v_pi(y - 1) > v_pi(2), take the series (by Paterson-Stockmeyer, in about
 2 sqrt(r) products for r terms), and remember the number s of squarings
 (log x = series / 2^s).  The series of y mod p^K is log y mod p^K.
 Torsion units collapse to exactly 1 under squaring and are reported as
-degenerate rather than silently given log 0 at some precision.  The
-Whitehead log norms read s and t = v_pi(y - 1) first, at low precision,
-and run the series once, at F + ceil(t/phi) digits for the unit part of
-the norm mod 2^F (level_log_norm).  Their argument takes no ring
+degenerate rather than silently given log 0 at some precision.
+
+CycloPadic, log_with_shift and cyclo_log are the general ring.  The
+2-adic Whitehead log norms, which the CLI runs, take a second storage of
+the same residues: one integer per element, its phi residues mod 2^P in
+slots of a fixed byte width (_Slots), so that a product is one big-int
+product, a fold and a mask, and no level unpacks to a list.  They read
+s and t = v_pi(y - 1) first (level_log_valuation), and run the series
+once, at F + ceil(t/phi) digits for the unit part of the norm mod 2^F,
+on the squarings of that same pass when its precision covers those
+digits; the unit goes into the resultant engine's packed 2-power tower
+(graeffe_norm) as it is (level_log_norm).  Their argument takes no ring
 product: with n = p^m, (a + b*zeta) sum_{k<n} a^(n-1-k) (-b)^k zeta^k is
 the integer a^n - (-b)^n, so a linear denominator is inverted by n scalar
-products and one integer inverse (whitehead_log_argument).
+products and one integer inverse (whitehead_log_argument; on slots,
+_packed_argument builds the sum by doubling).  The CycloPadic route to
+the same quantities is the oracle the packed one is tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +48,16 @@ from typing import Tuple
 from .errors import DegenerateValueError, InvariantError, PrecisionExhaustedError
 from .multipoly import MultiPoly
 from .padic import vp, vp_split
-from .resultants import conjugate, cyclotomic_norm, mul_mod_phi, phi_degree, reduce_mod_phi
+from .resultants import (
+    conjugate,
+    cyclotomic_norm,
+    graeffe_bytes,
+    graeffe_norm,
+    mul_mod_phi,
+    phi_degree,
+    reduce_mod_phi,
+    repeat_digit,
+)
 from .unipoly import is_prime
 
 
@@ -333,12 +352,7 @@ def _log_series(y: CycloPadic, t: int) -> CycloPadic:
     deg = phi_degree(p, level)
     r, loss = _series_terms(p, deg, t, prec)
     work = prec + loss
-    mod = p**work
-    scalars = [0]
-    for k in range(1, r + 1):
-        a = vp(k, p)
-        c = p ** (loss - a) * pow(k // p**a, -1, mod)
-        scalars.append(c if k % 2 else -c)
+    scalars = _series_scalars(p, r, loss, p**work)
     w = CycloPadic(p, level, work, (y - 1).coeffs)
     b = math.isqrt(r + 1)
     powers = [CycloPadic.from_int(1, p, level, work), w]
@@ -367,6 +381,18 @@ def _series_terms(p: int, deg: int, t: int, prec: int) -> Tuple[int, int]:
     while not _tail_negligible(r + 1, t, deg, deg * prec):
         r += 1
     return r, max(vp(k, p) for k in range(1, r + 1))
+
+
+def _series_scalars(p: int, r: int, loss: int, mod: int) -> list:
+    """The coefficients (-1)^(k+1) p^(L-a) (k/p^a)^(-1) of w^k, a = v_p(k),
+    for k = 0..r (0 at k = 0), each reduced mod p^(prec + L): a packed sum
+    of them times residues then stays within its slots."""
+    scalars = [0]
+    for k in range(1, r + 1):
+        a = vp(k, p)
+        c = p ** (loss - a) * pow(k // p**a, -1, mod)
+        scalars.append((c if k % 2 else -c) % mod)
+    return scalars
 
 
 def _tail_negligible(k: int, t: int, deg: int, target: int) -> bool:
@@ -441,6 +467,24 @@ def nu_zeta(m: int, level: int) -> Fraction:
 _VALUATION_PREC = 32
 
 
+def estimated_log_valuation(m: int, level: int) -> int:
+    """An estimate of t = v_pi(u^(2^s) - 1) for the Whitehead argument u at
+    level >= 2, with k = 2m + 1: (level + v_2(k^2 - 1) - 2) phi + 2.  It
+    equals t at every level 2..11 for every odd k <= 259; it sizes work
+    before the valuation pass (level_log_norm, links.closed_form_cost),
+    and no value depends on it."""
+    return (level + vp(4 * m * (m + 1), 2) - 2) * phi_degree(2, level) + 2
+
+
+def _check_argument(m: int, level: int) -> None:
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if level < 2:
+        raise DegenerateValueError("level 1 roots (+-1) are excluded from the product")
+    if m == 0:
+        raise DegenerateValueError("torsion unit: the argument is zeta^(-1); log is 0")
+
+
 def level_log_valuation(m: int, level: int) -> Tuple[int, int]:
     """(s, t) for the Whitehead argument u at a primitive 2^level-th root:
     s squarings carry u into the log's convergence region, and
@@ -457,20 +501,13 @@ def level_log_valuation(m: int, level: int) -> Tuple[int, int]:
     pi / 2^level, so N / conj(N) = exp(2i arg N) is no 2^level-th root of
     unity, as every root of unity in Q(zeta) is.  The torsion cases, level 1
     (u = -1) and m = 0 (u = zeta^(-1)), raise DegenerateValueError.
+
+    The pass runs on _Slots, one packed integer per element: it is
+    _into_convergence on whitehead_log_argument, which the tests hold it
+    to.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if level < 2:
-        raise DegenerateValueError("level 1 roots (+-1) are excluded from the product")
-    if m == 0:
-        raise DegenerateValueError("torsion unit: the argument is zeta^(-1); log is 0")
-    work = _VALUATION_PREC
-    while True:
-        try:
-            _, s, t = _into_convergence(whitehead_log_argument(m, 2, level, work))
-            return s, t
-        except DegenerateValueError:
-            work *= 2
+    _check_argument(m, level)
+    return _packed_convergence(m, level, _VALUATION_PREC)[2:]
 
 
 def level_log_norm(m: int, level: int, digits: int) -> Tuple[int, int, int]:
@@ -491,21 +528,199 @@ def level_log_norm(m: int, level: int, digits: int) -> Tuple[int, int, int]:
       and the unit part of Nm(x + d) equals that of Nm(x) mod
       2^(Q - ceil((t - e*phi)/phi)).  With Q = P - e that is
       2^(P - ceil(t/phi)) = 2^digits.
+
+    Every step runs on _Slots, and no element is unpacked: the valuation
+    pass starts at the P that estimated_log_valuation predicts (at least
+    _VALUATION_PREC), so its y = u^(2^s) serves the series whenever its
+    precision covers the P that t gives, and only otherwise are the s
+    squarings taken again at P.  The series is _log_series on slots
+    (_packed_log_series), e is divided out by a zero test of the low bits
+    of every slot and one shift, and x goes into the packed tower norm
+    (graeffe_norm) as it is.  The CycloPadic route (whitehead_log_argument,
+    _into_convergence, _log_series, norm_lift) is the oracle the tests hold
+    it to.
     """
-    deg = phi_degree(2, level)
-    s, t = level_log_valuation(m, level)
-    y = whitehead_log_argument(m, 2, level, digits - (-t // deg))
-    for _ in range(s):
-        y = y * y
-    z = _log_series(y, t)
-    shift = t // deg
-    scale = 2**shift
-    if any(c % scale for c in z.coeffs):
+    _check_argument(m, level)
+    n = phi_degree(2, level)
+    guess = digits - (-estimated_log_valuation(m, level) // n)
+    ring, y, s, t = _packed_convergence(m, level, max(_VALUATION_PREC, guess))
+    prec = digits - (-t // n)
+    if ring.prec < prec:
+        ring = _Slots(n, prec)
+        y = _packed_argument(m, level, ring)
+        for _ in range(s):
+            y = ring.mul(y, y)
+    ring, z = _packed_log_series(ring, y, t, prec)
+    shift = t // n
+    if z & repeat_digit((1 << shift) - 1, ring.size, n):
         raise InvariantError(f"log at level {level} is not divisible by 2^{shift}")
-    v, unit = vp_split(CycloPadic(2, level, z.prec - shift, [c // scale for c in z.coeffs]).norm_lift(), 2)
-    if v != t - shift * deg:
-        raise InvariantError(f"norm of log at level {level} has v_2 {v}, not {t - shift * deg}")
-    return s, t - s * deg, unit % 2**digits
+    size = graeffe_bytes(prec - shift, n)
+    v, unit = vp_split(graeffe_norm(_restride(z >> shift, n, ring.size, size), n, size), 2)
+    if v != t - shift * n:
+        raise InvariantError(f"norm of log at level {level} has v_2 {v}, not {t - shift * n}")
+    return s, t - s * n, unit % 2**digits
+
+
+class _Slots:
+    """Z/2^prec [zeta_{2n}], n = phi a power of 2, with each element one
+    integer: its n residues in [0, 2^prec), residue i in the 8*size bits
+    from 8*size*i up (slot i).  The width covers a sum of max(n, count)
+    products of two residues below 2^(w-2), w = 8*size:
+    w >= 2 prec + bit_length(max(n, count)) + 2."""
+
+    __slots__ = ("n", "prec", "size", "bits", "low", "mask", "offset")
+
+    def __init__(self, n: int, prec: int, count: int = 1):
+        self.n, self.prec = n, prec
+        self.size = size = (2 * prec + max(n, count).bit_length() + 9) // 8
+        self.bits = 8 * size * n
+        self.low = (1 << self.bits) - 1
+        self.mask = repeat_digit((1 << prec) - 1, size, n)
+        # 0 mod 2^prec, and above every slot of a product's high half
+        self.offset = repeat_digit(1 << (8 * size - 1), size, n)
+
+    def mul(self, x: int, y: int) -> int:
+        """x y: one product, then fold."""
+        return self.fold(x * y)
+
+    def fold(self, value: int) -> int:
+        """value, 2n slots each below 2^(w-2), reduced mod t^n + 1 (the
+        slots from n up subtracted from those below, over the offset), then
+        each slot mod 2^prec by the mask."""
+        return ((value & self.low) + self.offset - (value >> self.bits)) & self.mask
+
+    def minus_one(self, x: int) -> int:
+        """x - 1, which touches only slot 0."""
+        return x - 1 if x & ((1 << self.prec) - 1) else x + (1 << self.prec) - 1
+
+    def valuation(self, x: int) -> int:
+        """v_pi(x) for x != 0, as pi_valuation reads it: the content 2^c
+        from the lowest bit set in any slot (the slots ORed into one by
+        folding halves), plus the order of t + 1 in the slots' bits c, read
+        as one polynomial over F_2 (the byte holding bit c of each slot,
+        translated to '0' or '1')."""
+        fold, bits = x, self.bits
+        while bits > 8 * self.size:
+            bits //= 2
+            fold = (fold >> bits) | (fold & ((1 << bits) - 1))
+        c = (fold & -fold).bit_length() - 1
+        column = x.to_bytes(self.bits // 8, "little")[c // 8 :: self.size]
+        return c * self.n + _order_at_one_f2(int(column.translate(_BIT_CHARS[c % 8])[::-1], 2))
+
+
+# _BIT_CHARS[i] maps a byte to b"1" when its bit i is set, else to b"0"
+_BIT_CHARS = [bytes(48 + (byte >> i & 1) for byte in range(256)) for i in range(8)]
+
+
+def _order_at_one_f2(g: int) -> int:
+    """_order_at_one at p = 2 for the nonzero polynomial g over F_2 given as
+    an integer, bit i the coefficient of t^i.  Over F_2, (t + 1)^q = t^q + 1
+    for q = 2^i, and at most one division by each is exact, highest q
+    first.  The XOR scan h = sum_{i >= 0} g >> (i q), taken in doubling
+    shifts, holds in its low q bits the remainder of g mod t^q + 1 (the XOR
+    of g's blocks of q bits) and above them the quotient: h + t^q h = t^q g."""
+    order = 0
+    deg = g.bit_length() - 1
+    q = 1 << deg.bit_length() >> 1
+    while q:
+        h, shift = g, q
+        while shift <= deg:
+            h ^= h >> shift
+            shift <<= 1
+        if not h & ((1 << q) - 1):
+            g, deg, order = h >> q, deg - q, order + q
+        q >>= 1
+    return order
+
+
+def _restride(x: int, n: int, old: int, new: int) -> int:
+    """The n slots of x moved from `old` to `new` bytes each, byte column by
+    byte column; every slot must fit both widths."""
+    if old == new:
+        return x
+    source, target = x.to_bytes(n * old, "little"), bytearray(n * new)
+    for i in range(min(old, new)):
+        target[i::new] = source[i::old]
+    return int.from_bytes(target, "little")
+
+
+def _packed_argument(m: int, level: int, ring: _Slots) -> int:
+    """whitehead_log_argument(m, 2, level, ring.prec) on the ring's slots.
+    The sum S = sum_{k<2n} a^(2n-1-k) (-b)^k zeta^k is built over 2n slots
+    by doubling, S_2j = a^j S_j + (-b)^j zeta^j S_j, each step masked; then
+    c^(-1) S is multiplied by (m + 1) + m*zeta (the shift by one slot wraps
+    the top slot to slot 0, as zeta^(2n) = 1) and reduced mod
+    Phi_{2n} = t^n + 1 (_Slots.fold)."""
+    n, prec, size = ring.n, ring.prec, ring.size
+    w, order, mod = 8 * size, 2 * ring.n, 1 << ring.prec
+    a, b = m, m + 1
+    c = (pow(a, order, mod) - pow(-b, order, mod)) % mod
+    full = repeat_digit(mod - 1, size, order)
+    total, span, pa, pb = 1, 1, a % mod, -b % mod
+    while span < order:
+        total = (pa * total + (pb * total << (w * span))) & (full >> (w * (order - 2 * span)))
+        pa, pb, span = pa * pa % mod, pb * pb % mod, 2 * span
+    top = total >> (w * (order - 1))
+    turned = ((total ^ (top << (w * (order - 1)))) << w) | top
+    inverse = pow(c, -1, mod)
+    return ring.fold(((m + 1) * inverse % mod) * total + (m * inverse % mod) * turned)
+
+
+def _packed_convergence(m: int, level: int, prec: int):
+    """(ring, y, s, t): _into_convergence on the Whitehead argument in
+    _Slots at `prec` digits, y = u^(2^s) mod 2^prec; the precision doubles
+    while y - 1 vanishes (level_log_valuation)."""
+    n = phi_degree(2, level)
+    while True:
+        ring = _Slots(n, prec)
+        y = _packed_argument(m, level, ring)
+        s = 0
+        while True:
+            w = ring.minus_one(y)
+            if not w:
+                break
+            t = ring.valuation(w)
+            if t > n:
+                return ring, y, s, t
+            if s == _MAX_SQUARINGS:
+                raise PrecisionExhaustedError("log argument will not enter the convergence region")
+            y = ring.mul(y, y)
+            s += 1
+        prec *= 2
+
+
+def _packed_log_series(ring: _Slots, y: int, t: int, prec: int):
+    """(series ring, z): _log_series of y at `prec` digits on slots, z with
+    slots below 2^prec in the series ring's width.  y's residues may be
+    known past prec.  Each block of Paterson-Stockmeyer is the sum of its
+    scalars, reduced mod 2^work, times the packed baby steps, then one slot
+    mask; the division by 2^L is a zero test of the low L bits of every
+    slot, then one shift."""
+    n = ring.n
+    r, loss = _series_terms(2, n, t, prec)
+    work = prec + loss
+    mod = 1 << work
+    scalars = _series_scalars(2, r, loss, mod)
+    b = math.isqrt(r + 1)
+    series = _Slots(n, work, b)
+    if ring.prec > work:
+        y &= repeat_digit(mod - 1, ring.size, n)
+    w = series.minus_one(_restride(y, n, ring.size, series.size))
+    powers = [1, w]
+    while len(powers) <= b:
+        powers.append(series.mul(powers[-1], w))
+    giant = powers.pop()
+    total = None
+    for start in reversed(range(0, r + 1, b)):
+        block = 0
+        for c, power in zip(scalars[start:start + b], powers):
+            if c:
+                block += c * power
+        block &= series.mask
+        total = block if total is None else (series.mul(total, giant) + block) & series.mask
+    if total & repeat_digit((1 << loss) - 1, series.size, n):
+        raise PrecisionExhaustedError("inexact division in cyclotomic log series")
+    return series, total >> loss
 
 
 def evaluate_at_unity(f: MultiPoly, p: int, level: int, exps, prec: int) -> CycloPadic:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
-from .cyclo import level_log_norm, level_log_valuation, phi_degree
+from .cyclo import estimated_log_valuation, level_log_norm, level_log_valuation, phi_degree
 from .errors import OracleMismatchError, PolyParseError
 from .limits import LimitEstimate, _diagonal, _window, window_requests
 from .multipoly import MultiPoly
@@ -359,26 +359,25 @@ def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
     before doing any: only the p = 2 product for odd k >= 3 costs.
 
     Level L runs its log series once, at P = K + 14 + ceil(t/phi) digits
-    (level_log_norm).  The estimate takes t = (L + v_2(k^2 - 1) - 2) phi + 2,
-    which held at every level 2..9 for every odd k <= 259, and counts
+    (level_log_norm), with t from estimated_log_valuation, and counts
     L squarings, 2 sqrt(r) series products for r = phi P / t terms and
-    8 more, each of phi = 2^(L-1) coefficients of P bits: 20 units per
-    coefficient (packing, unpacking and reducing them in Python dominates
-    at these small P) plus W^1.585 / 150 for W = phi * (2P + 16) / 64
-    words.  Fitted to whitehead_closed_form(k, 2, 4, L) for k = 3 and 31 on
-    a 2-core host: the estimate is 0.95-1.25 times the measured time at
-    every L from 10 to 17 (0.06 s to 14 s), and the default budget admits
-    L = 19 and refuses L = 20."""
+    8 more, each of phi = 2^(L-1) coefficients of P bits: 5 units per
+    coefficient (the per-slot work of the packed route's masks, folds and
+    byte columns) plus W^1.585 / 150 for W = phi * (2P + 16) / 64 words.
+    Fitted to whitehead_closed_form(k, 2, 4, L) for k = 3 and 31 on a
+    2-core host, in two sets of timings: the estimate is 1.0-3.9 times the
+    measured time at every L from 10 to 17 (0.005 s to 5.4 s), and the
+    default budget admits L = 20 and refuses L = 21."""
     if p != 2 or k % 2 == 0 or k < 3:
         return 0.0
     total = 0.0
     try:
         for level in range(2, truncation_level + 1):
             phi = 2 ** (level - 1)
-            t = (level + vp(k * k - 1, 2) - 2) * phi + 2
+            t = estimated_log_valuation((k - 1) // 2, level)
             work = K + 14 - (-t // phi)
             words = phi * (2 * work + 16) / 64
-            total += (level + 2 * math.sqrt(phi * work / t) + 8) * (words**1.585 / 150 + 20 * phi)
+            total += (level + 2 * math.sqrt(phi * work / t) + 8) * (words**1.585 / 150 + 5 * phi)
     except OverflowError:  # levels past the float range
         return math.inf
     return total

@@ -13,11 +13,15 @@
   unpacked; the odd-p tower norm and CycloPadic share it.
 * cyclotomic_norm: the norm of g(zeta_{p^j}) that every step above takes,
   down the cyclotomic tower one level at a time, or by a closed form when g
-  is linear; CycloPadic.norm_lift shares it.  At p = 2 a level is the
-  Dandelin-Graeffe root-squaring step x(t) x(-t) = E(s)^2 - s O(s)^2,
-  s = t^2: the even and odd parts are packed once, squared, and folded mod
-  s^h + 1 on the packed integer (the even/odd split of Harvey's multipoint
-  Kronecker substitution).  At odd p a level is the product of the p
+  is linear; CycloPadic.norm_lift shares it.  At p = 2 the whole tower runs
+  on one packed integer (graeffe_norm), which the 2-adic Whitehead log
+  norms enter directly: a level is the Dandelin-Graeffe root-squaring step
+  x(t) x(-t) = E(s)^2 - s O(s)^2, s = t^2, with E and O cut from the
+  packed x by a digit bias and an even-digit mask, squared, and folded mod
+  s^h + 1 (the even/odd split of Harvey's multipoint Kronecker
+  substitution); the digit width doubles per level, from a first width
+  that covers the whole tower, and large levels re-measure their digits
+  and pack them tighter.  At odd p a level is the product of the p
   conjugates of x (p - 1 at level 1) by Itoh and Tsujii's addition chain,
   about log2(p) products by mul_mod_phi, whose last product is taken only
   on the fixed subring Z[zeta^p]: the factors are split by exponent mod p,
@@ -82,9 +86,10 @@ def resultant_phi_int(p: int, j: int, g: UniPoly) -> int:
 def cyclotomic_norm(p: int, j: int, coeffs) -> int:
     """N(g(zeta)) from Q(zeta_{p^j}) to Q, g given by integer coefficients;
     equals Res(Phi_{p^j}, g), since Phi_{p^j} is monic.  Any g goes down the
-    tower (_tower_norm), except that g = a + b*t mod Phi_{p^j} takes the
-    closed form N(a + b*zeta) = (-1)^n sum_{i<p} (-a)^(i*q) b^(n-i*q), with
-    n = phi(p^j) and q = p^(j-1), in about 2p big-int products (_linear_norm).
+    tower (_tower_norm; at p = 2 packed once, graeffe_norm), except that
+    g = a + b*t mod Phi_{p^j} takes the closed form N(a + b*zeta) =
+    (-1)^n sum_{i<p} (-a)^(i*q) b^(n-i*q), with n = phi(p^j) and
+    q = p^(j-1), in about 2p big-int products (_linear_norm).
     """
     if not j:
         return sum(coeffs)
@@ -107,14 +112,13 @@ def cyclotomic_norm(p: int, j: int, coeffs) -> int:
 
 def _tower_norm(p: int, j: int, x) -> int:
     """N(x(zeta_{p^j})), x reduced mod Phi_{p^j}, one level at a time: at
-    p = 2 by root-squaring steps (_graeffe_step); at odd p by _level_norm.
+    p = 2 on one packed integer (graeffe_norm); at odd p by _level_norm.
     Each odd level is checked: every conjugate of x is x(1) mod pi, so the
     norm y to level j-1 has y(1) = x(1) mod p, and the norm to Q is an
     integer."""
     if p == 2:
-        for _ in range(j - 1):
-            x = _graeffe_step(x)
-        return x[0]
+        size = graeffe_bytes(max(map(abs, x)).bit_length(), len(x))
+        return graeffe_norm(_pack(x, size, 1 << (8 * size - 1)), len(x), size)
     for level in range(j, 1, -1):
         y = _level_norm(p, level, x)
         if (sum(y) - sum(x)) % p:
@@ -124,6 +128,66 @@ def _tower_norm(p: int, j: int, x) -> int:
     if any(y[1:]):
         raise InvariantError("norm from level 1 is not an integer")
     return y[0]
+
+
+def graeffe_bytes(bits: int, n: int) -> int:
+    """Bytes per digit at the top of graeffe_norm's tower for n digits of at
+    most `bits` bits.  A level's digits are at most M' = 2 n M^2 for digits
+    at most M over n of them, before and after its fold, and the width
+    doubles per level, so the first width is the largest
+    (bit_length(M_i) + 1) / 2^i down the tower."""
+    width, i = bits + 1, 0
+    while n > 1:
+        bits = 2 * bits + n.bit_length()
+        n //= 2
+        i += 1
+        width = max(width, -(-(bits + 1) >> i))
+    return -(-width // 8)
+
+
+def graeffe_norm(value: int, n: int, size: int) -> int:
+    """N(x(zeta_{2n})) to Q, n a power of 2, for x given by its n balanced
+    digits of 8*size bits packed in `value`, size >= graeffe_bytes of their
+    bit length.  A level is the Dandelin-Graeffe root-squaring step: with
+    x(t) = E(t^2) + t O(t^2), the norm to Z[zeta_n] is x(t) x(-t) =
+    E(s)^2 - s O(s)^2 in s = t^2, reduced mod s^h + 1, h = n/2.  The bias
+    and an even-digit mask give E(B^2), B = 2^(8*size), the same mask on
+    the biased value shifted down one digit gives O(B^2), and after the
+    squarings one split folds the digits from h up onto those below: h
+    digits of twice the width, so the value never leaves the packed
+    integer.  Where the squarings outweigh one pass over the digits
+    (_remeasure), the digits are unpacked and packed again at the width
+    their largest one needs, which drops the first width's spare bits.
+    The last level's integer is the norm, checked against x(1) mod 2:
+    every conjugate of x is x(1) mod pi."""
+    parity = ((value + _bias(n, size)) & repeat_digit(1, size, n)).bit_count() & 1
+    while n > 1:
+        h, w = n // 2, 8 * size
+        even = repeat_digit((1 << w) - 1, 2 * size, h)
+        half = repeat_digit(1 << (w - 1), 2 * size, h)
+        biased = value + half + (half << w)
+        e, o = (biased & even) - half, ((biased >> w) & even) - half
+        low, high = _split(e * e - (o * o << (2 * w)), 2 * w * h)
+        value, n, size = low - high, h, 2 * size
+        if n > 1 and _remeasure(n, size):
+            digits = _unpack(value, n, size)
+            tight = graeffe_bytes(max(map(abs, digits)).bit_length(), n)
+            if tight < size:
+                size = tight
+                value = _pack(digits, size, 1 << (8 * size - 1))
+    if (value ^ parity) & 1:
+        raise InvariantError("norm from the 2-power tower is not x(1) mod 2")
+    return value
+
+
+def _remeasure(n: int, size: int) -> bool:
+    """Whether a level of graeffe_norm re-measures its n digits of 8*size
+    bits: when the share of its two squarings (n*size/8 words each, at
+    about 24 ns per Karatsuba unit) that the bound's bit_length(n) spare
+    bits per digit take outweighs one unpack and pack (about 0.8 us per
+    digit).  The gain is in the first width's slack, which lasts down the
+    tower, so it pays at many small digits and never at few wide ones."""
+    return (n * size / 8) ** 1.585 * n.bit_length() > 160 * n * size
 
 
 def _level_norm(p: int, j: int, x) -> list:
@@ -181,22 +245,6 @@ def _fixed_product(y, z, p: int, j: int) -> list:
     zs = [_pack(z[r::p], size, half) for r in range(p)]
     value = ys[0] * zs[0] + (sum(ys[r] * zs[p - r] for r in range(1, p)) << (8 * size))
     return _fold(value, p, j - 1, size)
-
-
-def _graeffe_step(x) -> list:
-    """The norm from Z[zeta_{2^j}] to Z[zeta_{2^(j-1)}], j >= 2, of x given
-    by its n = 2^(j-1) coefficients.  With x(t) = E(t^2) + t O(t^2), it is
-    x(t) x(-t) = E(s)^2 - s O(s)^2 in s = t^2, reduced mod s^h + 1, h = n/2:
-    E and O are packed once and squared, and the packed value is split at
-    digit h, the low part minus the high part.  Every digit on the way is at
-    most 2 n max|x|^2, which the width covers."""
-    h = len(x) // 2
-    top = max(map(abs, x))
-    size = _digit_bytes(2 * len(x) * top * top)
-    half = 1 << (8 * size - 1)
-    even, odd = _pack(x[0::2], size, half), _pack(x[1::2], size, half)
-    low, high = _split(even * even - (odd * odd << (8 * size)), 8 * size * h)
-    return _unpack(low - high, h, size)
 
 
 def _linear_norm(p: int, j: int, a: int, b: int) -> int:
@@ -295,7 +343,13 @@ def _pack(coeffs, size: int, half: int) -> int:
 
 def _bias(n: int, size: int) -> int:
     """sum_{i<n} 2^(w-1) * 2^(w*i), w = 8*size: the offset of n digits."""
-    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    return repeat_digit(1 << (8 * size - 1), size, n)
+
+
+def repeat_digit(digit: int, size: int, n: int) -> int:
+    """sum_{i<n} digit * 2^(w*i), w = 8*size, for 0 <= digit < 2^w: n equal
+    packed digits, as masks and offsets."""
+    return int.from_bytes(digit.to_bytes(size, "little") * n, "little")
 
 
 def _unpack(value: int, n: int, size: int) -> list:

@@ -105,11 +105,11 @@ def test_whitehead_level_budget_refuses_before_any_work(capsys, monkeypatch):
 
     monkeypatch.setattr(links, "level_log_norm", no_work)
     monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
-    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "20")
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "21")
     assert code == 3 and "budget" in err and not out
     # PADIC_RES_BUDGET lifts the refusal: the first log norm then starts
     monkeypatch.setenv("PADIC_RES_BUDGET", str(10**11))
-    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "20")
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "21")
     assert code == 1 and "a log norm started" in err
 
 

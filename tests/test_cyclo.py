@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -439,6 +440,92 @@ def test_level_log_valuation_past_the_first_precision():
     for level in (2, 3):
         assert level_log_valuation(m, level) == _into_convergence(whitehead_log_argument(m, 2, level, 400))[1:]
         assert level_log_valuation(m, level)[1] > 32 * phi_degree(2, level)
+
+
+def _cyclo_route(m, level, digits):
+    """level_log_norm on CycloPadic, the oracle of the packed route: s and t
+    from the squaring loop at 32 digits (doubled while y - 1 vanishes),
+    the argument again at P = digits + ceil(t/phi), s squarings,
+    _log_series, the division by 2^(t // phi) and norm_lift."""
+    work = 32
+    while True:
+        try:
+            _, s, t = _into_convergence(whitehead_log_argument(m, 2, level, work))
+            break
+        except DegenerateValueError:
+            work *= 2
+    deg = phi_degree(2, level)
+    y = whitehead_log_argument(m, 2, level, digits - (-t // deg))
+    for _ in range(s):
+        y = y * y
+    z = _log_series(y, t)
+    shift = t // deg
+    assert not any(c % 2**shift for c in z.coeffs)
+    v, unit = vp_split(CycloPadic(2, level, z.prec - shift, [c >> shift for c in z.coeffs]).norm_lift(), 2)
+    assert v == t - shift * deg
+    return s, t - s * deg, unit % 2**digits
+
+
+def test_packed_log_norms_against_the_cyclo_route():
+    # the level-2, F = 20 cell is where scalars not reduced mod 2^work
+    # would spoil the top digit; k = 2^50 + 1 doubles the pass's first
+    # precision at levels 2 and 3
+    cases = [(m, level) for m in range(1, 32) for level in range(2, 9)] + [(2**49, 2), (2**49, 3)]
+    for m, level in cases:
+        for digits in (18, 20, 24):
+            expected = _cyclo_route(m, level, digits)
+            assert level_log_norm(m, level, digits) == expected, (2 * m + 1, level, digits)
+        s, nu, _ = expected
+        assert level_log_valuation(m, level) == (s, nu + s * phi_degree(2, level)), (2 * m + 1, level)
+
+
+def test_packed_log_norms_square_once(monkeypatch):
+    # the valuation pass starts at a precision that covers the series' P,
+    # so each level squares s times, and builds the argument once
+    from padicres import cyclo
+
+    mul, build = cyclo._Slots.mul, cyclo._packed_argument
+    counts = {"squarings": 0, "arguments": 0}
+
+    def counting_mul(self, x, y):
+        if x is y and sys._getframe(1).f_code.co_name != "_packed_log_series":
+            counts["squarings"] += 1
+        return mul(self, x, y)
+
+    def counting_build(*args):
+        counts["arguments"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(cyclo._Slots, "mul", counting_mul)
+    monkeypatch.setattr(cyclo, "_packed_argument", counting_build)
+    for k in (3, 25, 31):
+        for level in range(2, 11):
+            for digits in (18, 20):
+                counts.update(squarings=0, arguments=0)
+                got = level_log_norm((k - 1) // 2, level, digits)
+                assert counts == {"squarings": got[0], "arguments": 1}, (k, level, digits)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cyclo._Slots, "mul", mul)
+                    assert got == _cyclo_route((k - 1) // 2, level, digits), (k, level, digits)
+
+
+def test_packed_log_norms_refuse_what_the_cyclo_route_refuses(monkeypatch):
+    from padicres import cyclo
+
+    for fn in (level_log_valuation, lambda m, level: level_log_norm(m, level, 18)):
+        for m, level in [(1, 1), (5, 1), (0, 2), (0, 6)]:
+            with pytest.raises(DegenerateValueError):
+                fn(m, level)
+        with pytest.raises(ValueError):
+            fn(-1, 3)
+    # the squaring cap: m = 1 needs s = level squarings
+    monkeypatch.setattr(cyclo, "_MAX_SQUARINGS", 2)
+    with pytest.raises(PrecisionExhaustedError):
+        _into_convergence(whitehead_log_argument(1, 2, 3, 32))
+    for fn in (level_log_valuation, lambda m, level: level_log_norm(m, level, 18)):
+        with pytest.raises(PrecisionExhaustedError):
+            fn(1, 3)
+        assert fn(1, 2)[0] == 2
 
 
 def test_whitehead_log_argument_is_unit():

@@ -370,9 +370,9 @@ def test_negative_masked_values_absolute_order():
     assert est.nonp_value.residue(4) == nonp_part(abs(deep), 2) % 2**4
 
 
-def test_closed_form_budget_admits_level_nineteen_and_refuses_twenty():
-    # whitehead -K 4: --lmax 17 runs in about 14 s on a 2-core host for
-    # k = 3 and 31 alike, each level about 2.5 times the one before;
-    # --lmax 20 is refused at the default budget
+def test_closed_form_budget_admits_level_twenty_and_refuses_twenty_one():
+    # whitehead -K 4: --lmax 17 runs in about 5 s on a 2-core host for
+    # k = 3 and 31 alike, each level about 2.8 times the one before;
+    # --lmax 21 is refused at the default budget
     for k in (3, 31):
-        assert closed_form_cost(k, 2, 4, 19) < COST_BUDGET_DEFAULT < closed_form_cost(k, 2, 4, 20)
+        assert closed_form_cost(k, 2, 4, 20) < COST_BUDGET_DEFAULT < closed_form_cost(k, 2, 4, 21)

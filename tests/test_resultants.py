@@ -401,6 +401,50 @@ def test_graeffe_route_against_prs_and_the_conjugate_product():
             assert resultants._linear_norm(2, j, a, b) == resultants._tower_norm(2, j, x), (j, a, b)
 
 
+def test_packed_tower_against_prs():
+    # graeffe_norm through cyclotomic_norm: random g of 1 to 3,000 bits,
+    # digits at the edge of a byte width, and inputs sharing a power of two
+    # (cyclotomic_norm's shift), against the PRS where it stays fast and
+    # the literal conjugate product where that does
+    rng = random.Random(47)
+    for j in range(2, 10):
+        phi = cyclotomic(2, j)
+        n = phi.degree()
+        for bits in (1, 20, 200, 3000):
+            if n * bits > 2**17:
+                continue
+            g = UniPoly([rng.randint(-(2**bits), 2**bits) for _ in range(n)])
+            edge = UniPoly([rng.choice((-1, 1)) * (2 ** (8 * (bits // 8 + 1) - 1) - 1) for _ in range(n)])
+            for h in (g, edge, g * UniPoly((2 ** rng.randint(1, 9),)), edge * UniPoly((0, 4))):
+                value = resultant_phi_int(2, j, h)
+                if n * n * max(map(abs, h.coeffs)).bit_length() <= 2**17:
+                    assert value == resultant_prs(phi, h), (j, bits)
+                else:
+                    assert value == conjugate_product_norm(2, j, resultants.reduce_mod_phi(h.coeffs, 2, j)), (j, bits)
+
+
+def test_packed_tower_repacks_at_large_levels(monkeypatch):
+    # from j = 14 on, 20-bit digits make the size rule re-measure the
+    # digits and pack them tighter; the norm is multiplicative, and equals
+    # the tower that keeps its first width
+    rng = random.Random(48)
+    j, n = 14, 2**13
+    x = [rng.randint(-(2**20), 2**20) for _ in range(n)]
+    y = [rng.randint(-(2**20), 2**20) for _ in range(n)]
+    remeasure, repacked = resultants._remeasure, []
+
+    def counting(n, size):
+        repacked.append(remeasure(n, size))
+        return repacked[-1]
+
+    monkeypatch.setattr(resultants, "_remeasure", counting)
+    nx, ny = resultants._tower_norm(2, j, x), resultants._tower_norm(2, j, y)
+    assert any(repacked)
+    assert nx * ny == resultants._tower_norm(2, j, resultants.mul_mod_phi(x, y, 2, j))
+    monkeypatch.setattr(resultants, "_remeasure", lambda n, size: False)
+    assert resultants._tower_norm(2, j, x) == nx
+
+
 def test_cyclic_example_full_mask():
     req = CyclicResultantRequest.full(parse_poly("t1*t2 - 2", 2), 2, (1, 1))
     assert cyclic_resultant(req) == 9
