@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: test acceptance reproduce-paper regen-expected check bench
+.PHONY: test acceptance reproduce-paper regen-expected check bench bench-pairs
 
 test:
 	$(PYTHON) -m pytest -q
@@ -28,6 +28,17 @@ bench:
 	for w in res-large windows whitehead-2adic; do \
 		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
 	done
+
+# Alternating pairs of 20 s untraced runs of one workload between two
+# revisions, each exported by git archive (default: the parent commit
+# against HEAD); prints medians, quartiles and the lower-in count per metric.
+REV_A ?= HEAD~1
+REV_B ?= HEAD
+WORKLOAD ?= whitehead-2adic
+PAIRS ?= 10
+
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py $(REV_A) $(REV_B) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 regen-expected:
 	$(PYTHON) scripts/reproduce_paper.py > expected/reproduce_paper.txt

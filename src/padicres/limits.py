@@ -9,7 +9,8 @@ instead of taking them on faith, and reports how many digits are certified.
 Level k is the product of one cyclotomic factor per index tuple with every
 index <= k, so level k shares every factor of level k - 1: the window walks
 the tuples of level K once, computing each factor once, and takes the
-levels as prefix products.
+levels as prefix products.  Its budget, the cost estimates of levels 1..K
+summed, walks the same tuples once too (window_cost).
 
 The zero/nonzero dichotomy is decided by f(1,...,1) mod p: every masked
 factor f(zeta_1,...,zeta_d) has the same residue as f(1,...,1) in the
@@ -42,9 +43,10 @@ from .resultants import (
     check_budget,
     cost_estimate,
     cyclic_resultant,
+    masks_cost,
     resultant_phi_int,
 )
-from .unipoly import UniPoly
+from .unipoly import UniPoly, is_prime
 
 
 def zero_limit_predicate(f: MultiPoly, p: int) -> bool:
@@ -60,9 +62,22 @@ def _request(f: MultiPoly, p: int, levels, mask: str) -> CyclicResultantRequest:
     raise ValueError(f"mask must be 'r' or 'rprime', got {mask!r}")
 
 
-def window_requests(f: MultiPoly, p: int, K: int, mask: str) -> list:
-    """The requests of the diagonal window, levels (1,...,1) to (K,...,K)."""
-    return [_request(f, p, (k,) * f.num_vars, mask) for k in range(1, K + 1)]
+def _window_masks(p: int, K: int, d: int, mask: str):
+    """The masks of the diagonal level (K,...,K) in d variables: 0..K for
+    'r', 1..K for 'rprime'; level k's masks are these cut at k."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if mask not in ("r", "rprime"):
+        raise ValueError(f"mask must be 'r' or 'rprime', got {mask!r}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return (range(mask == "rprime", K + 1),) * d
+
+
+def window_cost(f: MultiPoly, p: int, K: int, mask: str) -> float:
+    """cost_estimate summed over the window's levels (1,...,1) to (K,...,K),
+    in one weighted walk of level K's index tuples (masks_cost)."""
+    return masks_cost(f, p, _window_masks(p, K, f.num_vars, mask), K)
 
 
 @dataclass(frozen=True)
@@ -88,16 +103,14 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
     resultant that vanishes identically is a distinguished degenerate
     outcome: the whole tail is exactly 0, and so is its non-p part.  The
     window is refused before any work when its levels' cost estimates sum
-    past cost_budget().
+    past cost_budget() (window_cost).
     """
-    check_budget(sum(map(cost_estimate, window_requests(f, p, K, mask))))
+    check_budget(window_cost(f, p, K, mask))
     return _window(f, p, K, mask)
 
 
 def _window(f: MultiPoly, p: int, K: int, mask: str) -> LimitEstimate:
     """limit_estimate without its budget check."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
     d = f.num_vars
     diag = _diagonal(f, p, K, mask)
     if any(v == 0 for v in diag):
@@ -154,7 +167,7 @@ def _diagonal(f: MultiPoly, p: int, K: int, mask: str) -> list:
     acc[k] collects the factors whose largest index is k (index 0 joins
     level 1), and the levels are the prefix products of acc."""
     acc = [1] * (K + 1)
-    for index, factor in _factors(f, p, _request(f, p, (K,) * f.num_vars, mask).factor_mask):
+    for index, factor in _factors(f, p, _window_masks(p, K, f.num_vars, mask)):
         acc[max((1, *index))] *= factor
     return list(itertools.accumulate(acc[1:], operator.mul))
 

@@ -29,12 +29,12 @@ from typing import Dict, FrozenSet, Tuple
 
 from .cyclo import estimated_log_valuation, level_log_norm, level_log_valuation, phi_degree
 from .errors import OracleMismatchError, PolyParseError
-from .limits import LimitEstimate, _diagonal, _window, window_requests
+from .limits import LimitEstimate, _diagonal, _window, window_cost
 from .multipoly import MultiPoly
 from .oracles import modular_root_product
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
 from .parsing import parse_poly
-from .resultants import CyclicResultantRequest, check_budget, cost_estimate, cyclic_resultant
+from .resultants import CyclicResultantRequest, check_budget, cyclic_resultant
 from .unipoly import cyclotomic, is_prime
 
 
@@ -252,8 +252,9 @@ def h1_order(link: LinkSpec, cov: CoveringSpec) -> H1Result:
 
 
 def nonp_limit_cost(link: LinkSpec, p: int, K: int) -> float:
-    """cost_estimate summed over every level of every sublink's window."""
-    return sum(cost_estimate(req) for s in link.subsets() for req in window_requests(link.alexander(s), p, K, "rprime"))
+    """cost_estimate summed over every level of every sublink's window, one
+    weighted walk per sublink (limits.window_cost)."""
+    return sum(window_cost(link.alexander(s), p, K, "rprime") for s in link.subsets())
 
 
 def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:

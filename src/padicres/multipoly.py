@@ -67,6 +67,17 @@ class MultiPoly:
         return cls(num_vars, {(0,) * num_vars: int(value)})
 
     @classmethod
+    def _of_terms(cls, num_vars: int, terms: Dict[Exponent, int]) -> "MultiPoly":
+        """A polynomial that owns `terms` as given, without the checks of
+        __init__: the caller builds exponent tuples of length num_vars and
+        nonzero int coefficients."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "num_vars", num_vars)
+        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
+
+    @classmethod
     def one(cls, num_vars: int) -> "MultiPoly":
         return cls.const(num_vars, 1)
 

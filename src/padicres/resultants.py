@@ -1,12 +1,13 @@
 """Exact resultants and iterated p-power cyclic resultants: the engine.
 
 * cyclic_resultant: r_{n1..nd}(f) and its masked variants.  Each variable
-  is eliminated against one cyclotomic factor Phi_{p^j} at a time
+  but t_1 is eliminated against one cyclotomic factor Phi_{p^j} at a time
   (phi_resultant_last_var: the norm of f(t', zeta_{p^j}), with the remaining
-  variables t' Kronecker-packed into one integer), and the factors multiply
-  back together by resultant multiplicativity (_factors, which a limit
-  window also walks).
-* resultant_phi_int: the final univariate Res(Phi_{p^j}, g).
+  variables t' Kronecker-packed into one integer), what is left in t_1 is
+  one coefficient list, and the factors multiply back together by resultant
+  multiplicativity (_factors, which a limit window also walks).
+* resultant_phi_int: the final univariate Res(Phi_{p^j}, g), one per
+  factor.
 * mul_mod_phi: the one product of Z[zeta_{p^j}], by Kronecker substitution,
   reduced mod t^(p^j) - 1 and mod Phi_{p^j} on the packed integer itself (a
   fold of its top digits onto those below), so only phi(p^j) digits are
@@ -42,7 +43,9 @@ a task whose estimate exceeds cost_budget() (10^9 units of about 0.15 us,
 or the positive integer in the PADIC_RES_BUDGET environment variable).
 cyclic_resultant checks its request's cost_estimate, a limit window the sum
 over its levels, and `whitehead` adds the closed form's log norms to its
-window; the literal baseline has its own degree budget.
+window; the literal baseline has its own degree budget.  A window's sum
+takes one walk of its top level's index tuples, as the window itself does
+(masks_cost): each term counts once for every level that contains it.
 """
 
 from __future__ import annotations
@@ -378,21 +381,21 @@ def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
     d = f.num_vars
     if d == 0:
         raise ValueError("no variable to eliminate")
+    if d == 1:
+        return MultiPoly.const(0, resultant_phi_int(p, j, _univariate(f)))
     if f.is_zero:
         return MultiPoly.zero(d - 1)
     terms = f.term_dict()
-    if d == 1:
-        g = UniPoly([terms.get((k,), 0) for k in range(f.degree_in(1) + 1)])
-        return MultiPoly.const(0, resultant_phi_int(p, j, g))
+    degrees = [max(column) for column in zip(*terms)]
     n = phi_degree(p, j)
-    bounds = [n * f.degree_in(i + 1) + 1 for i in range(d - 1)]
+    bounds = [n * e + 1 for e in degrees[:-1]]
     strides = [math.prod(bounds[:i]) for i in range(d)]
     size = _digit_size(f, n)
     places = {exp: size * sum(e * s for e, s in zip(exp[:-1], strides)) for exp in terms}
     # one digit array per t_d-coefficient, split by sign so no digit carries,
     # up to the highest occupied digit
     length = max(places.values()) + size
-    digits = [[bytearray(length), bytearray(length)] for _ in range(f.degree_in(d) + 1)]
+    digits = [[bytearray(length), bytearray(length)] for _ in range(degrees[-1] + 1)]
     for exp, c in terms.items():
         at = places[exp]
         digits[exp[-1]][c < 0][at : at + size] = abs(c).to_bytes(size, "little")
@@ -403,15 +406,29 @@ def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
     low = ((value & -value).bit_length() - 1) // w if value else 0
     high = min(strides[-1], value.bit_length() // w + 2)
     values = _unpack(value >> (w * low), high - low, size)
-    result = {}
-    for at, c in enumerate(values, low):
-        if c:
-            exp = []
-            for bound in bounds:
-                at, e = divmod(at, bound)
-                exp.append(e)
-            result[tuple(exp)] = c
-    return MultiPoly(d - 1, result)
+    # the digits are the result's terms: its exponents lie below the bounds
+    # and only nonzero digits are kept, so the result skips __init__'s checks
+    if d == 2:
+        result = {(at,): c for at, c in enumerate(values, low) if c}
+    else:
+        result = {}
+        for at, c in enumerate(values, low):
+            if c:
+                exp = []
+                for bound in bounds:
+                    at, e = divmod(at, bound)
+                    exp.append(e)
+                result[tuple(exp)] = c
+    return MultiPoly._of_terms(d - 1, result)
+
+
+def _univariate(f: MultiPoly) -> UniPoly:
+    """f in one variable as its coefficient list."""
+    terms = f.term_dict()
+    coeffs = [0] * (max((e for e, in terms), default=-1) + 1)
+    for (e,), c in terms.items():
+        coeffs[e] = c
+    return UniPoly(coeffs)
 
 
 def _digit_size(f: MultiPoly, n: int) -> int:
@@ -473,33 +490,42 @@ class CyclicResultantRequest:
 
 def _factors(f: MultiPoly, p: int, masks):
     """(index tuple, factor) for every tuple (j_1, ..., j_d) the masks
-    select: the product of f over its primitive p^(j_i)-th roots.  The last
-    variable is eliminated once per index in its mask, and each result
-    recurses on the other masks, so each elimination runs once per index
-    prefix.  An elimination that vanishes yields (its trailing indices, 0)
-    once for its whole subtree.  Its key, the largest of those indices and
-    1, is the first diagonal level the subtree reaches, so every diagonal
-    value from there on is 0, and the walk yields no tuple with a key as
-    large after it."""
+    select: the product of f over its primitive p^(j_i)-th roots.  Each
+    variable but t_1 is eliminated once per index in its mask
+    (phi_resultant_last_var), and each result recurses on the other masks,
+    so each elimination runs once per index prefix.  What is left in t_1
+    becomes one coefficient list, and each factor is then one final norm
+    (resultant_phi_int).  A factor that vanishes, an elimination or a final
+    norm, yields (its trailing indices, 0) once for its whole subtree.  Its
+    key, the largest of those indices and 1, is the first diagonal level
+    the subtree reaches, so every diagonal value from there on is 0, and
+    the walk yields no tuple with a key as large after it."""
     bound = math.inf
 
-    def walk(g: MultiPoly, masks, index: Tuple[int, ...], top: int):
-        # top is the key of index
+    def walk(g, masks, index: Tuple[int, ...], top: int):
+        # g is a UniPoly when one mask is left, else a MultiPoly; top is the
+        # key of index
         nonlocal bound
         for j in sorted(masks[-1]):
             key = max(top, j)
             if key >= bound:
                 return
+            if len(masks) == 1:
+                value = resultant_phi_int(p, j, g)
+                if not value:
+                    bound = key
+                yield (j,) + index, value
+                continue
             h = phi_resultant_last_var(g, p, j)
             if h.is_zero:
                 bound = key
                 yield (j,) + index, 0
-            elif len(masks) == 1:
-                yield (j,) + index, h.constant_value()
             else:
-                yield from walk(h, masks[:-1], (j,) + index, key)
+                yield from walk(_univariate(h) if len(masks) == 2 else h, masks[:-1], (j,) + index, key)
 
-    return walk(f, masks, (), 1) if masks else iter([((), f.constant_value())])
+    if not masks:
+        return iter([((), f.constant_value())])
+    return walk(_univariate(f) if len(masks) == 1 else f, masks, (), 1)
 
 
 def cost_estimate(req: CyclicResultantRequest) -> float:
@@ -512,32 +538,44 @@ def cost_estimate(req: CyclicResultantRequest) -> float:
     half the units, or one product if f is linear in the eliminated variable
     mod Phi.  The final norm touches p^j coefficients and takes the norm of
     n * bits / 64 words, or one product of that size if g is linear
-    (cyclotomic_norm's closed form).
+    (cyclotomic_norm's closed form).  The terms follow _factors' walk of the
+    masks' index tuples (_cost); masks_cost also sums them over a window.
     """
-    f = req.f
+    return masks_cost(req.f, req.p, req.factor_mask)
+
+
+def masks_cost(f: MultiPoly, p: int, masks, window: int = 0) -> float:
+    """cost_estimate of f's resultant over the masks, or, with window = K,
+    masks those of the diagonal level (K,...,K), the sum of cost_estimate
+    over the levels (1,...,1) to (K,...,K), in one walk of level K's index
+    tuples: an elimination or final norm whose indices so far have key k
+    (the largest of them and 1, as in _factors) belongs to levels k to K,
+    so its cost counts K - k + 1 times."""
     degrees = [f.degree_in(i + 1) for i in range(f.num_vars)]
     bits = math.log2(max(2, sum(abs(c) for _, c in f.terms())))
     try:
-        return _cost(degrees, bits, req.p, req.factor_mask)
+        return _cost(degrees, bits, p, masks, window, 1)
     except OverflowError:  # levels past the float range
         return math.inf
 
 
-def _cost(degrees, bits: float, p: int, masks) -> float:
+def _cost(degrees, bits: float, p: int, masks, window: int, top: int) -> float:
     total = 0.0
     for j in masks[-1]:
+        key = max(top, j)
+        weight = window - key + 1 if window else 1
         n = phi_degree(p, j)
         if len(masks) == 1:
             words = n * bits / 64
             norm = _norm_cost(p, j, words) if min(degrees[0], n - 1) > 1 else words**1.585
-            total += max(degrees[0] + 1, p**j) + norm
+            total += weight * (max(degrees[0] + 1, p**j) + norm)
             continue
         rest = [n * d for d in degrees[:-1]]
         digits = math.prod(d + 1 for d in rest)
         words = digits * (n * bits / 64 + 1)
         norm = _norm_cost(p, j, words) if min(degrees[-1], n - 1) > 1 else words**1.585
         pack = 10 * math.prod(d + 1 for d in degrees) + digits
-        total += pack + norm / 2 + _cost(rest, n * bits, p, masks[:-1])
+        total += weight * (pack + norm / 2) + _cost(rest, n * bits, p, masks[:-1], window, key)
     return total
 
 

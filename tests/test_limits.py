@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,20 +8,27 @@ from padicres.errors import VanishingResultantError, WindowTooShortError
 from padicres import resultants
 from padicres.limits import (
     _diagonal,
+    _request,
     closed_form_limit,
     iwasawa_fit,
     lambda_mu_structural,
     limit_estimate,
     order_invariance_check,
     sign_of,
-    window_requests,
+    window_cost,
     zero_limit_predicate,
 )
 from padicres.multipoly import MultiPoly, random_multipoly
+from padicres.oracles import modular_root_product
 from padicres.padic import PadicApprox, nonp_part, teichmuller, vp
 from padicres.parsing import parse_poly
-from padicres.resultants import CyclicResultantRequest, cyclic_resultant
+from padicres.resultants import CyclicResultantRequest, cost_estimate, cyclic_resultant
 from padicres.unipoly import UniPoly
+
+
+def window_requests(f, p, K, mask):
+    """The requests of the diagonal window, levels (1,...,1) to (K,...,K)."""
+    return [_request(f, p, (k,) * f.num_vars, mask) for k in range(1, K + 1)]
 
 
 def whitehead(k):
@@ -282,16 +290,21 @@ def test_window_walk_against_the_per_level_resultants():
 
 
 def test_window_eliminates_once_per_index_prefix(monkeypatch):
-    # a d = 2 rprime window of depth K: K eliminations of t2, and K of t1
-    # after each; none past a zero factor
+    # a d = 2 rprime window of depth K: K eliminations of t2, and K final
+    # norms in t1 after each; none past a zero factor
     calls = []
-    original = resultants.phi_resultant_last_var
+    elimination, final = resultants.phi_resultant_last_var, resultants.resultant_phi_int
 
-    def counting(f, p, j):
+    def counting_elimination(f, p, j):
         calls.append((f.num_vars, j))
-        return original(f, p, j)
+        return elimination(f, p, j)
 
-    monkeypatch.setattr(resultants, "phi_resultant_last_var", counting)
+    def counting_final(p, j, g):
+        calls.append((1, j))
+        return final(p, j, g)
+
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", counting_elimination)
+    monkeypatch.setattr(resultants, "resultant_phi_int", counting_final)
     for K in (1, 2, 5):
         calls.clear()
         limit_estimate(whitehead(3), 2, K, mask="rprime")
@@ -302,6 +315,61 @@ def test_window_eliminates_once_per_index_prefix(monkeypatch):
     calls.clear()
     assert limit_estimate(parse_poly("(1+t1)*(5+t2)", 2), 2, 6).degenerate
     assert calls == [(2, 0), (1, 0), (1, 1)]
+
+
+WINDOW_COST_POLYS = {
+    1: ["5+t1", "t1^3-t1+3", "2*t1^2-7"],
+    2: ["5+t1+t2+t1*t2", "2-t1-t2+2*t1*t2", "3*t1^2*t2-t2^3+11"],
+    3: ["5+t1+t2+t3", "2*t1*t3-t2^2+7", "1+t1*t2*t3-4*t3^2"],
+}
+
+
+def test_window_cost_is_the_sum_over_levels():
+    # one weighted walk of level K's tuples against K separate estimates
+    for d, texts in WINDOW_COST_POLYS.items():
+        for f in (parse_poly(text, d) for text in texts):
+            for p in (2, 3, 5, 7):
+                for mask in ("r", "rprime"):
+                    for K in range(1, 9):
+                        levels = sum(cost_estimate(req) for req in window_requests(f, p, K, mask))
+                        assert window_cost(f, p, K, mask) == pytest.approx(levels, rel=1e-12), (f, p, mask, K)
+    # levels past the float range are inf on both routes
+    f = parse_poly("t1^3-t1+3", 1)
+    for mask in ("r", "rprime"):
+        assert window_cost(f, 7, 370, mask) == math.inf
+        assert sum(cost_estimate(req) for req in window_requests(f, 7, 370, mask)) == math.inf
+
+
+def test_window_against_the_root_product_oracle():
+    # every level of the walk's window against the product of f over the
+    # level's root-of-unity tuples in F_q, which shares no code with it
+    rng = random.Random(5519)
+    depth = {
+        (2, 1): 5, (2, 2): 4, (2, 3): 3,
+        (3, 1): 4, (3, 2): 3, (3, 3): 2,
+        (5, 1): 3, (5, 2): 2, (5, 3): 1,
+        (7, 1): 2, (7, 2): 2, (7, 3): 1,
+    }
+    # vanishing factors at p = 2: t1 = -1 from level 1, Phi_4(t1) from
+    # level 2, and zeta_1 zeta_2 = -1; in three variables, t1 = -1 with
+    # t2^4 = -1 vanishes from level 3 on, and the walk meets it before the
+    # level-2 tuples of t3's next index
+    vanishing = [("(1+t1)*(5+t2)", 2, 4), ("(1+t1^2)*(5+t2)", 2, 4), ("1+t1*t2", 2, 4), ("3+t1+2*t2^4", 3, 3)]
+    cases = [(parse_poly(text, d), 2, K, mask) for text, d, K in vanishing for mask in ("r", "rprime")]
+    for (p, d), K in depth.items():
+        for mask in ("r", "rprime"):
+            for _ in range(2):
+                f = random_multipoly(rng, d, 4, 2, 6)
+                cases.append((f, p, K, mask))
+    zeros = 0
+    for f, p, K, mask in cases:
+        diagonal = _diagonal(f, p, K, mask)
+        start = 0 if mask == "r" else 1
+        for k in range(1, K + 1):
+            oracle = modular_root_product(f, p, [set(range(start, k + 1))] * f.num_vars)
+            assert diagonal[k - 1] == oracle, (f.serialize(), p, mask, k)
+        zeros += diagonal[-1] == 0
+    assert zeros >= 5
 
 
 def test_order_invariance_examples():

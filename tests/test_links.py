@@ -12,6 +12,7 @@ from padicres.links import (
     h1_nonp_limit,
     h1_order,
     load_link_spec,
+    nonp_limit_cost,
     trefoil_spec,
     two_part_exponent_check,
     whitehead_closed_form,
@@ -22,7 +23,7 @@ from padicres.multipoly import MultiPoly
 from padicres.padic import PadicApprox, nonp_part, teichmuller, vp
 from padicres.oracles import sylvester_resultant
 from padicres.parsing import parse_poly
-from padicres.resultants import COST_BUDGET_DEFAULT, CyclicResultantRequest, cyclic_resultant
+from padicres.resultants import COST_BUDGET_DEFAULT, CyclicResultantRequest, cost_estimate, cyclic_resultant
 from padicres.unipoly import UniPoly, cyclotomic, power_minus_one
 
 
@@ -376,3 +377,18 @@ def test_closed_form_budget_admits_level_twenty_and_refuses_twenty_one():
     # --lmax 21 is refused at the default budget
     for k in (3, 31):
         assert closed_form_cost(k, 2, 4, 20) < COST_BUDGET_DEFAULT < closed_form_cost(k, 2, 4, 21)
+
+
+def test_nonp_limit_cost_is_the_sum_over_sublinks_and_levels():
+    # one weighted walk per sublink against every sublink's levels estimated
+    # one by one
+    for k in (3, 4, 7, 25):
+        link = whitehead_link_spec(k)
+        for p in (2, 3, 5, 7):
+            for K in range(1, 7):
+                levels = sum(
+                    cost_estimate(CyclicResultantRequest.rprime(link.alexander(s), p, (n,) * len(s)))
+                    for s in link.subsets()
+                    for n in range(1, K + 1)
+                )
+                assert nonp_limit_cost(link, p, K) == pytest.approx(levels, rel=1e-12), (k, p, K)

@@ -632,18 +632,25 @@ def test_request_validation():
 
 
 def test_each_elimination_runs_once_per_index_prefix(monkeypatch):
-    calls = []
-    original = resultants.phi_resultant_last_var
+    eliminations, finals = [], []
+    elimination, final = resultants.phi_resultant_last_var, resultants.resultant_phi_int
 
-    def counting(f, p, j):
-        calls.append(f.num_vars)
-        return original(f, p, j)
+    def counting_elimination(f, p, j):
+        eliminations.append(f.num_vars)
+        return elimination(f, p, j)
 
-    monkeypatch.setattr(resultants, "phi_resultant_last_var", counting)
+    def counting_final(p, j, g):
+        finals.append(j)
+        return final(p, j, g)
+
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", counting_elimination)
+    monkeypatch.setattr(resultants, "resultant_phi_int", counting_final)
     req = CyclicResultantRequest.full(parse_poly("5+t1+t2+t3", 3), 2, (2, 2, 2))
     value = cyclic_resultant(req)
-    # three indices per variable: 3 eliminations of t3, 9 of t2, 27 of t1
-    assert [calls.count(d) for d in (3, 2, 1)] == [3, 9, 27]
+    # three indices per variable: 3 eliminations of t3, 9 of t2, and 27
+    # final norms in t1
+    assert [eliminations.count(d) for d in (3, 2, 1)] == [3, 9, 0]
+    assert len(finals) == 27
     assert value == cyclic_resultant_baseline(req, budget=4096)
 
 
