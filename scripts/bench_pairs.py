@@ -36,12 +36,12 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
-def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The final JSON line of one untraced benchmark run in `copy`."""
+def run_once(copy: Path, workload: str, seed: int) -> dict:
+    """The final JSON line of one untraced 20 s benchmark run in `copy`."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", "20", "--trace", "0"],
         cwd=copy, env=env, capture_output=True, text=True,
     )
     if done.returncode:
@@ -64,7 +64,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -76,7 +75,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             seed = args.seed + i
             for side in ("AB" if i % 2 == 0 else "BA"):
-                record = run_once(copies[side], args.workload, seed, args.seconds)
+                record = run_once(copies[side], args.workload, seed)
                 if not record["correct"] or record["failed"]:
                     sound = False
                     print(f"pair {i + 1} {side}: correct={record['correct']} failed={record['failed']}", file=sys.stderr)

@@ -54,24 +54,27 @@ def zero_limit_predicate(f: MultiPoly, p: int) -> bool:
     return f.evaluate((1,) * f.num_vars) % p == 0
 
 
-def _request(f: MultiPoly, p: int, levels, mask: str) -> CyclicResultantRequest:
-    if mask == "r":
-        return CyclicResultantRequest.full(f, p, levels)
-    if mask == "rprime":
-        return CyclicResultantRequest.rprime(f, p, levels)
-    raise ValueError(f"mask must be 'r' or 'rprime', got {mask!r}")
-
-
-def _window_masks(p: int, K: int, d: int, mask: str):
-    """The masks of the diagonal level (K,...,K) in d variables: 0..K for
-    'r', 1..K for 'rprime'; level k's masks are these cut at k."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+def _masks(levels, mask: str) -> tuple:
+    """The index sets of the masked resultant at `levels`: 0..n per level n
+    for 'r', 1..n for 'rprime'."""
     if mask not in ("r", "rprime"):
         raise ValueError(f"mask must be 'r' or 'rprime', got {mask!r}")
+    return tuple(range(mask == "rprime", n + 1) for n in levels)
+
+
+def _request(f: MultiPoly, p: int, levels, mask: str) -> CyclicResultantRequest:
+    return CyclicResultantRequest.custom(f, p, levels, _masks(levels, mask))
+
+
+def _window_masks(p: int, K: int, d: int, mask: str) -> tuple:
+    """The masks of the diagonal level (K,...,K) in d variables; level k's
+    masks are these cut at k."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    masks = _masks((K,) * d, mask)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return (range(mask == "rprime", K + 1),) * d
+    return masks
 
 
 def window_cost(f: MultiPoly, p: int, K: int, mask: str) -> float:

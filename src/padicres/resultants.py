@@ -369,20 +369,19 @@ def _unpack(value: int, n: int, size: int) -> list:
 def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
     """Res(Phi_{p^j}(t_d), f), eliminating the last variable of f.
 
-    With d >= 2 this is one integer norm: the other variables are packed by
-    Kronecker substitution t_i = 2^(w*S_i) into one int per t_d-coefficient,
-    the norm is taken by cyclotomic_norm, and its balanced base-2^w digits
-    are the coefficients.  The result has degree at most D_i = n*deg_{t_i} f
-    in t_i (n = phi(p^j)), so the strides S_i = prod_{k<i} (D_k + 1) keep the
-    digits apart; each coefficient is at most ||f||_1^n, which the digit
-    width w of _digit_size covers.  Packing is a ring homomorphism, so no
-    intermediate value needs a bound.
+    f has d >= 2 variables (in one, the resultant is a final norm,
+    resultant_phi_int).  It is one integer norm: the other variables are
+    packed by Kronecker substitution t_i = 2^(w*S_i) into one int per
+    t_d-coefficient, the norm is taken by cyclotomic_norm, and its balanced
+    base-2^w digits are the coefficients.  The result has degree at most
+    D_i = n*deg_{t_i} f in t_i (n = phi(p^j)), so the strides
+    S_i = prod_{k<i} (D_k + 1) keep the digits apart; each coefficient is at
+    most ||f||_1^n, which the digit width w of _digit_size covers.  Packing
+    is a ring homomorphism, so no intermediate value needs a bound.
     """
     d = f.num_vars
-    if d == 0:
-        raise ValueError("no variable to eliminate")
-    if d == 1:
-        return MultiPoly.const(0, resultant_phi_int(p, j, _univariate(f)))
+    if d < 2:
+        raise ValueError("an elimination needs at least two variables")
     if f.is_zero:
         return MultiPoly.zero(d - 1)
     terms = f.term_dict()
@@ -408,17 +407,14 @@ def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
     values = _unpack(value >> (w * low), high - low, size)
     # the digits are the result's terms: its exponents lie below the bounds
     # and only nonzero digits are kept, so the result skips __init__'s checks
-    if d == 2:
-        result = {(at,): c for at, c in enumerate(values, low) if c}
-    else:
-        result = {}
-        for at, c in enumerate(values, low):
-            if c:
-                exp = []
-                for bound in bounds:
-                    at, e = divmod(at, bound)
-                    exp.append(e)
-                result[tuple(exp)] = c
+    result = {}
+    for at, c in enumerate(values, low):
+        if c:
+            exp = []
+            for bound in bounds:
+                at, e = divmod(at, bound)
+                exp.append(e)
+            result[tuple(exp)] = c
     return MultiPoly._of_terms(d - 1, result)
 
 

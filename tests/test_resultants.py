@@ -236,6 +236,10 @@ def test_packed_elimination_edge_cases():
     check_elimination(three, 3, 2)
     for p, j in [(2, 2), (5, 1), (7, 0)]:
         assert resultants.phi_resultant_last_var(MultiPoly.zero(3), p, j) == MultiPoly.zero(2)
+    # one variable is a final norm (resultant_phi_int), not an elimination
+    for f in (parse_poly("1 + t1", 1), MultiPoly.const(0, 3)):
+        with pytest.raises(ValueError):
+            resultants.phi_resultant_last_var(f, 2, 1)
     # a shared monomial is a shared power of two once packed, divided out
     # before the norm: Res(Phi_{7^3}(t3), 3*t1*t2*t3) = (3*t1*t2)^294
     three_monomial = parse_poly("3*t1*t2*t3", 3)
