@@ -17,8 +17,8 @@ reproduce-paper:
 	@echo "reproduce-paper: outputs match the committed expectations"
 
 # Tier-1 tests, the worked examples, and the benchmark's self-tests (outside
-# tier-1's testpaths; its tracer rebinds padicres names, so a rename in src/
-# shows up only there).
+# tier-1's testpaths).  Renaming a padicres name that the benchmark's tracer
+# rebinds also fails tier-1, in tests/test_tracer_targets.py.
 check: test reproduce-paper
 	$(PYTHON) -m pytest -q perfbench
 

@@ -36,8 +36,6 @@ from .oracles import (
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
 from .cyclo import (
     CycloPadic,
-    cyclo_log,
-    evaluate_at_unity,
     log_with_shift,
     nu_zeta,
     phi_degree,

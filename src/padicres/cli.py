@@ -58,6 +58,13 @@ def _format_int(value: int, truncate: int | None) -> str:
     return text
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_levels(text: str):
     try:
         levels = tuple(int(x) for x in text.split(","))
@@ -259,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("-p", "--prime", type=int, default=2)
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--truncate", type=int, default=None, metavar="DIGITS")
+        p.add_argument("--truncate", type=_positive_int, default=None, metavar="DIGITS")
 
     res = sub.add_parser("res", help="masked iterated cyclic resultant of a polynomial")
     res.add_argument("expr")

@@ -1,42 +1,23 @@
-"""Truncated arithmetic in Z_p[zeta_{p^m}] modulo p^K.
+"""The 2-adic Whitehead log norms the CLI computes, and the truncated ring
+Z_p[zeta_{p^m}] mod p^K (CycloPadic) that the tests hold them to.
 
-An element is a residue vector of length phi(p^m) = p^(m-1)(p-1) modulo p^K,
+Production: level_log_valuation and level_log_norm, which `whitehead` and
+`twopart` run, on _Slots, one integer per element (its phi residues mod
+2^P in fixed-width slots), so that a product is one big-int product, a
+fold and a mask.  The argument takes no ring product (_packed_argument),
+the series is summed by Horner's rule (_packed_log_series), and the norm
+is the resultant engine's packed 2-power tower (graeffe_norm).
+
+Reference: a CycloPadic is a residue vector of length phi(p^m) modulo p^K,
 read as a polynomial in zeta reduced mod Phi_{p^m}; the power basis is an
 integral basis, so integral elements are exactly the representable ones.
-The constructor reduces any longer coefficient list mod Phi_{p^m}, and
-products are the resultant engine's mul_mod_phi, the one Z[zeta_{p^m}]
-product, which its odd-p tower norms use too.
-
-The extension is totally ramified with uniformizer pi = 1 - zeta and
-v_pi(p) = phi(p^m).  pi-adic valuations need no norm: the content p^c of the
-coefficients gives c*phi, and since Phi_{p^m} = (t - 1)^phi mod p, the rest
-is the order of t - 1 in the residues of x/p^c mod p, exact for the
-canonical lift.  Unit-ness is the case c = 0, order 0: x = x(1) (mod pi)
-and the residue field is F_p, so x is a unit exactly when p does not divide
-x(1), the sum of its coefficients.
-
-The 2-adic logarithm follows the squaring device: square until
-v_pi(y - 1) > v_pi(2), take the series (by Paterson-Stockmeyer, in about
-2 sqrt(r) products for r terms), and remember the number s of squarings
-(log x = series / 2^s).  The series of y mod p^K is log y mod p^K.
-Torsion units collapse to exactly 1 under squaring and are reported as
-degenerate rather than silently given log 0 at some precision.
-
-CycloPadic, log_with_shift and cyclo_log are the general ring.  The
-2-adic Whitehead log norms, which the CLI runs, take a second storage of
-the same residues: one integer per element, its phi residues mod 2^P in
-slots of a fixed byte width (_Slots), so that a product is one big-int
-product, a fold and a mask, and no level unpacks to a list.  They read
-s and t = v_pi(y - 1) first (level_log_valuation), and run the series
-once, at F + ceil(t/phi) digits for the unit part of the norm mod 2^F,
-on the squarings of that same pass when its precision covers those
-digits; the unit goes into the resultant engine's packed 2-power tower
-(graeffe_norm) as it is (level_log_norm).  Their argument takes no ring
-product: with n = p^m, (a + b*zeta) sum_{k<n} a^(n-1-k) (-b)^k zeta^k is
-the integer a^n - (-b)^n, so a linear denominator is inverted by n scalar
-products and one integer inverse (whitehead_log_argument; on slots,
-_packed_argument builds the sum by doubling).  The CycloPadic route to
-the same quantities is the oracle the packed one is tested against.
+Its products are the resultant engine's mul_mod_phi.  invert_unit,
+pi_valuation (from residues, with no norm), _into_convergence (the
+squaring device, log x = log(x^(p^s)) / p^s), _log_series (by
+Paterson-Stockmeyer, as the tests run it at a few hundred terms) and
+norm_lift share no algorithm with the packed route.  The benchmark's
+tracer (perfbench/tracing.py) looks up CycloPadic.norm_lift, __mul__,
+__rmul__, log_with_shift and level_log_norm by name.
 """
 
 from __future__ import annotations
@@ -46,10 +27,8 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import DegenerateValueError, InvariantError, PrecisionExhaustedError
-from .multipoly import MultiPoly
 from .padic import vp, vp_split
 from .resultants import (
-    conjugate,
     cyclotomic_norm,
     graeffe_bytes,
     graeffe_norm,
@@ -91,10 +70,6 @@ class CycloPadic:
     def from_int(cls, x: int, p: int, level: int, prec: int) -> "CycloPadic":
         return cls(p, level, prec, [x])
 
-    @classmethod
-    def zeta(cls, p: int, level: int, prec: int) -> "CycloPadic":
-        return cls(p, level, prec, [0, 1])
-
     # -- ring operations -----------------------------------------------------
 
     def _check(self, other: "CycloPadic"):
@@ -112,8 +87,6 @@ class CycloPadic:
             [a + b for a, b in zip(self.coeffs, other.coeffs)],
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if isinstance(other, int):
             other = CycloPadic.from_int(other, self.p, self.level, self.prec)
@@ -122,9 +95,6 @@ class CycloPadic:
             self.p, self.level, self.prec,
             [a - b for a, b in zip(self.coeffs, other.coeffs)],
         )
-
-    def __neg__(self):
-        return CycloPadic(self.p, self.level, self.prec, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -156,24 +126,13 @@ class CycloPadic:
                 (self.p, self.level, self.prec) == (other.p, other.level, other.prec)
                 and self.coeffs == other.coeffs
             )
-        if isinstance(other, int):
-            return self == CycloPadic.from_int(other, self.p, self.level, self.prec)
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.level, self.prec, self.coeffs))
 
     @property
     def is_zero_at_precision(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
     # -- field structure -------------------------------------------------------
-
-    def galois(self, a: int) -> "CycloPadic":
-        """The automorphism zeta -> zeta^a, a coprime to p."""
-        if a % self.p == 0:
-            raise ValueError("a must be coprime to p")
-        return CycloPadic(self.p, self.level, self.prec, conjugate(self.coeffs, a, self.p, self.level))
 
     def norm_lift(self) -> int:
         """Exact integer norm of the canonical lift; = Nm(x) mod p^prec."""
@@ -317,21 +276,6 @@ def _into_convergence(x: CycloPadic) -> Tuple[CycloPadic, int, int]:
             raise PrecisionExhaustedError("log argument will not enter the convergence region")
 
 
-def cyclo_log(x: CycloPadic) -> CycloPadic:
-    """log(x) as a ring element; requires the result to be integral.
-
-    Computed as log(x^(p^s)) / p^s with exact coefficient division; raises
-    PrecisionExhaustedError when the shift cannot be divided out.
-    """
-    z, s = log_with_shift(x)
-    if s == 0:
-        return z
-    scale = x.p**s
-    if any(c % scale for c in z.coeffs):
-        raise PrecisionExhaustedError("log(x) is not integral; use log_with_shift")
-    return CycloPadic(z.p, z.level, max(z.prec - s, 1), [c // scale for c in z.coeffs])
-
-
 def _log_series(y: CycloPadic, t: int) -> CycloPadic:
     """log y mod p^prec at y = 1 + w, v_pi(w) = t > v_pi(p), from the terms
     k = 1..r before the tail is negligible mod p^prec.
@@ -420,38 +364,6 @@ def _tail_negligible(k: int, t: int, deg: int, target: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def whitehead_log_argument(m: int, p: int, level: int, prec: int) -> CycloPadic:
-    """(m*zeta + m + 1) / (m*zeta + m + zeta) at a primitive p^level-th root,
-    with no ring product.
-
-    With a = m, b = m + 1 and n = p^level, the sum telescopes:
-    (a + b*zeta) * sum_{k<n} a^(n-1-k) (-b)^k zeta^k = a^n - (-b*zeta)^n,
-    which is c = a^n - (-b)^n as zeta^n = 1.  So the denominator's inverse
-    is that length-n list times c^(-1) mod p^prec, reduced mod Phi_{p^level}
-    by the constructor, and the numerator (m + 1) + m*zeta multiplies it by
-    a shift and an add.  c = (a + b)^n mod p, so c is a unit exactly when
-    the denominator is (invert_unit's test), as always at p = 2, where
-    a + b = 2m + 1.  Inverses mod p^prec are unique, so this equals
-    numer * denom.invert_unit().
-    """
-    mod = p**prec
-    n = p**level
-    a, b = m, m + 1
-    c = (pow(a, n, mod) - pow(-b, n, mod)) % mod
-    if c % p == 0:
-        raise ValueError("not a unit (positive pi-adic valuation)")
-    powers_of_a = [1] * n
-    for k in range(1, n):
-        powers_of_a[k] = powers_of_a[k - 1] * a % mod
-    scale = pow(c, -1, mod)
-    inverse = []
-    for k in range(n):
-        inverse.append(powers_of_a[n - 1 - k] * scale % mod)
-        scale = scale * -b % mod
-    # times (m + 1) + m*zeta, with zeta * zeta^(n-1) = 1
-    return CycloPadic(p, level, prec, [(m + 1) * x + m * y for x, y in zip(inverse, inverse[-1:] + inverse[:-1])])
-
-
 def nu_zeta(m: int, level: int) -> Fraction:
     """nu_zeta = v_2(log((m*zeta+m+1)/(m*zeta+m+zeta))), normalized to Q_2
     (v_pi / phi(2^level)); the same for every primitive root at the level.
@@ -502,9 +414,7 @@ def level_log_valuation(m: int, level: int) -> Tuple[int, int]:
     unity, as every root of unity in Q(zeta) is.  The torsion cases, level 1
     (u = -1) and m = 0 (u = zeta^(-1)), raise DegenerateValueError.
 
-    The pass runs on _Slots, one packed integer per element: it is
-    _into_convergence on whitehead_log_argument, which the tests hold it
-    to.
+    The pass is _into_convergence on _Slots, which the tests hold it to.
     """
     _check_argument(m, level)
     return _packed_convergence(m, level, _VALUATION_PREC)[2:]
@@ -518,7 +428,7 @@ def level_log_norm(m: int, level: int, digits: int) -> Tuple[int, int, int]:
 
     The series runs once, at P = digits + ceil(t/phi):
 
-    - y = u^(2^s) mod 2^P fixes z = log y mod 2^P (_log_series), and
+    - y = u^(2^s) mod 2^P fixes z = log y mod 2^P (_packed_log_series), and
       v_pi(z) = t (see level_log_valuation), so z / 2^e is integral for
       e = t // phi, known mod 2^(P - e), and Nm(z / 2^e) = Nm(log u) times
       a power of 2 has the same unit part and v_2 = t - e*phi < phi.
@@ -529,16 +439,11 @@ def level_log_norm(m: int, level: int, digits: int) -> Tuple[int, int, int]:
       2^(Q - ceil((t - e*phi)/phi)).  With Q = P - e that is
       2^(P - ceil(t/phi)) = 2^digits.
 
-    Every step runs on _Slots, and no element is unpacked: the valuation
-    pass starts at the P that estimated_log_valuation predicts (at least
-    _VALUATION_PREC), so its y = u^(2^s) serves the series whenever its
-    precision covers the P that t gives, and only otherwise are the s
-    squarings taken again at P.  The series is _log_series on slots
-    (_packed_log_series), e is divided out by a zero test of the low bits
-    of every slot and one shift, and x goes into the packed tower norm
-    (graeffe_norm) as it is.  The CycloPadic route (whitehead_log_argument,
-    _into_convergence, _log_series, norm_lift) is the oracle the tests hold
-    it to.
+    Every step runs on _Slots with no element unpacked: the valuation pass
+    starts at the P that estimated_log_valuation predicts (at least
+    _VALUATION_PREC) and runs again at P only when its precision falls
+    short; e is divided out by a zero test of the low bits of every slot
+    and one shift, and x goes into the packed tower norm as it is.
     """
     _check_argument(m, level)
     n = phi_degree(2, level)
@@ -546,10 +451,7 @@ def level_log_norm(m: int, level: int, digits: int) -> Tuple[int, int, int]:
     ring, y, s, t = _packed_convergence(m, level, max(_VALUATION_PREC, guess))
     prec = digits - (-t // n)
     if ring.prec < prec:
-        ring = _Slots(n, prec)
-        y = _packed_argument(m, level, ring)
-        for _ in range(s):
-            y = ring.mul(y, y)
+        ring, y, s, t = _packed_convergence(m, level, prec)
     ring, z = _packed_log_series(ring, y, t, prec)
     shift = t // n
     if z & repeat_digit((1 << shift) - 1, ring.size, n):
@@ -564,15 +466,17 @@ def level_log_norm(m: int, level: int, digits: int) -> Tuple[int, int, int]:
 class _Slots:
     """Z/2^prec [zeta_{2n}], n = phi a power of 2, with each element one
     integer: its n residues in [0, 2^prec), residue i in the 8*size bits
-    from 8*size*i up (slot i).  The width covers a sum of max(n, count)
-    products of two residues below 2^(w-2), w = 8*size:
-    w >= 2 prec + bit_length(max(n, count)) + 2."""
+    from 8*size*i up (slot i).  With w = 8*size >= 2 prec + bit_length(n)
+    + 2, each slot of a product x y is a sum of at most n products x_i y_j,
+    at most one of them with x_0, so it stays below (n + 1) 2^(2 prec)
+    <= 2^(w-2), as fold needs, also when slot 0 of x is below 2^(prec+1),
+    as in x + c for residues x and a scalar c (_packed_log_series)."""
 
     __slots__ = ("n", "prec", "size", "bits", "low", "mask", "offset")
 
-    def __init__(self, n: int, prec: int, count: int = 1):
+    def __init__(self, n: int, prec: int):
         self.n, self.prec = n, prec
-        self.size = size = (2 * prec + max(n, count).bit_length() + 9) // 8
+        self.size = size = (2 * prec + n.bit_length() + 9) // 8
         self.bits = 8 * size * n
         self.low = (1 << self.bits) - 1
         self.mask = repeat_digit((1 << prec) - 1, size, n)
@@ -645,12 +549,15 @@ def _restride(x: int, n: int, old: int, new: int) -> int:
 
 
 def _packed_argument(m: int, level: int, ring: _Slots) -> int:
-    """whitehead_log_argument(m, 2, level, ring.prec) on the ring's slots.
-    The sum S = sum_{k<2n} a^(2n-1-k) (-b)^k zeta^k is built over 2n slots
-    by doubling, S_2j = a^j S_j + (-b)^j zeta^j S_j, each step masked; then
-    c^(-1) S is multiplied by (m + 1) + m*zeta (the shift by one slot wraps
-    the top slot to slot 0, as zeta^(2n) = 1) and reduced mod
-    Phi_{2n} = t^n + 1 (_Slots.fold)."""
+    """The Whitehead argument (m*zeta + m + 1) / (m*zeta + m + zeta) at a
+    primitive 2^level-th root, mod 2^ring.prec, with no ring product: with
+    a = m, b = m + 1 and 2n = 2^level, the sum telescopes to the odd integer
+    (a + b*zeta) S = a^(2n) - (-b)^(2n) = c for
+    S = sum_{k<2n} a^(2n-1-k) (-b)^k zeta^k, so c^(-1) S inverts the
+    denominator.  S is built over 2n slots by doubling,
+    S_2j = a^j S_j + (-b)^j zeta^j S_j, each step masked; c^(-1) S times
+    (m + 1) + m*zeta (the shift by one slot wraps the top slot to slot 0,
+    as zeta^(2n) = 1) is reduced mod t^n + 1 (_Slots.fold)."""
     n, prec, size = ring.n, ring.prec, ring.size
     w, order, mod = 8 * size, 2 * ring.n, 1 << ring.prec
     a, b = m, m + 1
@@ -690,50 +597,26 @@ def _packed_convergence(m: int, level: int, prec: int):
 
 
 def _packed_log_series(ring: _Slots, y: int, t: int, prec: int):
-    """(series ring, z): _log_series of y at `prec` digits on slots, z with
-    slots below 2^prec in the series ring's width.  y's residues may be
-    known past prec.  Each block of Paterson-Stockmeyer is the sum of its
-    scalars, reduced mod 2^work, times the packed baby steps, then one slot
-    mask; the division by 2^L is a zero test of the low L bits of every
-    slot, then one shift."""
+    """(series ring, z): _log_series's sum, at its work precision and with
+    its scalars c_k, on slots, z with slots below 2^prec in the series
+    ring's width; y's residues may be known past prec.  Horner's rule,
+    T = c_r w, then T = (T + c_k) w for k = r - 1 down to 1, takes r - 1
+    products, each with slot 0 of T + c_k below 2^(work+1) (_Slots' bound);
+    r <= 8 at the precisions the CLI admits, where Paterson-Stockmeyer
+    saves at most 3.  The division by 2^L is a zero test of the low L bits
+    of every slot, then one shift."""
     n = ring.n
     r, loss = _series_terms(2, n, t, prec)
     work = prec + loss
     mod = 1 << work
     scalars = _series_scalars(2, r, loss, mod)
-    b = math.isqrt(r + 1)
-    series = _Slots(n, work, b)
+    series = _Slots(n, work)
     if ring.prec > work:
         y &= repeat_digit(mod - 1, ring.size, n)
     w = series.minus_one(_restride(y, n, ring.size, series.size))
-    powers = [1, w]
-    while len(powers) <= b:
-        powers.append(series.mul(powers[-1], w))
-    giant = powers.pop()
-    total = None
-    for start in reversed(range(0, r + 1, b)):
-        block = 0
-        for c, power in zip(scalars[start:start + b], powers):
-            if c:
-                block += c * power
-        block &= series.mask
-        total = block if total is None else (series.mul(total, giant) + block) & series.mask
+    total = scalars[r] * w & series.mask
+    for c in reversed(scalars[1:r]):
+        total = series.mul(total + c, w)
     if total & repeat_digit((1 << loss) - 1, series.size, n):
         raise PrecisionExhaustedError("inexact division in cyclotomic log series")
     return series, total >> loss
-
-
-def evaluate_at_unity(f: MultiPoly, p: int, level: int, exps, prec: int) -> CycloPadic:
-    """f(zeta^e1, ..., zeta^ed) in Z_p[zeta_{p^level}] mod p^prec.
-
-    Lower-level roots enter through zeta_{p^a} = zeta_{p^level}^(p^(level-a)),
-    so one ambient level suffices for a whole tuple.
-    """
-    if len(exps) != f.num_vars:
-        raise ValueError("one exponent per variable required")
-    order = p**level
-    out = [0] * order
-    for exp, coeff in f.terms():
-        e = sum(a * b for a, b in zip(exp, exps)) % order
-        out[e] += coeff
-    return CycloPadic(p, level, prec, out)

@@ -97,6 +97,7 @@ def load_link_spec(document: str) -> LinkSpec:
     """Parse and validate the link-spec JSON document.
 
     Schema: {"name": str, "components": d, "ambient": "S3",
+             "names": [d strings] (optional),
              "sublinks": [{"indices": [sorted 1-based], "alexander": "<poly in t1..t|S|>"}]}
     """
     try:
@@ -136,14 +137,13 @@ def load_link_spec(document: str) -> LinkSpec:
         if key in sublinks:
             raise ValueError(f"{path}: duplicate sublink {indices}")
         sublinks[key] = poly
-    names = tuple(data.get("names", [f"l{i}" for i in range(1, d + 1)]))
-    return LinkSpec(
-        d=d,
-        names=names,
-        sublinks=sublinks,
-        ambient=data.get("ambient", "S3"),
-        name=data.get("name", ""),
-    )
+    names = data.get("names", [f"l{i}" for i in range(1, d + 1)])
+    if not isinstance(names, list) or len(names) != d or any(not isinstance(x, str) for x in names):
+        raise ValueError(f"'names' must be a list of {d} strings")
+    name, ambient = data.get("name", ""), data.get("ambient", "S3")
+    if not isinstance(name, str) or not isinstance(ambient, str):
+        raise ValueError("'name' and 'ambient' must be strings")
+    return LinkSpec(d=d, names=tuple(names), sublinks=sublinks, ambient=ambient, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -527,6 +527,19 @@ def test_truncate_marks_non_canonical(capsys):
     assert code == 0 and "non-canonical" in out
 
 
+def test_truncate_below_one_is_user_error(capsys):
+    for digits in ("0", "-2"):
+        code, out, _ = run(capsys, "res", "-p", "2", "-n", "6,6", "--truncate", digits, "3+t1*t2")
+        assert (code, out) == (2, "")
+
+
+def test_spec_with_bad_names_is_user_error(capsys, tmp_path):
+    spec = tmp_path / "link.json"
+    spec.write_text(json.dumps({"components": 1, "names": 5, "sublinks": [{"indices": [1], "alexander": "t1 - 2"}]}))
+    code, _, err = run(capsys, "linkh1", "--spec", str(spec), "-p", "3", "-n", "1")
+    assert code == 2 and "'names'" in err
+
+
 def test_unknown_subcommand_is_user_error(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -6,18 +6,18 @@ import pytest
 
 from padicres.cyclo import (
     CycloPadic,
-    _log_series,
     _into_convergence,
+    _log_series,
+    _packed_argument,
+    _packed_log_series,
+    _Slots,
     _tail_negligible,
-    cyclo_log,
-    evaluate_at_unity,
     level_log_norm,
     level_log_valuation,
     log_with_shift,
     nu_zeta,
     phi_degree,
     pi_valuation,
-    whitehead_log_argument,
 )
 from padicres.errors import DegenerateValueError, PrecisionExhaustedError
 from padicres.multipoly import random_multipoly
@@ -27,15 +27,37 @@ from padicres.resultants import mul_mod_phi
 from padicres.unipoly import UniPoly, cyclotomic
 
 
+def _zeta(p, level, prec):
+    return CycloPadic(p, level, prec, [0, 1])
+
+
+def _argument(m, level, prec):
+    """The Whitehead argument (m*zeta + m + 1) / (m*zeta + m + zeta) mod
+    2^prec as the numerator times invert_unit's inverse of the denominator:
+    the reference for _packed_argument."""
+    z = _zeta(2, level, prec)
+    return (z * m + (m + 1)) * (z * m + z + m).invert_unit()
+
+
+def _pack(x, ring):
+    """x's residues in the slots of a _Slots ring."""
+    return sum(c << (8 * ring.size * i) for i, c in enumerate(x.coeffs))
+
+
+def _unpack(value, ring, prec):
+    """The residues mod 2^prec in the slots of a _Slots ring."""
+    return tuple(value >> (8 * ring.size * i) & ((1 << prec) - 1) for i in range(ring.n))
+
+
 def test_zeta_satisfies_phi():
     # p=2, m=2: zeta^2 = -1
-    z = CycloPadic.zeta(2, 2, 4)
+    z = _zeta(2, 2, 4)
     assert z * z == CycloPadic.from_int(-1, 2, 2, 4)
     # p=3, m=1: 1 + zeta + zeta^2 = 0
-    z3 = CycloPadic.zeta(3, 1, 5)
+    z3 = _zeta(3, 1, 5)
     assert (CycloPadic.from_int(1, 3, 1, 5) + z3 + z3 * z3).is_zero_at_precision
     # p=2, m=1: Phi_2 = t + 1, so zeta = -1 and the ring is Z/2^K
-    assert CycloPadic.zeta(2, 1, 5) == CycloPadic.from_int(-1, 2, 1, 5)
+    assert _zeta(2, 1, 5) == CycloPadic.from_int(-1, 2, 1, 5)
 
 
 def _reduced(poly, p, m, K):
@@ -73,7 +95,7 @@ def test_constructor_reduces_long_coefficient_lists():
 
 def test_difference_of_squares():
     one = CycloPadic.from_int(1, 3, 1, 4)
-    z = CycloPadic.zeta(3, 1, 4)
+    z = _zeta(3, 1, 4)
     assert (one + z) * (one - z) == one - z * z
 
 
@@ -102,7 +124,7 @@ def test_invert_unit_200_random():
         deg = phi_degree(p, m)
         x = CycloPadic(p, m, K, [rng.randrange(p**K) for _ in range(deg)])
         if done % 2:
-            x = CycloPadic.zeta(p, m, K) + x * p
+            x = _zeta(p, m, K) + x * p
         try:
             y = x.invert_unit()
         except ValueError:
@@ -141,65 +163,48 @@ def test_invert_unit_takes_no_norm(monkeypatch):
 
     monkeypatch.setattr(cyclo, "cyclotomic_norm", no_norm)
     for p, m, K in [(2, 5, 20), (3, 3, 12), (7, 2, 6)]:
-        x = CycloPadic.zeta(p, m, K) + p
+        x = _zeta(p, m, K) + p
         assert x * x.invert_unit() == CycloPadic.from_int(1, p, m, K)
-    u = whitehead_log_argument(2, 2, 4, 30)
+    u = _argument(2, 4, 30)
     assert u * (u ** -1) == CycloPadic.from_int(1, 2, 4, 30)
 
 
-def test_whitehead_log_argument_against_the_inverse(monkeypatch):
+def test_packed_argument_against_the_inverse(monkeypatch):
     from padicres import cyclo
 
     def no_product(*args):
         raise AssertionError("the argument took a ring product")
 
     ms = list(range(21)) + [63, 64, 1000]
-    for level in range(1, 11):
-        # the oracle: the numerator times invert_unit's inverse of the
-        # denominator, mod 2^700; its residues mod 2^prec are the inverse
+    for level in range(2, 11):
+        # the reference mod 2^700; its residues mod 2^prec are the inverse
         # there too, since inverses are unique
-        oracle = {}
-        for m in ms:
-            z = CycloPadic.zeta(2, level, 700)
-            oracle[m] = (z * m + (m + 1)) * (z * m + z + m).invert_unit()
+        reference = {m: _argument(m, level, 700) for m in ms}
         with monkeypatch.context() as patch:
-            patch.setattr(cyclo, "mul_mod_phi", no_product)
+            patch.setattr(cyclo._Slots, "mul", no_product)
             for m in ms:
                 for prec in (1, 2, 5, 32, 700):
-                    assert whitehead_log_argument(m, 2, level, prec) == CycloPadic(2, level, prec, oracle[m].coeffs)
-    # at odd p the denominator m + (m + 1) zeta is a unit exactly when p does
-    # not divide 2m + 1, and both routes raise otherwise
-    for p in (3, 5):
-        for level in (1, 2, 3):
-            for m in range(11):
-                for prec in (1, 5, 32):
-                    z = CycloPadic.zeta(p, level, prec)
-                    if (2 * m + 1) % p == 0:
-                        with pytest.raises(ValueError):
-                            (z * m + z + m).invert_unit()
-                        with pytest.raises(ValueError):
-                            whitehead_log_argument(m, p, level, prec)
-                    else:
-                        oracle = (z * m + (m + 1)) * (z * m + z + m).invert_unit()
-                        assert whitehead_log_argument(m, p, level, prec) == oracle
+                    ring = _Slots(phi_degree(2, level), prec)
+                    got = _unpack(_packed_argument(m, level, ring), ring, prec)
+                    assert got == CycloPadic(2, level, prec, reference[m].coeffs).coeffs, (m, level, prec)
 
 
 def test_invert_rejects_non_units():
-    z = CycloPadic.zeta(2, 2, 5)
+    z = _zeta(2, 2, 5)
     non_unit = CycloPadic.from_int(1, 2, 2, 5) - z  # the uniformizer
     with pytest.raises(ValueError):
         non_unit.invert_unit()
 
 
 def test_pi_valuation_examples():
-    z = CycloPadic.zeta(2, 2, 6)
+    z = _zeta(2, 2, 6)
     one = CycloPadic.from_int(1, 2, 2, 6)
     assert pi_valuation(one - z) == 1
     assert pi_valuation(CycloPadic.from_int(2, 2, 2, 6)) == 2  # phi(4) = 2
 
 
 def test_pi_valuation_against_resultant_oracle():
-    z = CycloPadic.zeta(2, 2, 8)
+    z = _zeta(2, 2, 8)
     for m in range(1, 5):
         x = z * m + (m + 1)
         oracle = vp(resultant_prs(cyclotomic(2, 2), UniPoly((m + 1, m))), 2)
@@ -248,7 +253,7 @@ def test_pi_valuation_against_the_norm():
         for level in range(1, top + 1):
             deg = phi_degree(p, level)
             for K in (1, 2, 5, 12):
-                pi = CycloPadic.from_int(1, p, level, K) - CycloPadic.zeta(p, level, K)
+                pi = CycloPadic.from_int(1, p, level, K) - _zeta(p, level, K)
                 edge = pi ** (deg - 1) * p ** (K - 1)
                 cases = [CycloPadic(p, level, K, []), pi**deg, CycloPadic.from_int(p ** (K - 1), p, level, K), edge]
                 for _ in range(6):
@@ -297,7 +302,7 @@ def test_log_series_against_the_term_by_term_sum():
             deg = phi_degree(p, level)
             threshold = deg if p == 2 else max(deg // (p - 1), 1) - 1
             for prec in (1, 2, 5, 17, 40):
-                pi = CycloPadic.from_int(1, p, level, prec) - CycloPadic.zeta(p, level, prec)
+                pi = CycloPadic.from_int(1, p, level, prec) - _zeta(p, level, prec)
                 for _ in range(3):
                     t = rng.randint(threshold + 1, threshold + deg + 2)
                     unit = CycloPadic(p, level, prec, [rng.randrange(p**prec) for _ in range(deg)] + [1])
@@ -305,6 +310,26 @@ def test_log_series_against_the_term_by_term_sum():
                     expected = _log_series_by_terms(y, t)
                     got = _log_series(y, t)
                     assert (got.prec, got.coeffs) == (expected.prec, expected.coeffs), (p, level, prec, t)
+
+
+def test_packed_log_series_against_the_term_by_term_sum():
+    # Horner's rule far past the at most 8 terms the CLI takes it to: at
+    # 60 digits the series has 21 to 62 terms; y's residues are known to
+    # 20 digits past prec in half the cases
+    rng = random.Random(34)
+    for level in (2, 3, 4, 5):
+        n = phi_degree(2, level)
+        for prec in (1, 2, 5, 17, 40, 60):
+            for extra in (0, 20):
+                pi = CycloPadic.from_int(1, 2, level, prec + extra) - _zeta(2, level, prec + extra)
+                for _ in range(3):
+                    t = rng.randint(n + 1, 2 * n + 2)
+                    unit = CycloPadic(2, level, prec + extra, [rng.randrange(2 ** (prec + extra)) for _ in range(n)] + [1])
+                    y = pi**t * unit + 1
+                    expected = _log_series_by_terms(CycloPadic(2, level, prec, y.coeffs), t)
+                    ring = _Slots(n, prec + extra)
+                    series, z = _packed_log_series(ring, _pack(y, ring), t, prec)
+                    assert _unpack(z, series, prec) == expected.coeffs, (level, prec, extra, t)
 
 
 def test_log_series_inexact_division_raises():
@@ -317,6 +342,9 @@ def test_log_series_inexact_division_raises():
             _log_series_by_terms(y, t)
         with pytest.raises(PrecisionExhaustedError, match="inexact division"):
             _log_series(y, t)
+    ring = _Slots(4, 20)
+    with pytest.raises(PrecisionExhaustedError, match="inexact division"):
+        _packed_log_series(ring, 2, 5, 20)
 
 
 def test_precision_mismatch_rejected():
@@ -329,21 +357,9 @@ def test_precision_mismatch_rejected():
         a * c
 
 
-def test_galois_is_ring_automorphism():
-    rng = random.Random(24)
-    for _ in range(20):
-        p, m, K = rng.choice([(2, 3, 6), (3, 2, 4)])
-        deg = phi_degree(p, m)
-        x = CycloPadic(p, m, K, [rng.randrange(p**K) for _ in range(deg)])
-        y = CycloPadic(p, m, K, [rng.randrange(p**K) for _ in range(deg)])
-        a = rng.choice([u for u in range(1, p**m) if u % p])
-        assert (x * y).galois(a) == x.galois(a) * y.galois(a)
-        assert (x + y).galois(a) == x.galois(a) + y.galois(a)
-
-
 def test_cyclo_log_additivity():
     rng = random.Random(25)
-    z = CycloPadic.zeta(2, 2, 16)
+    z = _zeta(2, 2, 16)
     one = CycloPadic.from_int(1, 2, 2, 16)
     for _ in range(10):
         a, b = rng.randint(1, 30), rng.randint(1, 30)
@@ -360,16 +376,6 @@ def test_cyclo_log_additivity():
         ly = [c * 2 ** (S - sy) for c in zy.coeffs]
         lxy = [c * 2 ** (S - sxy) for c in zxy.coeffs]
         assert all((u + v - w) % mod == 0 for u, v, w in zip(lx, ly, lxy))
-
-
-def test_cyclo_log_integral_case():
-    # v_pi(x - 1) already past the threshold: no shift, log = series directly
-    z = CycloPadic.zeta(2, 2, 12)
-    x = CycloPadic.from_int(1, 2, 2, 12) + (z - 1) * 8
-    value = cyclo_log(x)
-    assert not value.is_zero_at_precision
-    zz, s = log_with_shift(x)
-    assert s == 0 and value == zz
 
 
 def test_nu_zeta_values_and_normalization():
@@ -397,7 +403,7 @@ def _direct_log_norm(m, level, extra):
     precision minus the valuation."""
     prec = (level + 3) * 2 ** (level - 1) + 16 + extra
     while True:
-        z, s = log_with_shift(whitehead_log_argument(m, 2, level, prec))
+        z, s = log_with_shift(_argument(m, level, prec))
         norm = z.norm_lift()
         if norm and vp(norm, 2) < z.prec:
             break
@@ -438,7 +444,7 @@ def test_level_log_valuation_past_the_first_precision():
     # precision; s and t equal the squaring loop's at 400 digits
     m = 2**49
     for level in (2, 3):
-        assert level_log_valuation(m, level) == _into_convergence(whitehead_log_argument(m, 2, level, 400))[1:]
+        assert level_log_valuation(m, level) == _into_convergence(_argument(m, level, 400))[1:]
         assert level_log_valuation(m, level)[1] > 32 * phi_degree(2, level)
 
 
@@ -450,12 +456,12 @@ def _cyclo_route(m, level, digits):
     work = 32
     while True:
         try:
-            _, s, t = _into_convergence(whitehead_log_argument(m, 2, level, work))
+            _, s, t = _into_convergence(_argument(m, level, work))
             break
         except DegenerateValueError:
             work *= 2
     deg = phi_degree(2, level)
-    y = whitehead_log_argument(m, 2, level, digits - (-t // deg))
+    y = _argument(m, level, digits - (-t // deg))
     for _ in range(s):
         y = y * y
     z = _log_series(y, t)
@@ -509,6 +515,27 @@ def test_packed_log_norms_square_once(monkeypatch):
                     assert got == _cyclo_route((k - 1) // 2, level, digits), (k, level, digits)
 
 
+def test_packed_log_norms_when_the_estimate_falls_short(monkeypatch):
+    # an estimate below t leaves the valuation pass short of the series'
+    # precision, so the pass runs again at that precision
+    from padicres import cyclo
+
+    build = cyclo._packed_argument
+    arguments = []
+
+    def counting_build(*args):
+        arguments.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cyclo, "_packed_argument", counting_build)
+    monkeypatch.setattr(cyclo, "estimated_log_valuation", lambda m, level: 0)
+    monkeypatch.setattr(cyclo, "_VALUATION_PREC", 8)
+    for m, level in [(1, 2), (1, 5), (12, 4), (15, 7)]:
+        arguments.clear()
+        assert level_log_norm(m, level, 18) == _cyclo_route(m, level, 18), (m, level)
+        assert len(arguments) == 2, (m, level)
+
+
 def test_packed_log_norms_refuse_what_the_cyclo_route_refuses(monkeypatch):
     from padicres import cyclo
 
@@ -521,7 +548,7 @@ def test_packed_log_norms_refuse_what_the_cyclo_route_refuses(monkeypatch):
     # the squaring cap: m = 1 needs s = level squarings
     monkeypatch.setattr(cyclo, "_MAX_SQUARINGS", 2)
     with pytest.raises(PrecisionExhaustedError):
-        _into_convergence(whitehead_log_argument(1, 2, 3, 32))
+        _into_convergence(_argument(1, 3, 32))
     for fn in (level_log_valuation, lambda m, level: level_log_norm(m, level, 18)):
         with pytest.raises(PrecisionExhaustedError):
             fn(1, 3)
@@ -531,8 +558,19 @@ def test_packed_log_norms_refuse_what_the_cyclo_route_refuses(monkeypatch):
 def test_whitehead_log_argument_is_unit():
     for m in (1, 2, 3):
         for level in (2, 3):
-            u = whitehead_log_argument(m, 2, level, 16)
-            assert pi_valuation(u) == 0
+            assert pi_valuation(_argument(m, level, 16)) == 0
+            ring = _Slots(phi_degree(2, level), 16)
+            assert ring.valuation(_packed_argument(m, level, ring)) == 0
+
+
+def _at_unity(f, p, level, exps, prec):
+    """f(zeta^e1, ..., zeta^ed) mod p^prec at one primitive p^level-th root
+    zeta; lower-level roots are its powers."""
+    order = p**level
+    out = [0] * order
+    for exp, coeff in f.terms():
+        out[sum(a * b for a, b in zip(exp, exps)) % order] += coeff
+    return CycloPadic(p, level, prec, out)
 
 
 def test_residues_constant_on_unity_tuples():
@@ -549,7 +587,7 @@ def test_residues_constant_on_unity_tuples():
         K = 6
         order = p**level
         exps = tuple(rng.randrange(order) for _ in range(d))
-        value = evaluate_at_unity(f, p, level, exps, K)
+        value = _at_unity(f, p, level, exps, K)
         diff = value - CycloPadic.from_int(f.evaluate((1,) * d), p, level, K)
         if not diff.is_zero_at_precision:
             try:
@@ -557,15 +595,6 @@ def test_residues_constant_on_unity_tuples():
             except PrecisionExhaustedError:
                 pass  # valuation beyond the window still means >= 1
         done += 1
-
-
-def test_evaluate_at_unity_matches_integer_points():
-    # exponent 0 means the root 1: must agree with plain integer evaluation
-    rng = random.Random(27)
-    for _ in range(10):
-        f = random_multipoly(rng, 2, 4, 3, 9)
-        value = evaluate_at_unity(f, 3, 2, (0, 0), 5)
-        assert value == CycloPadic.from_int(f.evaluate((1, 1)), 3, 2, 5)
 
 
 def test_ring_product_reproduces_exact_resultants():
@@ -588,7 +617,7 @@ def test_ring_product_reproduces_exact_resultants():
         order = p**n
         prod = CycloPadic.from_int(1, p, n, K)
         for exps in itertools.product(range(1, order), repeat=d):
-            prod = prod * evaluate_at_unity(f, p, n, exps, K)
+            prod = prod * _at_unity(f, p, n, exps, K)
         exact = cyclic_resultant(CyclicResultantRequest.rprime(f, p, (n,) * d))
         assert all(c == 0 for c in prod.coeffs[1:])
         assert prod.coeffs[0] == exact % p**K

@@ -91,6 +91,21 @@ def test_load_rejects_bad_schema():
         load_link_spec("{nope")
 
 
+def test_load_checks_the_optional_fields():
+    doc = json.loads(whitehead_doc(1))
+    assert load_link_spec(json.dumps({**doc, "names": ["a", "b"]})).names == ("a", "b")
+    for field, value in [
+        ("names", 5),
+        ("names", ["a"]),
+        ("names", ["a", "b", "c"]),
+        ("names", ["a", 2]),
+        ("name", 5),
+        ("ambient", None),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            load_link_spec(json.dumps({**doc, field: value}))
+
+
 def test_whitehead_delta_values():
     assert whitehead_delta(1) == parse_poly("1 + t1*t2", 2)
     assert whitehead_delta(2) == parse_poly("1 + t1*t2 - t1 - t2", 2)
