@@ -22,7 +22,6 @@ from .errors import (
 from .multipoly import MultiPoly
 from .parsing import parse_poly
 from .unipoly import UniPoly, cyclotomic, is_prime, power_minus_one
-from .newton import NewtonPolygon, newton_polygon
 from .resultants import CyclicResultantRequest, cyclic_resultant
 from .oracles import (
     bareiss_det,

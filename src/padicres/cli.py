@@ -113,7 +113,7 @@ def cmd_res(args) -> int:
         "value": _format_int(value, args.truncate),
     }
     if args.verify:
-        baseline = cyclic_resultant_baseline(req, budget=args.baseline_budget)
+        baseline = cyclic_resultant_baseline(req)
         oracle = complex_root_product(req)
         payload["verify"] = {
             "baseline": _format_int(baseline, args.truncate),
@@ -263,10 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("-p", "--prime", type=int, default=2)
+    def common(p, prime=True, truncate=False):
+        if prime:
+            p.add_argument("-p", "--prime", type=int, default=2)
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--truncate", type=_positive_int, default=None, metavar="DIGITS")
+        if truncate:
+            p.add_argument("--truncate", type=_positive_int, default=None, metavar="DIGITS")
 
     res = sub.add_parser("res", help="masked iterated cyclic resultant of a polynomial")
     res.add_argument("expr")
@@ -275,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("--mask", choices=("r", "rprime", "custom"), default="r")
     res.add_argument("--mask-sets", default=None, help="custom masks: semicolon-separated comma lists")
     res.add_argument("--verify", action="store_true", help="cross-check against the Sylvester baseline and the root product over the roots of unity, exact modulo primes")
-    res.add_argument("--baseline-budget", type=int, default=256)
-    common(res)
+    common(res, truncate=True)
     res.set_defaults(func=cmd_res)
 
     climit = sub.add_parser("climit", help="p-adic limit estimate with congruence certificate")
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--whitehead", type=int, default=None, metavar="K", help="built-in twisted Whitehead link")
     linkh1.add_argument("-n", "--levels", required=True)
     linkh1.add_argument("--verify", action="store_true", help="cross-check against the character sum, exact modulo primes")
-    common(linkh1)
+    common(linkh1, truncate=True)
     linkh1.set_defaults(func=cmd_linkh1)
 
     wh = sub.add_parser("whitehead", help="closed-form twisted-Whitehead limit vs the empirical one")
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp = sub.add_parser("twopart", help="2-part exponent identity for odd twisted Whitehead links")
     tp.add_argument("-k", type=int, required=True)
     tp.add_argument("--n-max", type=int, default=3)
-    common(tp)
+    common(tp, prime=False)
     tp.set_defaults(func=cmd_twopart)
 
     return parser

@@ -21,9 +21,8 @@ congruences and are certified separately.
 
 Iwasawa invariants come by two independent routes: an exact fit of
 v_p = lambda*n + mu*p^n + nu on trailing levels, and the structural count
-(mu from the content, lambda from the Newton polygon of f(1+s): the
-horizontal length under the negative slopes, i.e. roots with |a|_p = 1 and
-|a-1|_p < 1).
+(mu from the content; lambda, the roots a with |a|_p = 1, |a-1|_p < 1, as
+the Weierstrass degree of f(1+s): Washington, GTM 83, Thm 7.3).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import Tuple
 
 from .errors import VanishingResultantError, WindowTooShortError
 from .multipoly import MultiPoly
-from .newton import newton_polygon
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
 from .resultants import (
     CyclicResultantRequest,
@@ -257,17 +255,15 @@ def iwasawa_fit(f: UniPoly, p: int, n_max: int = 5) -> IwasawaInvariants:
 
 
 def lambda_mu_structural(f: UniPoly, p: int) -> Tuple[int, int]:
-    """(lambda, mu) without any resultant: mu from the content, lambda as the
-    number of roots of (f/p^mu)(1+s) with positive valuation, read off the
-    Newton polygon."""
+    """(lambda, mu) without any resultant: mu = v_p(content f), lambda the
+    least i with h_i != 0 mod p^(mu+1) for h(s) = f(1+s), which keeps f's
+    content (the shift is unitriangular) and has h(0) = f(1) != 0."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     if f.evaluate(1) == 0:
         raise VanishingResultantError("f(1) = 0: the resultants vanish")
     mu = vp(f.content(), p)
-    g = f.divexact_scalar(p**mu) if mu else f
-    h = g.shift_one()
-    return newton_polygon(h, p).positive_valuation_root_count(), mu
+    return next(i for i, c in enumerate(f.shift_one().coeffs) if c % p ** (mu + 1)), mu
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ precision and may expose cancellation (a result indistinguishable from 0 at
 precision K is flagged as such, never silently treated as 0).
 
 Teichmuller convention: omega_p(x) is the fixed point of y -> y^p mod p^K.
-For p odd this is the usual (p-1)-th root of unity congruent to x mod p.
+For p odd this is x^(p^(K-1)), the (p-1)-th root of unity = x mod p.
 For p = 2 the iteration collapses every odd unit to 1, so omega_2 is 1 on
 odd integers and 0 on even ones, the convention the twisted Whitehead
 closed forms rely on.
@@ -263,21 +263,15 @@ class PadicApprox:
 
 
 def teichmuller(x: int, p: int, prec: int) -> PadicApprox:
-    """Teichmuller character of x, as the fixed point of y -> y^p mod p^prec.
-
-    Returns exact 0 when p | x (the convention used throughout), and for
-    p = 2 the exact value 1 on every odd integer.
-    """
+    """Teichmuller character of x, the fixed point of y -> y^p mod p^prec:
+    x^(p^(prec-1)) for odd p not dividing x, as x = omega*u, u = 1 mod p,
+    gives u^(p^(prec-1)) = 1 mod p^prec and p^(prec-1) = 1 mod p - 1.  Exact
+    0 when p | x (the convention used throughout), and for p = 2 the exact
+    value 1 on every odd integer."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
     if x % p == 0:
         return PadicApprox.zero(p, prec)
     if p == 2:
         return PadicApprox.from_int(1, 2, prec, exact=True)
-    mod = p**prec
-    y = x % mod
-    while True:
-        y_next = pow(y, p, mod)
-        if y_next == y:
-            return PadicApprox(p, prec, 0, y)
-        y = y_next
+    return PadicApprox(p, prec, 0, pow(x, p ** (prec - 1), p**prec))

@@ -6,7 +6,7 @@ or MultiPoly values in the remaining variables (the t_i-elimination view used
 by the resultant engine); the two kinds are never mixed inside one polynomial.
 
 Includes the p-power cyclotomic polynomials and the substitution t -> 1 + s
-used by the Newton-polygon route to the lambda invariant.
+from which the structural route reads the lambda invariant.
 """
 
 from __future__ import annotations
@@ -131,15 +131,6 @@ class UniPoly:
         for c in self.coeffs:
             g = math.gcd(g, c)
         return g
-
-    def divexact_scalar(self, c: int) -> "UniPoly":
-        out = []
-        for a in self.coeffs:
-            q, r = divmod(a, c)
-            if r:
-                raise ValueError(f"coefficient {a} not divisible by {c}")
-            out.append(q)
-        return UniPoly(out)
 
     # -- division ------------------------------------------------------------
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,20 @@ def test_res_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("PADIC_RES_BUDGET", "8")
     code, _, err = run(capsys, "res", "-p", "2", "-n", "9", "t1-2")
     assert code == 3 and "budget" in err
+
+
+def test_power_budget_refuses_before_expanding(capsys):
+    # expanding (1+t1+t2)^4096 alone would not finish; ^50 is cheap and
+    # prints 3^50, the product of (1+t1+t2)^50 over t1, t2 = +-1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "res", "-p", "2", "-n", "1,1", "(1+t1+t2)^4096")
+    assert (code, out) == (3, "") and "exceeds the budget" in err
+    assert time.perf_counter() - start < 1
+    code, out, _ = run(capsys, "res", "-p", "2", "-n", "1,1", "(1+t1+t2)^50")
+    assert code == 0
+    assert out == "command: res\np: 2\nlevels: [1, 1]\nmask: r\nvalue: 717897987691852588770249\n"
+    # a one-term base has one term at every power, whatever its exponent
+    assert parse_poly("(2*t1*t2)^4096", 2).term_dict() == {(4096, 4096): 2**4096}
 
 
 @pytest.mark.parametrize("levels", ["8,8,8", "2,7,7"])
@@ -252,8 +267,24 @@ def test_baseline_budget_refusals_exit_3(capsys, argv, load):
     code, out, err = run(capsys, "res", "--verify", *argv)
     assert code == 3 and not out
     assert f"baseline degree load {load} exceeds budget 256" in err
-    code, out, _ = run(capsys, "res", "--verify", "--baseline-budget", str(load), *argv)
-    assert code == 0 and "agree" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twopart", "-k", "3", "-p", "5", "--n-max", "2"],
+        ["climit", "5+t1+t2", "--vars", "2", "-p", "3", "-K", "2", "--truncate", "8"],
+        ["iwasawa", "t-6", "-p", "5", "--truncate", "8"],
+        ["whitehead", "-k", "4", "-p", "3", "-K", "2", "--truncate", "8"],
+        ["twopart", "-k", "3", "--n-max", "2", "--truncate", "8"],
+        ["res", "-p", "2", "-n", "1", "--verify", "--baseline-budget", "512", "t1-2"],
+    ],
+)
+def test_options_no_command_reads_are_user_errors(capsys, argv):
+    # twopart has no prime, --truncate is only on the commands that print
+    # big integers, and the baseline's degree guard is fixed at 256
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("argv", [["-k", "3", "-p", "2", "-K", "4", "--lmax", "5"], ["-k", "4", "-p", "3", "-K", "3"]])

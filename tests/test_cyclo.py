@@ -31,12 +31,20 @@ def _zeta(p, level, prec):
     return CycloPadic(p, level, prec, [0, 1])
 
 
+_ARGUMENTS = {}
+
+
 def _argument(m, level, prec):
     """The Whitehead argument (m*zeta + m + 1) / (m*zeta + m + zeta) mod
     2^prec as the numerator times invert_unit's inverse of the denominator:
-    the reference for _packed_argument."""
-    z = _zeta(2, level, prec)
-    return (z * m + (m + 1)) * (z * m + z + m).invert_unit()
+    the reference for _packed_argument.  One value per (m, level) is kept,
+    at the largest precision asked for so far, and reduced for smaller ones:
+    the inverse mod 2^prec is that mod any higher power reduced."""
+    kept = _ARGUMENTS.get((m, level))
+    if kept is None or kept.prec < prec:
+        z = _zeta(2, level, prec)
+        kept = _ARGUMENTS[m, level] = (z * m + (m + 1)) * (z * m + z + m).invert_unit()
+    return CycloPadic(2, level, prec, kept.coeffs)
 
 
 def _pack(x, ring):

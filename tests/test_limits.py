@@ -210,6 +210,29 @@ def test_fit_and_structural_agree_random():
         done += 1
 
 
+def test_lambda_mu_structural_by_construction():
+    # f(t) = p^mu * h(t - 1) with h(s) = s^lam * (1 + p*a(s)) + p*b(s),
+    # deg b < lam and b(0) != 0: h is distinguished of degree lam up to a
+    # unit, and f(1) = p^mu * h(0) != 0 (p^(mu+1) * b(0), or at lam = 0
+    # p^mu * (1 + p*a(0)))
+    rng = random.Random(19)
+    t_minus_one = UniPoly((-1, 1))
+    for p in (2, 3, 5, 7):
+        for lam in range(7):
+            for mu in range(3):
+                for _ in range(4):
+                    a = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 3))])
+                    b = [rng.randint(-9, 9) for _ in range(lam)]
+                    if lam:
+                        b[0] = rng.choice((1, -1)) * rng.randint(1, 9)
+                    h = UniPoly((0,) * lam + (1,)) * (UniPoly((1,)) + a * UniPoly((p,)))
+                    h = h + UniPoly([p * c for c in b])
+                    f = UniPoly()
+                    for c in reversed(h.coeffs):
+                        f = f * t_minus_one + UniPoly((p**mu * c,))
+                    assert lambda_mu_structural(f, p) == (lam, mu), (p, lam, mu, f)
+
+
 def test_closed_form_limit_odd_p_multivariate():
     value = closed_form_limit(-1, 1, MultiPoly.const(1, 2), 7, 2, verify=True, verify_levels=2)
     assert value.residue(2) == 1  # omega_7(f(1,1)) = omega_7(1)

@@ -84,6 +84,22 @@ def test_teichmuller_properties():
                     )
 
 
+def test_teichmuller_against_its_definition():
+    # odd p: the fixed point of y -> y^p mod p^K that is x mod p, reduced
+    # into [0, p^K); exact 0 on multiples of p
+    for p in (3, 5, 7, 11, 13):
+        for K in range(1, 9):
+            mod = p**K
+            for x in range(-60, 200):
+                w = teichmuller(x, p, K)
+                if x % p == 0:
+                    assert w.is_exact_zero
+                    continue
+                y = w.residue(K)
+                assert 0 <= y < mod and y == w.unit and w.val == 0
+                assert pow(y, p, mod) == y and (y - x) % p == 0, (x, p, K)
+
+
 def test_padic_approx_roundtrip_and_str():
     x = PadicApprox.from_int(50, 5, 4)
     assert x.val == 2 and x.unit == 2 and x.residue(4) == 50

@@ -68,9 +68,6 @@ def test_shift_one_constant_term_is_value_at_one():
 def test_content_and_scalar_division():
     f = UniPoly((6, -9, 12))
     assert f.content() == 3
-    assert f.divexact_scalar(3) == UniPoly((2, -3, 4))
-    with pytest.raises(ValueError):
-        f.divexact_scalar(4)
 
 
 def test_divmod_monic():
