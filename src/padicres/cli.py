@@ -77,8 +77,7 @@ def _parse_levels(text: str):
 
 def _build_request(args) -> CyclicResultantRequest:
     levels = _parse_levels(args.levels)
-    num_vars = args.vars if args.vars is not None else len(levels)
-    f = parse_poly(args.expr, num_vars)
+    f = parse_poly(args.expr, len(levels))
     if args.mask == "r":
         return CyclicResultantRequest.full(f, args.prime, levels)
     if args.mask == "rprime":
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     res = sub.add_parser("res", help="masked iterated cyclic resultant of a polynomial")
     res.add_argument("expr")
     res.add_argument("-n", "--levels", required=True, help="comma-separated levels n1,..,nd")
-    res.add_argument("--vars", type=int, default=None, help="number of variables (default: len(levels))")
     res.add_argument("--mask", choices=("r", "rprime", "custom"), default="r")
     res.add_argument("--mask-sets", default=None, help="custom masks: semicolon-separated comma lists")
     res.add_argument("--verify", action="store_true", help="cross-check against the Sylvester baseline and the root product over the roots of unity, exact modulo primes")

@@ -3,21 +3,24 @@
 The raw masked sequence at diagonal levels (K,...,K) determines its limit
 modulo p^K: raising any level multiplies the value by norms from p-power
 cyclotomic fields that are 1 mod the relevant p-power, so consecutive
-diagonal values agree mod p^(level).  limit_estimate computes the whole
-diagonal window 1..K, re-verifies those congruences inside the window
-instead of taking them on faith, and reports how many digits are certified.
+diagonal values agree mod p^(level).  _diagonal computes the whole
+diagonal window 1..K; _certify re-verifies those congruences inside the
+window instead of taking them on faith, and reports how many digits are
+certified.  limit_estimate certifies one polynomial's window, and
+links.h1_nonp_limit the window of homology orders, a product over
+sublinks, through the same _certify.
 Level k is the product of one cyclotomic factor per index tuple with every
 index <= k, so level k shares every factor of level k - 1: the window walks
 the tuples of level K once, computing each factor once, and takes the
 levels as prefix products.  Its budget, the cost estimates of levels 1..K
 summed, walks the same tuples once too (window_cost).
 
-The zero/nonzero dichotomy is decided by f(1,...,1) mod p: every masked
-factor f(zeta_1,...,zeta_d) has the same residue as f(1,...,1) in the
-residue field, so p divides one masked resultant iff it divides all of them
-iff p | f(1,...,1).  In the zero case the raw limit is exactly 0 and the
-p-valuations grow without plateau; the non-p parts still satisfy the same
-congruences and are certified separately.
+The zero/nonzero dichotomy is read from level 1: every masked factor
+f(zeta_1,...,zeta_d) has the same residue as f(1,...,1) in the residue
+field, so p divides one masked resultant iff it divides all of them iff
+p | f(1,...,1) (zero_limit_predicate).  In the zero case the raw limit is
+exactly 0 and the p-valuations grow without plateau; the non-p parts still
+satisfy the same congruences and are certified separately.
 
 Iwasawa invariants come by two independent routes: an exact fit of
 v_p = lambda*n + mu*p^n + nu on trailing levels, and the structural count
@@ -42,7 +45,6 @@ from .resultants import (
     cost_estimate,
     cyclic_resultant,
     masks_cost,
-    resultant_phi_int,
 )
 from .unipoly import UniPoly, is_prime
 
@@ -98,22 +100,22 @@ class LimitEstimate:
 def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstimate:
     """Limit of the masked resultant sequence and of its non-p parts, mod p^K.
 
-    Diagonal values at levels (k,...,k) are computed for k = 1..K; the value
-    at (K,...,K) is the limit mod p^K, and the window's consecutive
-    congruences (raw and non-p) are verified rather than assumed.  A masked
-    resultant that vanishes identically is a distinguished degenerate
-    outcome: the whole tail is exactly 0, and so is its non-p part.  The
-    window is refused before any work when its levels' cost estimates sum
-    past cost_budget() (window_cost).
+    Diagonal values at levels (k,...,k) are computed for k = 1..K and
+    certified (_certify).  The window is refused before any work when its
+    levels' cost estimates sum past cost_budget() (window_cost).
     """
     check_budget(window_cost(f, p, K, mask))
-    return _window(f, p, K, mask)
+    return _certify(_diagonal(f, p, K, mask), p, K, f.num_vars)
 
 
-def _window(f: MultiPoly, p: int, K: int, mask: str) -> LimitEstimate:
-    """limit_estimate without its budget check."""
-    d = f.num_vars
-    diag = _diagonal(f, p, K, mask)
+def _certify(diag: list, p: int, K: int, d: int) -> LimitEstimate:
+    """The limit mod p^K of a diagonal diag[k-1] at levels (k,...,k), k =
+    1..K, in d variables, and of its non-p parts: the value at (K,...,K)
+    is the limit, and the window's consecutive congruences (raw and non-p)
+    are verified rather than assumed.  The limit is exactly 0 when p
+    divides the level-1 value (then p divides every level's).  A value
+    that vanishes is a distinguished degenerate outcome: the whole tail is
+    exactly 0, and so is its non-p part."""
     if any(v == 0 for v in diag):
         # a masked resultant vanishes identically: the sequence (and its
         # non-p part, since nonp(0) = 0) is exactly 0 from that level on
@@ -130,7 +132,7 @@ def _window(f: MultiPoly, p: int, K: int, mask: str) -> LimitEstimate:
                 for k, v in enumerate(diag)
             ),
         )
-    zero_case = zero_limit_predicate(f, p)
+    zero_case = diag[0] % p == 0
     vals, units = zip(*(vp_split(v, p) for v in diag))
     raw_ok = all(
         (diag[k] - diag[k - 1]) % p**k == 0 for k in range(1, K)
@@ -166,7 +168,9 @@ def _window(f: MultiPoly, p: int, K: int, mask: str) -> LimitEstimate:
 def _diagonal(f: MultiPoly, p: int, K: int, mask: str) -> list:
     """The masked resultants at levels (1,...,1) to (K,...,K), K >= 1:
     acc[k] collects the factors whose largest index is k (index 0 joins
-    level 1), and the levels are the prefix products of acc."""
+    level 1), and the levels are the prefix products of acc.  Every
+    diagonal value is formed here: a limit window's, each sublink's of a
+    homology order (links._h1_diagonal) and the Iwasawa fit's."""
     acc = [1] * (K + 1)
     for index, factor in _factors(f, p, _window_masks(p, K, f.num_vars, mask)):
         acc[max((1, *index))] *= factor
@@ -218,8 +222,10 @@ def iwasawa_fit(f: UniPoly, p: int, n_max: int = 5) -> IwasawaInvariants:
 
     Requires the law to hold exactly on at least the final three levels up to
     n_max; the verified window is extended backwards as far as it holds.
-    Refused before any work when the cost_estimate of the full-mask
-    resultant at level n_max, whose factors these are, exceeds cost_budget().
+    The valuations are read from one diagonal walk (_diagonal, levels 1 to
+    n_max).  Refused before any work when the cost_estimate of the
+    full-mask resultant at level n_max, whose factors these are, exceeds
+    cost_budget().
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
@@ -227,19 +233,13 @@ def iwasawa_fit(f: UniPoly, p: int, n_max: int = 5) -> IwasawaInvariants:
         raise WindowTooShortError("need n_max >= 3 for a three-level window")
     g = MultiPoly(1, {(i,): c for i, c in enumerate(f.coeffs) if c})
     check_budget(cost_estimate(CyclicResultantRequest.full(g, p, (n_max,))))
-    factors = []
-    for j in range(n_max + 1):
-        r = resultant_phi_int(p, j, f)
-        if r == 0:
-            raise VanishingResultantError(
-                f"Phi_{p}^{j} divides f: cyclic resultants vanish from level {j} on"
-            )
-        factors.append(r)
-    e_values = []
-    acc = vp(factors[0], p)
-    for n in range(1, n_max + 1):
-        acc += vp(factors[n], p)
-        e_values.append(acc)
+    diag = _diagonal(g, p, n_max, "r")
+    if not diag[-1]:
+        n = diag.index(0) + 1
+        raise VanishingResultantError(
+            f"Phi_{p}^j divides f for some j <= {n}: cyclic resultants vanish from level {n} on"
+        )
+    e_values = [vp(v, p) for v in diag]
     mu = vp(f.content(), p)
     resid = [e - mu * p**n for n, e in zip(range(1, n_max + 1), e_values)]
     lam = resid[-1] - resid[-2]

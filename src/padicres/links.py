@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, Tuple
 
 from .cyclo import estimated_log_valuation, level_log_norm, level_log_valuation, phi_degree
 from .errors import OracleMismatchError, PolyParseError
-from .limits import LimitEstimate, _diagonal, _window, window_cost
+from .limits import LimitEstimate, _certify, _diagonal, window_cost
 from .multipoly import MultiPoly
 from .oracles import modular_root_product
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
@@ -211,30 +211,23 @@ def _assert_prefactor_cancels(cov: CoveringSpec):
             )
 
 
-def _parity_sign(delta: MultiPoly) -> int:
-    # sign of Delta_S(-1,...,-1): at p = 2 the sign of every j>=1-masked
-    # resultant of Delta_S (0 when the deciding value vanishes)
-    value = delta.evaluate((-1,) * delta.num_vars)
-    return (value > 0) - (value < 0)
-
-
-def _check_parity_sign(subset, delta: MultiPoly, p: int, value: int) -> None:
-    """The sign of the nonzero masked resultant of Delta_S against its
-    parity prediction: +1 for odd p, sign of Delta_S(-1,...,-1) for p = 2."""
-    predicted = _parity_sign(delta) if p == 2 else 1
-    if predicted and (value > 0) != (predicted > 0):
+def _h1_factor(subset, delta: MultiPoly, p: int, value: int) -> int:
+    """The factor of |H_1| that the masked resultant `value` of Delta_S
+    gives: |value|, and 0 when it vanishes (the cover is not a rational
+    homology sphere; 0 is the convention for infinite groups).  A nonzero
+    value's sign is checked against its parity prediction: +1 for odd p,
+    the sign of Delta_S(-1,...,-1) for p = 2 (no prediction when that
+    vanishes)."""
+    predicted = delta.evaluate((-1,) * delta.num_vars) if p == 2 else 1
+    if value and predicted and (value > 0) != (predicted > 0):
         raise OracleMismatchError(f"sign of masked resultant for sublink {subset} contradicts the parity prediction")
+    return abs(value)
 
 
 def h1_order(link: LinkSpec, cov: CoveringSpec) -> H1Result:
     """|H_1| of the diagonal branched cover, as the product over nonempty
-    sublinks S of |masked resultant of Delta_S at levels (n_i)_{i in S}|.
-
-    A vanishing factor means the cover is not a rational homology sphere;
-    the order is then reported as 0 (the convention for infinite groups).
-    Signs of the factors are cross-checked against the parity predictions
-    (+1 for odd p, sign of Delta_S(-1,...,-1) for p = 2).
-    """
+    sublinks S of |masked resultant of Delta_S at levels (n_i)_{i in S}|,
+    each factor by _h1_factor's conventions (0 for a vanishing one)."""
     if len(cov.levels) != link.d:
         raise ValueError("covering levels must list one entry per component")
     _assert_prefactor_cancels(cov)
@@ -243,12 +236,23 @@ def h1_order(link: LinkSpec, cov: CoveringSpec) -> H1Result:
         delta = link.alexander(subset)
         levels = tuple(cov.levels[i - 1] for i in subset)
         value = cyclic_resultant(CyclicResultantRequest.rprime(delta, cov.p, levels))
-        if value == 0:
-            return H1Result(order=0, nonp_part=0, p_exponent=0)
-        _check_parity_sign(subset, delta, cov.p, value)
-        order *= abs(value)
-    p_exponent, unit = vp_split(order, cov.p)
+        order *= _h1_factor(subset, delta, cov.p, value)
+        if not order:
+            break
+    p_exponent, unit = vp_split(order, cov.p) if order else (0, 0)
     return H1Result(order=order, nonp_part=unit, p_exponent=p_exponent)
+
+
+def _h1_diagonal(link: LinkSpec, p: int, K: int) -> list:
+    """|H_1| of the diagonal covers at levels (1,...,1) to (K,...,K), as
+    h1_order gives them: one diagonal walk per sublink (limits._diagonal),
+    each value a factor by _h1_factor's conventions."""
+    orders = [1] * K
+    for subset in link.subsets():
+        delta = link.alexander(subset)
+        for k, value in enumerate(_diagonal(delta, p, K, "rprime")):
+            orders[k] *= _h1_factor(subset, delta, p, value)
+    return orders
 
 
 def nonp_limit_cost(link: LinkSpec, p: int, K: int) -> float:
@@ -258,11 +262,10 @@ def nonp_limit_cost(link: LinkSpec, p: int, K: int) -> float:
 
 
 def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
-    """p-adic limit of the non-p parts of |H_1| along the diagonal covers.
-
-    The product over sublinks of the masked-resultant non-p limits; the
-    certificates combine multiplicatively (weakest certified digit wins).
-    Refused before any work when nonp_limit_cost exceeds cost_budget().
+    """p-adic limit of |H_1| and of its non-p parts along the diagonal
+    covers: the orders at levels 1..K (_h1_diagonal), certified once as
+    one diagonal (limits._certify).  Refused before any work when
+    nonp_limit_cost exceeds cost_budget().
     """
     check_budget(nonp_limit_cost(link, p, K))
     return _nonp_limit(link, p, K)
@@ -270,48 +273,7 @@ def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
 
 def _nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
     """h1_nonp_limit without its budget check."""
-    estimates = [_window(link.alexander(s), p, K, "rprime") for s in link.subsets()]
-    if any(e.degenerate for e in estimates):
-        # some cover is not a rational homology sphere: |H_1| = 0 by the
-        # infinite-group convention, and its non-p part is 0 with it
-        return LimitEstimate(
-            value=PadicApprox.zero(p, K),
-            nonp_value=PadicApprox.zero(p, K),
-            certified_digits=None,
-            nonp_certified_digits=K,
-            levels_used=(K,) * link.d,
-            stabilized=False,
-            degenerate=True,
-            window=(),
-        )
-    value = estimates[0].value
-    nonp_value = estimates[0].nonp_value
-    certified = estimates[0].certified_digits
-    nonp_certified = estimates[0].nonp_certified_digits
-    stabilized = all(e.stabilized for e in estimates)
-    for e in estimates[1:]:
-        value = value * e.value
-        nonp_value = nonp_value * e.nonp_value
-        if e.certified_digits is not None:
-            certified = e.certified_digits if certified is None else min(certified, e.certified_digits)
-        nonp_certified = min(nonp_certified, e.nonp_certified_digits)
-    # homology orders take |.| per sublink factor; at p = 2 the factor signs
-    # are the constant parity predictions, so flip them back in
-    if p == 2:
-        for subset in link.subsets():
-            if _parity_sign(link.alexander(subset)) < 0:
-                nonp_value = -nonp_value
-                value = -value
-    return LimitEstimate(
-        value=value,
-        nonp_value=nonp_value,
-        certified_digits=certified,
-        nonp_certified_digits=nonp_certified,
-        levels_used=(K,) * link.d,
-        stabilized=stabilized,
-        degenerate=False,
-        window=(),
-    )
+    return _certify(_h1_diagonal(link, p, K), p, K, link.d)
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +436,10 @@ def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
 
     The per-level nu sums are t - s*phi from level_log_valuation, the
     valuation of the cyclotomic-log norms under the Q_2-normalized
-    valuation.  The left side is exact: v_2 of h1_order's
-    product over sublinks, read from one diagonal walk per sublink
-    (limits._diagonal, levels (1,...,1) to (n_max,...,n_max)) with
-    h1_order's conventions: a vanishing factor gives exponent 0, and each
-    factor's sign is checked against its parity prediction.
+    valuation.  The left side is exact: v_2 of the orders _h1_diagonal
+    reads from one diagonal walk per sublink, levels (1,...,1) to
+    (n_max,...,n_max), with h1_order's conventions (_h1_factor); an order
+    0, a cover that is not a rational homology sphere, gives exponent 0.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("need odd k = 2m+1 with m >= 1")
@@ -491,20 +452,10 @@ def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
     for level in range(2, n_max + 1):
         shift, t = level_log_valuation(m, level)
         nu_sums[level] = t - shift * phi_degree(2, level)
-    diagonals = [(s, link.alexander(s), _diagonal(link.alexander(s), 2, n_max, "rprime")) for s in link.subsets()]
     rows = []
-    ok = True
-    for n in range(1, n_max + 1):
+    for n, order in enumerate(_h1_diagonal(link, 2, n_max), 1):
         _assert_prefactor_cancels(CoveringSpec(2, (n, n)))
-        exact = 0
-        for subset, delta, values in diagonals:
-            if values[n - 1] == 0:
-                exact = 0
-                break
-            _check_parity_sign(subset, delta, 2, values[n - 1])
-            exact += vp(values[n - 1], 2)
         predicted = n * 2**n - 2 * n + 1 + sum(nu_sums[lv] for lv in range(2, n + 1))
-        rows.append((n, exact, predicted))
-        if exact != predicted:
-            ok = False
+        rows.append((n, vp(order, 2) if order else 0, predicted))
+    ok = all(exact == predicted for _, exact, predicted in rows)
     return TwoPartReport(k=k, rows=tuple(rows), ok=ok)

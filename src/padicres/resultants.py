@@ -50,6 +50,7 @@ takes one walk of its top level's index tuples, as the window itself does
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 from dataclasses import dataclass
@@ -391,14 +392,16 @@ def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
     strides = [math.prod(bounds[:i]) for i in range(d)]
     size = _digit_size(f, n)
     places = {exp: size * sum(e * s for e, s in zip(exp[:-1], strides)) for exp in terms}
-    # one digit array per t_d-coefficient, split by sign so no digit carries,
-    # up to the highest occupied digit
+    # one digit array per occurring t_d-exponent, split by sign so no digit
+    # carries, up to the highest occupied digit
     length = max(places.values()) + size
-    digits = [[bytearray(length), bytearray(length)] for _ in range(degrees[-1] + 1)]
+    digits = collections.defaultdict(lambda: (bytearray(length), bytearray(length)))
     for exp, c in terms.items():
         at = places[exp]
         digits[exp[-1]][c < 0][at : at + size] = abs(c).to_bytes(size, "little")
-    coeffs = [int.from_bytes(pos, "little") - int.from_bytes(neg, "little") for pos, neg in digits]
+    coeffs = [0] * (degrees[-1] + 1)
+    for e, (pos, neg) in digits.items():
+        coeffs[e] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
     value = cyclotomic_norm(p, j, coeffs)
     # unpack only the digits between the lowest and the highest nonzero one
     w = 8 * size

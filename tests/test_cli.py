@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,35 @@ def test_power_budget_refuses_before_expanding(capsys):
     assert out == "command: res\np: 2\nlevels: [1, 1]\nmask: r\nvalue: 717897987691852588770249\n"
     # a one-term base has one term at every power, whatever its exponent
     assert parse_poly("(2*t1*t2)^4096", 2).term_dict() == {(4096, 4096): 2**4096}
+    # a chain of powers is charged for its products too, before the first:
+    # its two products alone would take minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "res", "-p", "2", "-n", "1,1", "(1+t1+t2)^100*(1+t1+t2)^100*(1+t1+t2)^100")
+    assert (code, out) == (3, "") and "exceeds the budget" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_elimination_allocates_only_occurring_exponents():
+    # (2*t1*t2)^4096 occupies one t2-exponent of 4,097: an array of the
+    # packed t1 range for every one would take 17 GB, so the run is capped
+    # at 1.5 GB of address space and must fit; 2^4096 at each (+-1, +-1)
+    import resource
+
+    cap = 1536 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "padicres", "res", "-p", "2", "-n", "1,1", "(2*t1*t2)^4096"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    )
+    assert done.returncode == 0, done.stderr
+    # 4,933 digits, past Python's default int/str limit, which Decimal skips
+    value = done.stdout.splitlines()[-1].removeprefix("value: ")
+    assert Decimal(value) == 2**16384
 
 
 @pytest.mark.parametrize("levels", ["8,8,8", "2,7,7"])
@@ -278,11 +308,13 @@ def test_baseline_budget_refusals_exit_3(capsys, argv, load):
         ["whitehead", "-k", "4", "-p", "3", "-K", "2", "--truncate", "8"],
         ["twopart", "-k", "3", "--n-max", "2", "--truncate", "8"],
         ["res", "-p", "2", "-n", "1", "--verify", "--baseline-budget", "512", "t1-2"],
+        ["res", "--vars", "2", "-n", "1,1", "t1"],
     ],
 )
 def test_options_no_command_reads_are_user_errors(capsys, argv):
     # twopart has no prime, --truncate is only on the commands that print
-    # big integers, and the baseline's degree guard is fixed at 256
+    # big integers, the baseline's degree guard is fixed at 256, and res
+    # takes its number of variables from its levels
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and "unrecognized arguments" in err
 
@@ -516,12 +548,10 @@ def test_twopart_budget_refuses_before_any_elimination(capsys, monkeypatch):
 
 def test_iwasawa_budget_refuses_before_any_norm(capsys, monkeypatch):
     # the same budget as res on the level-n_max resultant of the factors
-    from padicres import limits
-
     def no_work(*args):
         raise AssertionError("a norm started")
 
-    monkeypatch.setattr(limits, "resultant_phi_int", no_work)
+    monkeypatch.setattr(resultants, "resultant_phi_int", no_work)
     monkeypatch.setenv("PADIC_RES_BUDGET", "1")
     code, out, err = run(capsys, "iwasawa", "t-6", "-p", "5", "--n-max", "8")
     assert code == 3 and "budget" in err and not out

@@ -407,3 +407,40 @@ def test_nonp_limit_cost_is_the_sum_over_sublinks_and_levels():
                     for n in range(1, K + 1)
                 )
                 assert nonp_limit_cost(link, p, K) == pytest.approx(levels, rel=1e-12), (k, p, K)
+
+
+def knot(alexander):
+    return load_link_spec(
+        json.dumps({"name": alexander, "components": 1, "sublinks": [{"indices": [1], "alexander": alexander}]})
+    )
+
+
+@pytest.mark.parametrize("p, K", [(2, 4), (3, 3), (5, 2)])
+def test_h1_diagonal_against_h1_order_and_the_character_oracle(p, K):
+    # one diagonal walk per sublink gives h1_order at every level (n,...,n),
+    # and the character sum wherever |G| is within the oracle's scale; at
+    # p = 2, Phi_4 = 1 + t1^2 makes the order 0 from level 2 on
+    from padicres.links import _h1_diagonal
+
+    links = [whitehead_link_spec(k) for k in range(1, 7)]
+    links += [trefoil_spec(), load_link_spec(three_component_doc()), knot("t1 - 3"), knot("1 + t1^2")]
+    for link in links:
+        orders = _h1_diagonal(link, p, K)
+        assert len(orders) == K
+        for n, order in enumerate(orders, 1):
+            cov = CoveringSpec(p, (n,) * link.d)
+            assert order == h1_order(link, cov).order, (link.name, p, n)
+            if cov.group_order() <= 4096:
+                assert order == character_oracle(link, cov).order, (link.name, p, n)
+
+
+def test_exact_zero_nonp_limit_certifies_no_digit_count():
+    # p | |H_1| at every level: the raw limit is exactly 0, as limit_estimate
+    # reports it, and the window holds the orders' valuations
+    est = h1_nonp_limit(whitehead_link_spec(2), 2, 3)
+    assert str(est.value) == "0 (exact)" and est.certified_digits is None
+    assert not est.degenerate and est.nonp_certified_digits == 3
+    assert [level for level, _, _ in est.window] == [1, 2, 3]
+    assert [v for _, v, _ in est.window] == [
+        h1_order(whitehead_link_spec(2), CoveringSpec(2, (n, n))).p_exponent for n in (1, 2, 3)
+    ]

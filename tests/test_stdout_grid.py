@@ -1,0 +1,80 @@
+"""The stdout of climit, whitehead, twopart and iwasawa on a small grid,
+pinned by one sha256 per command family.
+
+Each family's digest covers every run's argv, exit code and stdout, in
+order.  The grid covers zero limits (p | f(1,...,1)), unit limits and
+degenerate windows (a masked resultant that vanishes identically), one and
+two variables, both masks, and p in 2, 3, 5, 7.  A refactor of the limit
+code must leave every digest as it is; a deliberate change of the output
+recomputes them with `PYTHONPATH=src python tests/test_stdout_grid.py`.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from padicres.cli import main
+
+PRIMES = (2, 3, 5, 7)
+
+CLIMIT_1 = ("2-t1", "1+t1", "3-t1", "t1-1", "5+t1^2", "1+t1+t1^3")
+CLIMIT_2 = ("5+t1+t2+t1*t2", "2-t1*t2", "1-t1", "3+t1-t2")
+IWASAWA = ("t-6", "t^2-t+1", "3*t-6", "t-1", "t+1", "4+t^3", "t^2+1", "9*t+3")
+
+
+def grid():
+    """(family, argv) for every run, in a fixed order."""
+    for p in PRIMES:
+        for mask in ("r", "rprime"):
+            for expr in CLIMIT_1:
+                yield "climit", ["climit", expr, "-p", str(p), "-K", "3", "--mask", mask]
+            for expr in CLIMIT_2:
+                yield "climit", ["climit", expr, "--vars", "2", "-p", str(p), "-K", "2", "--mask", mask]
+        yield "climit", ["climit", "7-t1*t2", "--vars", "2", "-p", str(p), "-K", "2", "--format", "json"]
+        for k in range(1, 7):
+            yield "whitehead", ["whitehead", "-k", str(k), "-p", str(p), "-K", "3" if p < 7 else "2", "--lmax", "4"]
+        for expr in IWASAWA:
+            yield "iwasawa", ["iwasawa", expr, "-p", str(p), "--n-max", "4"]
+    yield "whitehead", ["whitehead", "-k", "3", "-p", "2", "-K", "2", "--format", "json"]
+    yield "iwasawa", ["iwasawa", "t-6", "-p", "5", "--n-max", "2"]
+    for k in (3, 5, 7, 9):
+        for n_max in range(1, 5):
+            yield "twopart", ["twopart", "-k", str(k), "--n-max", str(n_max)]
+    yield "twopart", ["twopart", "-k", "4", "--n-max", "2"]
+    yield "twopart", ["twopart", "-k", "3", "--n-max", "3", "--format", "json"]
+
+
+def digests() -> dict:
+    hashes = {}
+    for family, argv in grid():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        record = f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n"
+        hashes.setdefault(family, hashlib.sha256()).update(record.encode())
+    return {family: h.hexdigest() for family, h in hashes.items()}
+
+
+EXPECTED = {
+    "climit": "248330709ed3ff082326e4697ddb9595789124644cc43285be3a23b0951afb43",
+    "whitehead": "63e31c209d9574072a8c7ecfa85a160ce6ac96ad47b37e10a1ac4528ec91ff9d",
+    "iwasawa": "a36cdda335f3380b8ef908cf8fc5f58c0f2d327fc1a2329b03db9f51289a9bde",
+    "twopart": "04aab22a812e729505796f56ea6e7276ace16613490e2c4eda4c6cfb7106eff8",
+}
+
+
+@pytest.fixture(scope="module")
+def computed():
+    return digests()
+
+
+@pytest.mark.parametrize("family", ["climit", "whitehead", "twopart", "iwasawa"])
+def test_stdout_digest(computed, family):
+    assert computed[family] == EXPECTED[family]
+
+
+if __name__ == "__main__":
+    for family, digest in digests().items():
+        print(f'    "{family}": "{digest}",')
