@@ -32,6 +32,9 @@ bench:
 # Alternating pairs of 20 s untraced runs of one workload between two
 # revisions, each exported by git archive (default: the parent commit
 # against HEAD); prints medians, quartiles and the lower-in count per metric.
+# REV_B=WORKTREE (or REV_A) takes the working tree's uncommitted changes to
+# tracked and staged files, through `git stash create`, or HEAD when it is
+# clean: `make bench-pairs REV_A=HEAD REV_B=WORKTREE` times them against HEAD.
 REV_A ?= HEAD~1
 REV_B ?= HEAD
 WORKLOAD ?= whitehead-2adic

@@ -3,7 +3,11 @@
     python3 scripts/bench_pairs.py REV_A REV_B --workload W --pairs N
 
 Each revision is exported with `git archive` into its own temporary
-directory.  Each pair then runs `perfbench/run.py --workload W --seed S
+directory.  The revision WORKTREE names the working tree as it stands: the
+commit `git stash create` makes of its uncommitted changes to tracked and
+staged files (untracked files are left out until `git add`ed), or HEAD
+when there are none; so a parent-against-uncommitted pair needs no commit
+or stash made by hand.  Each pair then runs `perfbench/run.py --workload W --seed S
 --seconds 20 --trace 0` once in each copy, with the same seed S (the pair's
 number plus --seed), A first in even pairs and B first in odd ones.  The
 runs set PYTHONDONTWRITEBYTECODE, so each starts from a fresh copy's state.
@@ -28,9 +32,22 @@ ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 
+WORKTREE = "WORKTREE"
+
+
+def resolve(rev: str) -> str:
+    """rev itself, or for WORKTREE the commit of the working tree's
+    uncommitted changes (`git stash create`), HEAD when it is clean."""
+    if rev != WORKTREE:
+        return rev
+    stash = subprocess.run(["git", "-C", str(ROOT), "stash", "create"], check=True, capture_output=True, text=True)
+    return stash.stdout.strip() or "HEAD"
+
+
 def export(rev: str, into: Path) -> Path:
-    """A copy of the committed tree of rev under `into`."""
+    """A copy of the tree of rev (resolve) under `into`."""
     into.mkdir()
+    rev = resolve(rev)
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return into

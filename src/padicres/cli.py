@@ -33,6 +33,7 @@ from .links import (
     h1_order,
     load_link_spec,
     nonp_limit_cost,
+    nonp_limit_levels,
     trefoil_spec,
     two_part_exponent_check,
     whitehead_closed_form,
@@ -203,9 +204,12 @@ def cmd_linkh1(args) -> int:
 
 def cmd_whitehead(args) -> int:
     link = whitehead_link_spec(args.k)
-    # one budget for the closed form's log norms and the empirical window,
-    # which a degenerate closed form never runs
-    window = 0.0 if whitehead_degenerate(args.k, args.prime) else nonp_limit_cost(link, args.prime, args.digits)
+    # one budget for the closed form's log norms and the empirical window of
+    # K - 1 levels (h1_nonp_limit), which a degenerate closed form never runs
+    if whitehead_degenerate(args.k, args.prime):
+        window = 0.0
+    else:
+        window = nonp_limit_cost(link, args.prime, nonp_limit_levels(args.digits))
     check_budget(closed_form_cost(args.k, args.prime, args.digits, args.lmax) + window)
     closed = whitehead_closed_form(args.k, args.prime, args.digits, truncation_level=args.lmax)
     payload = {

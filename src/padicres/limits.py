@@ -1,19 +1,32 @@
 """p-adic limit estimation for iterated cyclic resultants.
 
-The raw masked sequence at diagonal levels (K,...,K) determines its limit
-modulo p^K: raising any level multiplies the value by norms from p-power
-cyclotomic fields that are 1 mod the relevant p-power, so consecutive
-diagonal values agree mod p^(level).  _diagonal computes the whole
-diagonal window 1..K; _certify re-verifies those congruences inside the
-window instead of taking them on faith, and reports how many digits are
-certified.  limit_estimate certifies one polynomial's window, and
-links.h1_nonp_limit the window of homology orders, a product over
-sublinks, through the same _certify.
-Level k is the product of one cyclotomic factor per index tuple with every
-index <= k, so level k shares every factor of level k - 1: the window walks
-the tuples of level K once, computing each factor once, and takes the
-levels as prefix products.  Its budget, the cost estimates of levels 1..K
-summed, walks the same tuples once too (window_cost).
+Level k of the diagonal, R_k, the masked resultant at (k,...,k), is the
+product of one cyclotomic factor per index tuple with every index <= k, so
+R_(k+1) is R_k times the factors whose largest index is k + 1 (index 0
+joins level 1).  _diagonal walks the tuples of the top level once,
+computing each factor once, and hands back these per-level factors; its
+budget, the cost estimates of the levels summed, walks the same tuples once
+too (window_cost).
+
+The sharp congruence.  The Galois group of Q(zeta_(p^J)) acts freely on
+the root tuples whose largest index is J, so a level-J factor is a product
+of norms N(x) from Q(zeta_(p^J)) to Q, x = f(rep), one per orbit.  For
+x != 0 write x = pi^a u in Z_p[zeta], with pi = 1 - zeta and u a unit:
+N(pi) = Phi_(p^J)(1) = p, and N(u) lies in the norm group of
+Q_p(zeta_(p^J))/Q_p, which is p^Z x (1 + p^J Z_p) (local class field
+theory; Neukirch, Algebraic Number Theory, ch. V).  So the non-p part of
+N(x) is N(u) = 1 mod p^J, and nonp(R_(k+1)) = nonp(R_k) mod p^(k+1); in the
+unit case (p does not divide f(1,...,1), so every x is a unit) also
+R_(k+1) = R_k mod p^(k+1).  Unless a factor vanishes, the limit is then
+R_(K-1) mod p^K, raw in the unit case and on non-p parts always: a diagonal
+of L levels certifies K <= L + 1 digits (_certify), which checks every
+congruence inside the window, so a failure raises InvariantError instead of
+shrinking the count.  A factor that vanishes makes the sequence exactly 0
+from its level on; a window of K - 1 levels learns whether one of level K
+does from _level_vanishes, without a norm.  limit_estimate walks K levels,
+since it reports rows 1..K, so its top level is a checked, redundant digit;
+links.h1_nonp_limit certifies the homology orders of the diagonal covers
+from K - 1 levels through the same _certify.
 
 The zero/nonzero dichotomy is read from level 1: every masked factor
 f(zeta_1,...,zeta_d) has the same residue as f(1,...,1) in the residue
@@ -23,7 +36,8 @@ exactly 0 and the p-valuations grow without plateau; the non-p parts still
 satisfy the same congruences and are certified separately.
 
 Iwasawa invariants come by two independent routes: an exact fit of
-v_p = lambda*n + mu*p^n + nu on trailing levels, and the structural count
+v_p = lambda*n + mu*p^n + nu on trailing levels, whose v_p are running sums
+over one walk's per-level factors, and the structural count
 (mu from the content; lambda, the roots a with |a|_p = 1, |a-1|_p < 1, as
 the Weierstrass degree of f(1+s): Washington, GTM 83, Thm 7.3).
 """
@@ -35,9 +49,9 @@ import operator
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import VanishingResultantError, WindowTooShortError
+from .errors import InvariantError, VanishingResultantError, WindowTooShortError
 from .multipoly import MultiPoly
-from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
+from .padic import PadicApprox, teichmuller, vp, vp_split
 from .resultants import (
     CyclicResultantRequest,
     _factors,
@@ -100,81 +114,138 @@ class LimitEstimate:
 def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstimate:
     """Limit of the masked resultant sequence and of its non-p parts, mod p^K.
 
-    Diagonal values at levels (k,...,k) are computed for k = 1..K and
-    certified (_certify).  The window is refused before any work when its
-    levels' cost estimates sum past cost_budget() (window_cost).
+    The diagonal factors of levels (k,...,k), k = 1..K, are computed and
+    certified (_certify): the window reports rows 1..K, so its top level is
+    a checked, redundant digit.  The window is refused before any work when
+    its levels' cost estimates sum past cost_budget() (window_cost).
     """
     check_budget(window_cost(f, p, K, mask))
     return _certify(_diagonal(f, p, K, mask), p, K, f.num_vars)
 
 
-def _certify(diag: list, p: int, K: int, d: int) -> LimitEstimate:
-    """The limit mod p^K of a diagonal diag[k-1] at levels (k,...,k), k =
-    1..K, in d variables, and of its non-p parts: the value at (K,...,K)
-    is the limit, and the window's consecutive congruences (raw and non-p)
-    are verified rather than assumed.  The limit is exactly 0 when p
-    divides the level-1 value (then p divides every level's).  A value
-    that vanishes is a distinguished degenerate outcome: the whole tail is
-    exactly 0, and so is its non-p part."""
-    if any(v == 0 for v in diag):
-        # a masked resultant vanishes identically: the sequence (and its
-        # non-p part, since nonp(0) = 0) is exactly 0 from that level on
+def _certify(factors: list, p: int, K: int, d: int) -> LimitEstimate:
+    """The limit mod p^K, 1 <= K <= L + 1, of a diagonal in d variables
+    given by its L per-level factors, factors[k-1] = R_k / R_(k-1) (R_0 =
+    1), and of its non-p parts.  By the sharp congruence of the module
+    docstring the limit is R_L mod p^K, raw in the unit case and on non-p
+    parts always; the congruence is checked at every level k = 2..L, as
+    the level-k factor's non-p part being 1 mod p^k (in the unit case the
+    factor is its own non-p part, so that is the raw check too).  A failure
+    contradicts a theorem, so it raises InvariantError, and no digit count
+    follows from it.  The raw limit is exactly 0 when p divides R_1 (then p
+    divides every level's value).  A factor 0 is the distinguished
+    degenerate outcome: the whole tail is exactly 0, and so is its non-p
+    part.  No R_k is formed: v_p is a running sum over the factors and the
+    non-p part a running product mod p^max(K, L)."""
+    levels = len(factors)
+    if not 1 <= K <= levels + 1:
+        raise ValueError(f"{levels} diagonal levels certify 1 to {levels + 1} digits, not {K}")
+    modulus = p ** max(K, levels)
+    window = []
+    v, unit, last = 0, 1, 0
+    for k, factor in enumerate(factors, 1):
+        if not factor or not unit:
+            # the value vanishes from this level on, and nonp(0) = 0
+            unit = 0
+            window.append((k, -1, 0))
+            continue
+        last, u = vp_split(factor, p)
+        if k > 1 and (u - 1) % p**k:
+            raise InvariantError(
+                f"the non-p part of the level-{k} factor is not 1 mod {p}^{k}: "
+                "the sharp congruence fails"
+            )
+        v += last
+        unit = unit * u % modulus
+        window.append((k, v, unit % p**k))
+    zero_case = factors[0] % p == 0
+    if not unit:
         return LimitEstimate(
             value=PadicApprox.zero(p, K),
             nonp_value=PadicApprox.zero(p, K),
             certified_digits=None,
             nonp_certified_digits=K,
-            levels_used=(K,) * d,
+            levels_used=(levels,) * d,
             stabilized=False,
             degenerate=True,
-            window=tuple(
-                (k + 1, vp(v, p) if v else -1, nonp_part(v, p) % p ** (k + 1))
-                for k, v in enumerate(diag)
-            ),
+            window=tuple(window),
         )
-    zero_case = diag[0] % p == 0
-    vals, units = zip(*(vp_split(v, p) for v in diag))
-    raw_ok = all(
-        (diag[k] - diag[k - 1]) % p**k == 0 for k in range(1, K)
-    )
-    nonp_ok_to = K
-    for k in range(1, K):
-        if (units[k] - units[k - 1]) % p**k != 0:
-            nonp_ok_to = k
-            break
-    stabilized = vals[-1] == vals[-2] if K >= 2 else not zero_case
-    window = tuple(
-        (k + 1, vals[k], units[k] % p ** (k + 1)) for k in range(K)
-    )
-    if zero_case:
-        value = PadicApprox.zero(p, K)
-        certified: int | None = None
-    else:
-        value = PadicApprox.from_int(diag[-1], p, K)
-        certified = K if raw_ok else max(1, K - 1)
-    nonp_value = PadicApprox.from_int(units[-1], p, K)
+    # in the unit case every v_p is 0 and R_L is its own non-p part
+    value = PadicApprox.zero(p, K) if zero_case else PadicApprox.from_int(unit, p, K)
     return LimitEstimate(
         value=value,
-        nonp_value=nonp_value,
-        certified_digits=certified,
-        nonp_certified_digits=nonp_ok_to,
-        levels_used=(K,) * d,
-        stabilized=stabilized,
+        nonp_value=PadicApprox.from_int(unit, p, K),
+        certified_digits=None if zero_case else K,
+        nonp_certified_digits=K,
+        levels_used=(levels,) * d,
+        stabilized=last == 0 if levels >= 2 else not zero_case,
         degenerate=False,
-        window=window,
+        window=tuple(window),
     )
 
 
 def _diagonal(f: MultiPoly, p: int, K: int, mask: str) -> list:
-    """The masked resultants at levels (1,...,1) to (K,...,K), K >= 1:
-    acc[k] collects the factors whose largest index is k (index 0 joins
-    level 1), and the levels are the prefix products of acc.  Every
-    diagonal value is formed here: a limit window's, each sublink's of a
-    homology order (links._h1_diagonal) and the Iwasawa fit's."""
+    """The per-level factors of the masked resultants at levels (1,...,1)
+    to (K,...,K), K >= 1: entry k - 1 collects the factors whose largest
+    index is k (index 0 joins level 1), so level k's value is the product
+    of entries 0..k-1.  After a factor 0 the walk stops (_factors), and the
+    later entries are 1.  Every diagonal is walked here: a limit window's,
+    each sublink's of a homology order (links._h1_diagonal) and the Iwasawa
+    fit's."""
     acc = [1] * (K + 1)
     for index, factor in _factors(f, p, _window_masks(p, K, f.num_vars, mask)):
         acc[max((1, *index))] *= factor
-    return list(itertools.accumulate(acc[1:], operator.mul))
+    return acc[1:]
+
+
+def _level_vanishes(f: MultiPoly, p: int, k: int, mask: str) -> bool:
+    """Whether f vanishes at a tuple of p-power roots of unity that the
+    mask admits and whose largest index is k >= 2, given that it vanishes
+    at none whose largest index is below k: whether R_k = 0 while
+    R_(k-1) != 0, with no norm taken.
+
+    Every value f(zeta_1, ..., zeta_d) is f(1,...,1) mod pi, so none
+    vanishes unless p | f(1,...,1).  Then each Galois orbit of tuples has
+    one representative (z^c_1, ..., z^c_d), z = exp(2 pi i / p^k), whose
+    first coordinate a of index k has c_a = 1.  A degree count prunes most
+    of them.  Let m be the largest index of the other coordinates: z has
+    degree p^(k-m) over Q(zeta_(p^m)) (phi(p^k) when m = 0), so it is a
+    root of f(..., t_a, ...) over that field only if deg_(t_a) f reaches
+    that degree, or if that polynomial is 0, when f also vanishes with t_a
+    at index max(m, 1) < k, which the premise excludes.  A representative's
+    value is sum_e A(e) z^e, A(e) the sum of the coefficients whose
+    monomial is z^e.  Since Phi_(p^k)(x) = Phi_p(x^q), q = p^(k-1), and the
+    z^r, r < q, are a basis of Q(z) over Q(zeta_p), the value is 0 iff
+    A(e) = A(e + q) for every e mod p^k.  There are at most
+    d p^((d-1)k) representatives, each O(terms of f); the cost is not
+    charged to the budget."""
+    if k < 2:
+        raise ValueError(f"the vanishing test needs a level k >= 2, got {k}")
+    d = f.num_vars
+    if f.evaluate((1,) * d) % p:
+        return False
+    n, q = p**k, p ** (k - 1)
+    low = mask == "rprime"
+    # lists, not tuples built from generators: those are resized as they
+    # fill, and CPython's tuple free lists keep some of every size left over
+    exponents = [[0]] + [[p ** (k - j) * u for u in range(1, p**j) if u % p] for j in range(1, k + 1)]
+    for a in range(d):
+        # each term as (its t_a exponent, the others', its coefficient)
+        rows = [(e[a], e[:a] + e[a + 1 :], coeff) for e, coeff in f.terms()]
+        degree = f.degree_in(a + 1)
+        ranges = [range(low, k if i < a else k + 1) for i in range(d) if i != a]
+        for indices in itertools.product(*ranges):
+            m = max(indices, default=0)
+            if degree < (p ** (k - m) if m else (p - 1) * q):
+                continue
+            for c in itertools.product(*[exponents[j] for j in indices]):
+                value = {}
+                for base, rest, coeff in rows:
+                    e = (base + sum(map(operator.mul, rest, c))) % n
+                    value[e] = value.get(e, 0) + coeff
+                if all(x == value.get((e + q) % n, 0) for e, x in value.items()):
+                    return True
+    return False
 
 
 def sign_of(f: MultiPoly, p: int, levels, mask: str = "r") -> int:
@@ -222,8 +293,9 @@ def iwasawa_fit(f: UniPoly, p: int, n_max: int = 5) -> IwasawaInvariants:
 
     Requires the law to hold exactly on at least the final three levels up to
     n_max; the verified window is extended backwards as far as it holds.
-    The valuations are read from one diagonal walk (_diagonal, levels 1 to
-    n_max).  Refused before any work when the cost_estimate of the
+    Each e_n is a running sum of v_p over the per-level factors of one
+    diagonal walk (_diagonal, levels 1 to n_max), so no level's value is
+    formed.  Refused before any work when the cost_estimate of the
     full-mask resultant at level n_max, whose factors these are, exceeds
     cost_budget().
     """
@@ -233,13 +305,13 @@ def iwasawa_fit(f: UniPoly, p: int, n_max: int = 5) -> IwasawaInvariants:
         raise WindowTooShortError("need n_max >= 3 for a three-level window")
     g = MultiPoly(1, {(i,): c for i, c in enumerate(f.coeffs) if c})
     check_budget(cost_estimate(CyclicResultantRequest.full(g, p, (n_max,))))
-    diag = _diagonal(g, p, n_max, "r")
-    if not diag[-1]:
-        n = diag.index(0) + 1
+    factors = _diagonal(g, p, n_max, "r")
+    if 0 in factors:
+        n = factors.index(0) + 1
         raise VanishingResultantError(
             f"Phi_{p}^j divides f for some j <= {n}: cyclic resultants vanish from level {n} on"
         )
-    e_values = [vp(v, p) for v in diag]
+    e_values = list(itertools.accumulate(vp(x, p) for x in factors))
     mu = vp(f.content(), p)
     resid = [e - mu * p**n for n, e in zip(range(1, n_max + 1), e_values)]
     lam = resid[-1] - resid[-2]

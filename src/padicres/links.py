@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, Tuple
 
 from .cyclo import estimated_log_valuation, level_log_norm, level_log_valuation, phi_degree
 from .errors import OracleMismatchError, PolyParseError
-from .limits import LimitEstimate, _certify, _diagonal, window_cost
+from .limits import LimitEstimate, _certify, _diagonal, _level_vanishes, window_cost
 from .multipoly import MultiPoly
 from .oracles import modular_root_product
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
@@ -244,36 +244,65 @@ def h1_order(link: LinkSpec, cov: CoveringSpec) -> H1Result:
 
 
 def _h1_diagonal(link: LinkSpec, p: int, K: int) -> list:
-    """|H_1| of the diagonal covers at levels (1,...,1) to (K,...,K), as
-    h1_order gives them: one diagonal walk per sublink (limits._diagonal),
-    each value a factor by _h1_factor's conventions."""
-    orders = [1] * K
+    """The per-level factors of |H_1| of the diagonal covers at levels
+    (1,...,1) to (K,...,K): the order at level k, as h1_order gives it, is
+    the product of entries 0..k-1.  One diagonal walk per sublink
+    (limits._diagonal) gives its per-level factors; a level's value has the
+    running sign of the sublink's factors, so each factor passes through
+    _h1_factor's conventions with that sign, and from a factor 0 on the
+    sublink contributes 0."""
+    factors = [1] * K
     for subset in link.subsets():
         delta = link.alexander(subset)
-        for k, value in enumerate(_diagonal(delta, p, K, "rprime")):
-            orders[k] *= _h1_factor(subset, delta, p, value)
-    return orders
+        sign = 1
+        for k, factor in enumerate(_diagonal(delta, p, K, "rprime")):
+            sign *= (factor > 0) - (factor < 0)
+            factors[k] *= _h1_factor(subset, delta, p, sign * abs(factor))
+    return factors
 
 
-def nonp_limit_cost(link: LinkSpec, p: int, K: int) -> float:
-    """cost_estimate summed over every level of every sublink's window, one
-    weighted walk per sublink (limits.window_cost)."""
-    return sum(window_cost(link.alexander(s), p, K, "rprime") for s in link.subsets())
+def nonp_limit_cost(link: LinkSpec, p: int, levels: int) -> float:
+    """cost_estimate summed over the diagonal levels 1..levels of every
+    sublink, one weighted walk per sublink (limits.window_cost)."""
+    return sum(window_cost(link.alexander(s), p, levels, "rprime") for s in link.subsets())
+
+
+def nonp_limit_levels(K: int) -> int:
+    """The diagonal levels h1_nonp_limit walks for K >= 1 digits."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    return max(1, K - 1)
 
 
 def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
     """p-adic limit of |H_1| and of its non-p parts along the diagonal
-    covers: the orders at levels 1..K (_h1_diagonal), certified once as
-    one diagonal (limits._certify).  Refused before any work when
-    nonp_limit_cost exceeds cost_budget().
+    covers, mod p^K, from the orders at levels 1..max(1, K - 1)
+    (_nonp_limit).  Refused before any work when nonp_limit_cost of the
+    levels walked exceeds cost_budget().
     """
-    check_budget(nonp_limit_cost(link, p, K))
+    check_budget(nonp_limit_cost(link, p, nonp_limit_levels(K)))
     return _nonp_limit(link, p, K)
 
 
 def _nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
-    """h1_nonp_limit without its budget check."""
-    return _certify(_h1_diagonal(link, p, K), p, K, link.d)
+    """h1_nonp_limit without its budget check.  The orders at levels
+    1..L = max(1, K - 1) (_h1_diagonal), certified once as one diagonal
+    (limits._certify), give K <= L + 1 digits: each sublink's masked
+    resultant satisfies the sharp congruence R_(k+1) = R_k mod p^(k+1) on
+    non-p parts (limits), and so does its absolute value, since every factor
+    of a level k + 1 >= 2 is a product of norms from Q(zeta_(p^(k+1))),
+    which is totally imaginary, and so is positive.  A product over
+    sublinks keeps the congruence.  When no order up to level L is 0, level
+    K's is 0 iff some sublink's factor of level K vanishes
+    (limits._level_vanishes), and the window then ends in that 0.
+    """
+    levels = nonp_limit_levels(K)
+    factors = _h1_diagonal(link, p, levels)
+    if levels < K and 0 not in factors and any(
+        _level_vanishes(link.alexander(s), p, K, "rprime") for s in link.subsets()
+    ):
+        factors.append(0)
+    return _certify(factors, p, K, link.d)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +465,11 @@ def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
 
     The per-level nu sums are t - s*phi from level_log_valuation, the
     valuation of the cyclotomic-log norms under the Q_2-normalized
-    valuation.  The left side is exact: v_2 of the orders _h1_diagonal
-    reads from one diagonal walk per sublink, levels (1,...,1) to
-    (n_max,...,n_max), with h1_order's conventions (_h1_factor); an order
-    0, a cover that is not a rational homology sphere, gives exponent 0.
+    valuation.  The left side is exact: v_2 of the orders, a running sum
+    over the per-level factors _h1_diagonal reads from one diagonal walk
+    per sublink, levels (1,...,1) to (n_max,...,n_max), with h1_order's
+    conventions (_h1_factor); an order 0, a cover that is not a rational
+    homology sphere, gives exponent 0.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("need odd k = 2m+1 with m >= 1")
@@ -453,9 +483,12 @@ def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
         shift, t = level_log_valuation(m, level)
         nu_sums[level] = t - shift * phi_degree(2, level)
     rows = []
-    for n, order in enumerate(_h1_diagonal(link, 2, n_max), 1):
+    exponent = 0
+    for n, factor in enumerate(_h1_diagonal(link, 2, n_max), 1):
         _assert_prefactor_cancels(CoveringSpec(2, (n, n)))
         predicted = n * 2**n - 2 * n + 1 + sum(nu_sums[lv] for lv in range(2, n + 1))
-        rows.append((n, vp(order, 2) if order else 0, predicted))
+        # a factor 0 is an order 0 from its level on, each later factor 0 too
+        exponent += vp(factor, 2) if factor else 0
+        rows.append((n, exponent if factor else 0, predicted))
     ok = all(exact == predicted for _, exact, predicted in rows)
     return TwoPartReport(k=k, rows=tuple(rows), ok=ok)

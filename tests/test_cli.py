@@ -112,12 +112,13 @@ def test_res_budget_bounds_three_variable_elimination(capsys, monkeypatch, level
     "argv",
     [
         ["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "3", "-K", "7"],
-        ["whitehead", "-k", "5", "-p", "3", "-K", "7"],
+        ["whitehead", "-k", "5", "-p", "3", "-K", "8"],
     ],
 )
 def test_window_budget_refuses_before_any_elimination(capsys, monkeypatch, argv):
     # the estimates of every level and sublink of the window are summed and
-    # refused before level 1 is computed
+    # refused before level 1 is computed; `whitehead -K 8` walks and charges
+    # 7 levels (2.07e9), while -K 7 walks 6 (5.45e7) and is accepted
     def no_work(*args):
         raise AssertionError("the elimination started")
 
@@ -343,8 +344,9 @@ def test_h1_nonp_limit_refuses_over_budget(monkeypatch):
     def no_work(*args):
         raise AssertionError("the elimination started")
 
+    # three digits from the two levels walked, and the cost of those two
     link = links.whitehead_link_spec(3)
-    cap = math.ceil(links.nonp_limit_cost(link, 3, 3))
+    cap = math.ceil(links.nonp_limit_cost(link, 3, 2))
     monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
     monkeypatch.setenv("PADIC_RES_BUDGET", str(cap - 1))
     with pytest.raises(BudgetExceededError):
@@ -521,6 +523,63 @@ def test_whitehead_degenerate(capsys):
     for digits in ("12", "13", "20"):
         code, out, _ = run(capsys, "whitehead", "-k", "1", "-p", "2", "-K", digits)
         assert code == 0 and "degenerate: True" in out and "torsion unit" in out
+
+
+@pytest.mark.parametrize("k, p", [(3, 2), (4, 3), (5, 5), (6, 7)])
+def test_whitehead_one_digit_walks_one_level(capsys, monkeypatch, k, p):
+    # -K 1 walks level 1 alone and certifies its one digit: the window's
+    # only elimination is against Phi_p(t2)
+    calls = []
+    elimination = resultants.phi_resultant_last_var
+
+    def counting(f, q, j):
+        calls.append(j)
+        return elimination(f, q, j)
+
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", counting)
+    code, out, _ = run(capsys, "whitehead", "-k", str(k), "-p", str(p), "-K", "1", "--format", "json")
+    assert code == 0 and calls == [1]
+    record = json.loads(out)
+    assert record["agree"] is True and record["compared_digits"] == 1
+    assert record["empirical"].endswith(f" mod {p}^1")
+
+
+def _break_sharp_congruence(monkeypatch, target, p, level):
+    """Multiply the level-`level` factor of `target`'s diagonal walks by
+    1 + p^(level-1): its non-p part stays 1 mod p^(level-1), the old,
+    weaker check, but is no longer 1 mod p^level."""
+    from padicres import limits, links
+
+    walk = limits._diagonal
+
+    def patched(f, q, K, mask):
+        factors = walk(f, q, K, mask)
+        if f == target and K >= level:
+            factors[level - 1] *= 1 + q ** (level - 1)
+        return factors
+
+    monkeypatch.setattr(limits, "_diagonal", patched)
+    monkeypatch.setattr(links, "_diagonal", patched)
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "6"], "2 - t1 - t2 + 2*t1*t2"),
+        (["whitehead", "-k", "4", "-p", "3", "-K", "3"], "2 - 2*t1 - 2*t2 + 2*t1*t2"),
+        (["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "3"], "5+t1+t2+t1*t2"),
+        (["climit", "2-t1", "-p", "3", "-K", "2", "--mask", "rprime"], "2-t1"),
+    ],
+    ids=["whitehead-p2", "whitehead-p3", "climit-p2", "climit-p3"],
+)
+def test_broken_sharp_congruence_exits_one_with_no_output(capsys, monkeypatch, argv, target):
+    # a broken congruence is a broken theorem: exit 1 with nothing on
+    # stdout, never a smaller digit count
+    p = int(argv[argv.index("-p") + 1])
+    f = parse_poly(target, 2 if "t2" in target else 1)
+    _break_sharp_congruence(monkeypatch, f, p, 2)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and "sharp congruence fails" in err
 
 
 def test_twopart(capsys):

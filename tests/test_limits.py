@@ -1,13 +1,16 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
 
-from padicres.errors import VanishingResultantError, WindowTooShortError
+from padicres.errors import InvariantError, VanishingResultantError, WindowTooShortError
 from padicres import resultants
 from padicres.limits import (
+    _certify,
     _diagonal,
+    _level_vanishes,
     _request,
     closed_form_limit,
     iwasawa_fit,
@@ -305,7 +308,7 @@ def test_window_walk_against_the_per_level_resultants():
     degenerate = 0
     for f, p, K, mask in cases:
         values = [cyclic_resultant(req) for req in window_requests(f, p, K, mask)]
-        assert _diagonal(f, p, K, mask) == values
+        assert list(itertools.accumulate(_diagonal(f, p, K, mask), operator.mul)) == values
         est = limit_estimate(f, p, K, mask)
         assert [row[1] for row in est.window] == [vp(v, p) if v else -1 for v in values]
         degenerate += est.degenerate
@@ -386,7 +389,7 @@ def test_window_against_the_root_product_oracle():
                 cases.append((f, p, K, mask))
     zeros = 0
     for f, p, K, mask in cases:
-        diagonal = _diagonal(f, p, K, mask)
+        diagonal = list(itertools.accumulate(_diagonal(f, p, K, mask), operator.mul))
         start = 0 if mask == "r" else 1
         for k in range(1, K + 1):
             oracle = modular_root_product(f, p, [set(range(start, k + 1))] * f.num_vars)
@@ -449,3 +452,88 @@ def test_iwasawa_law_extrapolates_beyond_window(monkeypatch):
         value = cyclic_resultant(CyclicResultantRequest.full(g, p, (6,)))
         assert vp(value, p) == fit.predicts(6, p)
         done += 1
+
+
+def _shifted(f, p, zero):
+    """f plus a constant that makes p | f(1,...,1) iff `zero`."""
+    c = -f.evaluate((1,) * f.num_vars) % p
+    if not zero:
+        c += 1
+    return f + MultiPoly.const(f.num_vars, c)
+
+
+def test_k_digits_from_k_minus_one_levels_grid():
+    # the sharp congruence R_(k+1) = R_k mod p^(k+1): the K digits that
+    # levels 1..K-1 certify (with the level-K vanishing test) equal those of
+    # the K-level window and of the level-K value itself, mod p^K
+    # (p, d): K, as deep as a few seconds allow; three variables at p = 5
+    # and 7 cost seconds per window already at K = 2
+    rng = random.Random(2111)
+    depth = {
+        (2, 1): 6, (2, 2): 5, (2, 3): 3,
+        (3, 1): 5, (3, 2): 3, (3, 3): 2,
+        (5, 1): 4, (5, 2): 2,
+        (7, 1): 3, (7, 2): 2,
+    }
+    # factors that vanish: from level 1 (t1 = -1), first at the level the
+    # short window does not walk (zeta_1 zeta_2 = -1, zeta_1 = -zeta_2,
+    # Phi_4(t1), Phi_9(t1)), and from a walked level on (Phi_4(t1) at K = 3)
+    cases = [
+        (parse_poly("(1+t1)*(5+t2)", 2), 2, 3, "r"),
+        (parse_poly("1+t1*t2", 2), 2, 2, "rprime"),
+        (parse_poly("t1+t2", 2), 2, 2, "rprime"),
+        (parse_poly("1+t1^2", 1), 2, 2, "r"),
+        (parse_poly("(1+t1^2)*(5+t2)", 2), 2, 3, "rprime"),
+        (parse_poly("(1+t1^3+t1^6)*(4+t2+t3)", 3), 3, 2, "rprime"),
+    ]
+    for (p, d), K in depth.items():
+        for mask in ("r", "rprime"):
+            for zero in (True, False, True, False):
+                f = _shifted(random_multipoly(rng, d, 4, 2 if d < 3 else 1, 5), p, zero)
+                if f.total_degree() > 0:
+                    cases.append((f, p, K, mask))
+    degenerate = zero_limits = 0
+    for f, p, K, mask in cases:
+        d = f.num_vars
+        for digits in range(1, K + 1):
+            factors = _diagonal(f, p, max(1, digits - 1), mask)
+            if digits > 1 and 0 not in factors and _level_vanishes(f, p, digits, mask):
+                factors.append(0)
+            short = _certify(factors, p, digits, d)
+            full = limit_estimate(f, p, digits, mask)
+            label = (f.serialize(), p, mask, digits)
+            assert short.degenerate == full.degenerate, label
+            assert short.certified_digits == full.certified_digits == (None if short.value.exact else digits), label
+            assert str(short.value) == str(full.value) and str(short.nonp_value) == str(full.nonp_value), label
+            value = math.prod(_diagonal(f, p, digits, mask))
+            assert short.nonp_value.residue(digits) == nonp_part(value, p) % p**digits, label
+            if not zero_limit_predicate(f, p):
+                assert short.value.residue(digits) == value % p**digits, label
+        degenerate += full.degenerate
+        zero_limits += zero_limit_predicate(f, p) and not full.degenerate
+    assert degenerate >= 6 and zero_limits >= 20
+
+
+def test_broken_sharp_congruence_raises(monkeypatch):
+    # a level-k factor whose non-p part is 1 mod p^(k-1) but not mod p^k
+    # contradicts the theorem: InvariantError, never fewer digits
+    from padicres import limits
+
+    walk = limits._diagonal
+    for f, p, K, mask in [
+        (parse_poly("5+t1+t2+t1*t2", 2), 2, 4, "r"),
+        (parse_poly("7-2*t2+t1-3*t1*t2", 2), 3, 3, "r"),
+        (parse_poly("2-t1", 1), 5, 3, "rprime"),
+    ]:
+        assert limit_estimate(f, p, K, mask).nonp_certified_digits == K
+        for level in range(2, K + 1):
+
+            def patched(g, q, n, m, level=level):
+                factors = walk(g, q, n, m)
+                factors[level - 1] *= 1 + q ** (level - 1)
+                return factors
+
+            monkeypatch.setattr(limits, "_diagonal", patched)
+            with pytest.raises(InvariantError, match=f"level-{level} factor"):
+                limit_estimate(f, p, K, mask)
+            monkeypatch.setattr(limits, "_diagonal", walk)

@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+import operator
 import random
 
 import pytest
@@ -304,14 +307,16 @@ def test_two_part_exact_side_equals_h1_order(monkeypatch):
     # link's sublinks {1} and {2} have Delta = 1, and every parity sign is +)
     from padicres import links
 
-    def patched(values_by_vars):
-        return lambda f, p, K, mask: values_by_vars[f.num_vars][:K]
+    def patched(factors_by_vars):
+        return lambda f, p, K, mask: factors_by_vars[f.num_vars][:K]
 
-    # a vanishing factor at level 3 gives exponent 0 from there on
-    monkeypatch.setattr(links, "_diagonal", patched({1: [1, 1, 1, 1], 2: [2, 8, 0, 0]}))
+    # per-level factors: values 2, 8, 0, 0, so a vanishing factor at level 3
+    # gives exponent 0 from there on
+    monkeypatch.setattr(links, "_diagonal", patched({1: [1, 1, 1, 1], 2: [2, 4, 0, 1]}))
     assert [exact for _, exact, _ in two_part_exponent_check(3, 4).rows] == [1, 3, 0, 0]
-    # a sign against the parity prediction at level 2 is an oracle mismatch
-    monkeypatch.setattr(links, "_diagonal", patched({1: [1, 1, 1, 1], 2: [2, -8, 32, 64]}))
+    # values 2, -8, 32, 64: a sign against the parity prediction at level 2
+    # is an oracle mismatch
+    monkeypatch.setattr(links, "_diagonal", patched({1: [1, 1, 1, 1], 2: [2, -4, -4, 2]}))
     with pytest.raises(OracleMismatchError, match=r"sublink \(1, 2\)"):
         two_part_exponent_check(3, 4)
 
@@ -425,7 +430,7 @@ def test_h1_diagonal_against_h1_order_and_the_character_oracle(p, K):
     links = [whitehead_link_spec(k) for k in range(1, 7)]
     links += [trefoil_spec(), load_link_spec(three_component_doc()), knot("t1 - 3"), knot("1 + t1^2")]
     for link in links:
-        orders = _h1_diagonal(link, p, K)
+        orders = list(itertools.accumulate(_h1_diagonal(link, p, K), operator.mul))
         assert len(orders) == K
         for n, order in enumerate(orders, 1):
             cov = CoveringSpec(p, (n,) * link.d)
@@ -436,11 +441,68 @@ def test_h1_diagonal_against_h1_order_and_the_character_oracle(p, K):
 
 def test_exact_zero_nonp_limit_certifies_no_digit_count():
     # p | |H_1| at every level: the raw limit is exactly 0, as limit_estimate
-    # reports it, and the window holds the orders' valuations
+    # reports it, and the window holds the orders' valuations at the levels
+    # walked, 1..K-1
     est = h1_nonp_limit(whitehead_link_spec(2), 2, 3)
     assert str(est.value) == "0 (exact)" and est.certified_digits is None
     assert not est.degenerate and est.nonp_certified_digits == 3
-    assert [level for level, _, _ in est.window] == [1, 2, 3]
+    assert [level for level, _, _ in est.window] == [1, 2]
     assert [v for _, v, _ in est.window] == [
-        h1_order(whitehead_link_spec(2), CoveringSpec(2, (n, n))).p_exponent for n in (1, 2, 3)
+        h1_order(whitehead_link_spec(2), CoveringSpec(2, (n, n))).p_exponent for n in (1, 2)
     ]
+
+
+@pytest.mark.parametrize("p, K", [(2, 5), (3, 4), (5, 3), (7, 2)])
+def test_h1_nonp_limit_from_k_minus_one_levels_grid(p, K):
+    # h1_nonp_limit certifies K digits from levels 1..K-1; they equal the
+    # K-level window's and the level-K order's, mod p^K.  At p = 2 the
+    # Whitehead link L_1 (Delta = 1 + t1*t2) has order 0 first at level 2,
+    # which the short window finds without walking it.  The three-component
+    # link's level-2 window at p = 7 takes seconds, so it stops at level 1.
+    from padicres.limits import _certify
+    from padicres.links import _h1_diagonal
+
+    links = [whitehead_link_spec(k) for k in range(1, 8)]
+    links += [trefoil_spec(), load_link_spec(three_component_doc())]
+    degenerate = 0
+    for link in links:
+        top = min(K, {2: 5, 3: 3, 5: 2, 7: 1}[p]) if link.d == 3 else K
+        for digits in range(1, top + 1):
+            short = h1_nonp_limit(link, p, digits)
+            factors = _h1_diagonal(link, p, digits)
+            full = _certify(factors, p, digits, link.d)
+            label = (link.name, p, digits)
+            # rows 1..K-1, and a row for level K only when its order is 0
+            rows = [row[0] for row in short.window]
+            walked = list(range(1, max(1, digits - 1) + 1))
+            assert rows == walked or (rows == walked + [digits] and short.window[-1][1:] == (-1, 0)), label
+            assert (short.degenerate, short.certified_digits) == (full.degenerate, full.certified_digits), label
+            assert str(short.value) == str(full.value) and str(short.nonp_value) == str(full.nonp_value), label
+            order = math.prod(factors)
+            assert short.nonp_value.residue(digits) == nonp_part(order, p) % p**digits, label
+            degenerate += short.degenerate
+    assert degenerate == (4 if p == 2 else 0)
+
+
+def test_h1_nonp_limit_broken_sharp_congruence_raises(monkeypatch):
+    # a sublink's level-k factor whose non-p part is 1 mod p^(k-1) but not
+    # mod p^k contradicts the theorem: InvariantError, never fewer digits
+    from padicres import links
+    from padicres.errors import InvariantError
+
+    walk = links._diagonal
+    for k, p, K in [(3, 2, 4), (4, 3, 3), (5, 5, 3), (2, 7, 3)]:
+        link = whitehead_link_spec(k)
+        assert h1_nonp_limit(link, p, K).nonp_certified_digits == K
+        for level in range(2, K):
+
+            def patched(f, q, n, mask, level=level):
+                factors = walk(f, q, n, mask)
+                if f.num_vars == 2:
+                    factors[level - 1] *= 1 + q ** (level - 1)
+                return factors
+
+            monkeypatch.setattr(links, "_diagonal", patched)
+            with pytest.raises(InvariantError, match=f"level-{level} factor"):
+                h1_nonp_limit(link, p, K)
+            monkeypatch.setattr(links, "_diagonal", walk)
