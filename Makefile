@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: test acceptance reproduce-paper regen-expected check bench bench-pairs
+.PHONY: test acceptance reproduce-paper regen-expected digests check bench bench-pairs
 
 test:
 	$(PYTHON) -m pytest -q
@@ -45,3 +45,9 @@ bench-pairs:
 
 regen-expected:
 	$(PYTHON) scripts/reproduce_paper.py > expected/reproduce_paper.txt
+
+# Prints the stdout grid's sha256 digest per command family, to recompute
+# EXPECTED in tests/test_stdout_grid.py after a deliberate output change;
+# writes no file.
+digests:
+	PYTHONPATH=src $(PYTHON) tests/test_stdout_grid.py

@@ -44,6 +44,7 @@ the Weierstrass degree of f(1+s): Washington, GTM 83, Thm 7.3).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import operator
 from dataclasses import dataclass
@@ -59,6 +60,7 @@ from .resultants import (
     cost_estimate,
     cyclic_resultant,
     masks_cost,
+    phi_degree,
 )
 from .unipoly import UniPoly, is_prime
 
@@ -118,9 +120,25 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
     certified (_certify): the window reports rows 1..K, so its top level is
     a checked, redundant digit.  The window is refused before any work when
     its levels' cost estimates sum past cost_budget() (window_cost).
+
+    In one variable a factor of level j vanishes only when Phi_(p^j) | f,
+    so phi(p^j) <= deg f, and _level_vanishes tests each such level j > K
+    in turn; the first that vanishes makes the sequence exactly 0 from its
+    level on, and the estimate degenerate, with the window rows as
+    computed.  In more variables no such bound on the level is known.
     """
     check_budget(window_cost(f, p, K, mask))
-    return _certify(_diagonal(f, p, K, mask), p, K, f.num_vars)
+    est = _certify(_diagonal(f, p, K, mask), p, K, f.num_vars)
+    if f.num_vars == 1 and not est.degenerate:
+        degree, j = f.degree_in(1), K + 1
+        while phi_degree(p, j) <= degree:
+            if _level_vanishes(f, p, j, mask):
+                zero = PadicApprox.zero(p, K)
+                return dataclasses.replace(
+                    est, value=zero, nonp_value=zero, certified_digits=None, stabilized=False, degenerate=True
+                )
+            j += 1
+    return est
 
 
 def _certify(factors: list, p: int, K: int, d: int) -> LimitEstimate:
@@ -343,15 +361,7 @@ def lambda_mu_structural(f: UniPoly, p: int) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_limit(
-    a: int,
-    n: int,
-    g: MultiPoly | int,
-    p: int,
-    K: int,
-    verify: bool = False,
-    verify_levels: int | None = None,
-) -> PadicApprox:
+def closed_form_limit(a: int, n: int, g: MultiPoly | int, p: int, K: int) -> PadicApprox:
     """Exact p-adic limit of the full-mask cyclic resultants of
     f = a*t1^n + g, where g does not involve t1.
 
@@ -361,9 +371,6 @@ def closed_form_limit(
     is exactly 0.  In the univariate case (g constant, f in t1 alone) there
     is no outer limit to project onto a root of unity, and the value is
     (omega_p(g) - omega_p(-a))^(p^(v_p(n))) instead.
-
-    verify=True recomputes the limit empirically via limit_estimate and
-    asserts agreement on all mutually certified digits.
     """
     if a == 0:
         raise ValueError("a must be nonzero")
@@ -371,37 +378,18 @@ def closed_form_limit(
         raise ValueError("n must be >= 1")
     if isinstance(g, int):
         g = MultiPoly.const(0, g)
-    d = g.num_vars + 1
     g1 = g.evaluate((1,) * g.num_vars)
     f1 = a + g1
     if f1 % p == 0:
-        result = PadicApprox.zero(p, K)
-    elif d >= 2:
-        if p != 2:
-            result = teichmuller(f1, p, K)
-        else:
-            # omega_2(g(1,..,1) - a) with omega_2 = 1 on odds; g1 - a is odd here
-            result = PadicApprox.from_int(1, 2, K, exact=True)
-    else:
-        v = vp(n, p)
-        if p == 2:
-            base = (1 if g1 % 2 else 0) - (1 if a % 2 else 0)
-            result = PadicApprox.from_int(base ** (2**v), 2, K, exact=True)
-        else:
-            base = teichmuller(g1, p, K) + teichmuller(a, p, K)
-            result = base ** (p**v)
-    if verify:
-        fpoly = MultiPoly(d, {(n,) + (0,) * (d - 1): a}) + g.embed(
-            d, list(range(2, g.num_vars + 2))
-        )
-        levels = verify_levels if verify_levels is not None else min(K, 3)
-        est = limit_estimate(fpoly, p, levels, mask="r")
-        digits = levels if est.certified_digits is None else min(levels, est.certified_digits)
-        if not est.value.eq_mod(result, digits):
-            raise AssertionError(
-                f"closed form {result} disagrees with estimate {est.value} mod {p}^{digits}"
-            )
-    return result
+        return PadicApprox.zero(p, K)
+    if g.num_vars:
+        # omega_2(g(1,..,1) - a) with omega_2 = 1 on odds; g1 - a is odd here
+        return teichmuller(f1, p, K) if p != 2 else PadicApprox.from_int(1, 2, K, exact=True)
+    v = vp(n, p)
+    if p == 2:
+        base = (1 if g1 % 2 else 0) - (1 if a % 2 else 0)
+        return PadicApprox.from_int(base ** (2**v), 2, K, exact=True)
+    return (teichmuller(g1, p, K) + teichmuller(a, p, K)) ** (p**v)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ evaluated in F_q for enough primes q and recovered by the CRT
 
 The twisted Whitehead family is built in, with the closed-form limits of
 the non-p parts: m|m|_p / omega_p(m|m|_p) for k = 2m, omega_p(2)/2 for
-k = 2m+1 at odd p, and for p = 2 the truncated product of cyclotomic-log
-norms whose achieved precision is measured, never assumed.
+k = 2m+1 at odd p, and for p = 2 the product of cyclotomic-log norm units
+truncated at level lmax, which certifies lmax + 1 digits: every level-L
+unit is a norm from Q_2(zeta_(2^L)), so 1 mod 2^L.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
 from .cyclo import estimated_log_valuation, level_log_norm, level_log_valuation, phi_degree
-from .errors import OracleMismatchError, PolyParseError
+from .errors import InvariantError, OracleMismatchError, PolyParseError
 from .limits import LimitEstimate, _certify, _diagonal, _level_vanishes, window_cost
 from .multipoly import MultiPoly
 from .oracles import modular_root_product
@@ -398,11 +399,18 @@ def whitehead_closed_form(k: int, p: int, K: int, truncation_level: int = 5) -> 
     k = 2m+1, odd p: omega_p(2) / 2.
     k = 2m+1, p = 2: the infinite product over 2-power roots of unity of
     2^(-nu) log((m*zeta+m+1)/(m*zeta+m+zeta)), grouped per cyclotomic level
-    into norm unit parts and truncated at `truncation_level` >= 2 (level 1
-    is excluded from the product); the achieved precision is measured from
-    the convergence of the level factors, worked at precision K + 14.  m = 0
-    makes the argument a torsion unit and is reported degenerate.  Refused
-    before any work when closed_form_cost exceeds cost_budget().
+    into norm unit parts, worked at precision K + 14 and truncated at
+    `truncation_level` = lmax >= 2 (level 1 is excluded from the product).
+    It certifies min(K, lmax + 1) digits.  At level L write log u = pi^a eps
+    in Q_2(zeta_(2^L)), pi = 1 - zeta and eps a unit: N(pi) = Phi_(2^L)(1)
+    = 2, so the unit part of N(log u), which level_log_norm returns, is
+    N(eps), and the norm group of Q_2(zeta_(2^L))/Q_2 is 2^Z x (1 + 2^L Z_2)
+    (Neukirch, Algebraic Number Theory, ch. V), so N(eps) = 1 mod 2^L.  Every
+    factor past lmax is then 1 mod 2^(lmax + 1), and so is the tail.  Each
+    level's unit is checked against that congruence; a failure contradicts
+    the theorem and raises InvariantError.  m = 0 makes the argument a
+    torsion unit and is reported degenerate.  Refused before any work when
+    closed_form_cost exceeds cost_budget().
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -429,23 +437,20 @@ def whitehead_closed_form(k: int, p: int, K: int, truncation_level: int = 5) -> 
             "the product degenerates (and the covers stop being rational homology spheres)",
         )
     work = K + 14
-    units = []
+    product = pow(k, -1, 2**work)
     per_level = []
     for level in range(2, truncation_level + 1):
         _, nu_sum, unit = level_log_norm(m, level, work)
-        units.append(unit)
+        if (unit - 1) % 2**level:
+            raise InvariantError(
+                f"the level-{level} log norm unit is not 1 mod 2^{level}: the norm group bound fails"
+            )
+        product = product * unit % 2**work
         per_level.append((level, nu_sum, work))
-    # measured tail estimate: distance of the last factors from 1
-    tails = [work if u == 1 else vp(u - 1, 2) for u in units[-2:]]
-    tail = tails[-1] if len(tails) < 2 else tails[-1] + max(0, tails[-1] - tails[-2])
-    value = PadicApprox(2, work, 0, math.prod(units) * pow(k, -1, 2**work))
-    achieved = min(K, tail)
     return WhiteheadLimit(
-        value=value,
-        achieved_digits=achieved,
+        value=PadicApprox(2, work, 0, product),
+        achieved_digits=min(K, truncation_level + 1),
         degenerate=False,
-        note=f"product truncated at cyclotomic level {truncation_level}; "
-        f"tail measured from the last factors",
         per_level=tuple(per_level),
     )
 

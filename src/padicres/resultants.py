@@ -499,32 +499,32 @@ def _factors(f: MultiPoly, p: int, masks):
     key, the largest of those indices and 1, is the first diagonal level
     the subtree reaches, so every diagonal value from there on is 0, and
     the walk yields no tuple with a key as large after it."""
-    bound = math.inf
-
-    def walk(g, masks, index: Tuple[int, ...], top: int):
-        # g is a UniPoly when one mask is left, else a MultiPoly; top is the
-        # key of index
-        nonlocal bound
-        for j in sorted(masks[-1]):
-            key = max(top, j)
-            if key >= bound:
-                return
-            if len(masks) == 1:
-                value = resultant_phi_int(p, j, g)
-                if not value:
-                    bound = key
-                yield (j,) + index, value
-                continue
-            h = phi_resultant_last_var(g, p, j)
-            if h.is_zero:
-                bound = key
-                yield (j,) + index, 0
-            else:
-                yield from walk(_univariate(h) if len(masks) == 2 else h, masks[:-1], (j,) + index, key)
-
     if not masks:
         return iter([((), f.constant_value())])
-    return walk(_univariate(f) if len(masks) == 1 else f, masks, (), 1)
+    return _walk(_univariate(f) if len(masks) == 1 else f, p, masks, (), 1, [math.inf])
+
+
+def _walk(g, p: int, masks, index: Tuple[int, ...], top: int, bound: list):
+    """_factors' walk below one index prefix: g is a UniPoly when one mask
+    is left, else a MultiPoly; top is the key of index, and bound[0] the
+    least key a vanishing factor has reached so far, shared by the whole
+    walk (a module-level generator, so a walk leaves no reference cycle)."""
+    for j in sorted(masks[-1]):
+        key = max(top, j)
+        if key >= bound[0]:
+            return
+        if len(masks) == 1:
+            value = resultant_phi_int(p, j, g)
+            if not value:
+                bound[0] = key
+            yield (j,) + index, value
+            continue
+        h = phi_resultant_last_var(g, p, j)
+        if h.is_zero:
+            bound[0] = key
+            yield (j,) + index, 0
+        else:
+            yield from _walk(_univariate(h) if len(masks) == 2 else h, p, masks[:-1], (j,) + index, key, bound)
 
 
 def cost_estimate(req: CyclicResultantRequest) -> float:
@@ -549,7 +549,10 @@ def masks_cost(f: MultiPoly, p: int, masks, window: int = 0) -> float:
     over the levels (1,...,1) to (K,...,K), in one walk of level K's index
     tuples: an elimination or final norm whose indices so far have key k
     (the largest of them and 1, as in _factors) belongs to levels k to K,
-    so its cost counts K - k + 1 times."""
+    so its cost counts K - k + 1 times.  A zero f costs nothing: its first
+    elimination or norm is 0."""
+    if f.is_zero:
+        return 0.0
     degrees = [f.degree_in(i + 1) for i in range(f.num_vars)]
     bits = math.log2(max(2, sum(abs(c) for _, c in f.terms())))
     try:

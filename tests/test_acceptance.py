@@ -11,7 +11,6 @@ import random
 import time
 
 from padicres.limits import (
-    closed_form_limit,
     iwasawa_fit,
     lambda_mu_structural,
     limit_estimate,
@@ -138,7 +137,7 @@ def test_criterion_4_iwasawa_law():
     _report(4, "fitted (lambda,mu) = structural (lambda,mu), exact law on 3 trailing levels", started, f"{fitted} fits over 100 polynomials x 3 primes")
 
 
-def test_criterion_5_closed_form_family():
+def test_criterion_5_closed_form_family(closed_form_check):
     started = time.time()
     rng = random.Random(10005)
     done = 0
@@ -151,7 +150,7 @@ def test_criterion_5_closed_form_family():
         else:
             g = random_multipoly(rng, 1, 3, 2, 6)
         K = 3 if p in (2, 3) else 2
-        closed_form_limit(a, n, g, p, 3, verify=True, verify_levels=K)
+        closed_form_check(a, n, g, p, 3, levels=K)
         done += 1
     _report(5, "closed-form limits agree with limit_estimate on 50 random families", started)
 

@@ -582,6 +582,52 @@ def test_broken_sharp_congruence_exits_one_with_no_output(capsys, monkeypatch, a
     assert (code, out) == (1, "") and "sharp congruence fails" in err
 
 
+@pytest.mark.parametrize(
+    "argv, compared",
+    [
+        (["whitehead", "-k", "3", "-p", "2", "-K", "8", "--lmax", "4"], 5),
+        (["whitehead", "-k", "11", "-p", "2", "-K", "10"], 6),
+    ],
+)
+def test_whitehead_2adic_compares_the_certified_digits(capsys, argv, compared):
+    # the closed form certifies lmax + 1 digits, here fewer than K; past
+    # them it differs from the empirical limit, and that is no mismatch
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["agree"] is True
+    assert record["achieved_digits"] == record["compared_digits"] == compared
+
+
+def test_broken_norm_group_bound_exits_one_with_no_output(capsys, monkeypatch):
+    # a level unit that is not 1 mod 2^L contradicts the norm group
+    from padicres import links
+
+    level_log_norm = links.level_log_norm
+
+    def broken(m, level, digits):
+        s, nu, unit = level_log_norm(m, level, digits)
+        return s, nu, unit * (1 + 2 ** (level - 1)) % 2**digits
+
+    monkeypatch.setattr(links, "level_log_norm", broken)
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "4")
+    assert (code, out) == (1, "") and "norm group" in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["res", "-p", "2", "-n", "2,2", "t1-t1"], "value: 0"),
+        (["climit", "t1-t1", "--vars", "2", "-p", "2", "-K", "2"], "degenerate: True"),
+    ],
+)
+def test_zero_polynomial_costs_nothing(capsys, argv, line):
+    # a zero f in two variables once crashed the cost estimate on its
+    # degree -1
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and line in out.splitlines() and err == ""
+
+
 def test_twopart(capsys):
     code, out, _ = run(capsys, "twopart", "-k", "3", "--n-max", "2", "--format", "json")
     assert code == 0

@@ -12,7 +12,6 @@ from padicres.limits import (
     _diagonal,
     _level_vanishes,
     _request,
-    closed_form_limit,
     iwasawa_fit,
     lambda_mu_structural,
     limit_estimate,
@@ -236,28 +235,28 @@ def test_lambda_mu_structural_by_construction():
                     assert lambda_mu_structural(f, p) == (lam, mu), (p, lam, mu, f)
 
 
-def test_closed_form_limit_odd_p_multivariate():
-    value = closed_form_limit(-1, 1, MultiPoly.const(1, 2), 7, 2, verify=True, verify_levels=2)
+def test_closed_form_limit_odd_p_multivariate(closed_form_check):
+    value = closed_form_check(-1, 1, MultiPoly.const(1, 2), 7, 2, levels=2)
     assert value.residue(2) == 1  # omega_7(f(1,1)) = omega_7(1)
 
 
-def test_closed_form_limit_zero_case():
-    value = closed_form_limit(1, 2, MultiPoly.const(1, -1), 3, 3, verify=True, verify_levels=2)
+def test_closed_form_limit_zero_case(closed_form_check):
+    value = closed_form_check(1, 2, MultiPoly.const(1, -1), 3, 3, levels=2)
     assert value.is_exact_zero
 
 
-def test_closed_form_limit_p2_univariate():
-    value = closed_form_limit(1, 1, 4, 2, 3, verify=True, verify_levels=3)
+def test_closed_form_limit_p2_univariate(closed_form_check):
+    value = closed_form_check(1, 1, 4, 2, 3, levels=3)
     assert value.residue(3) == 7  # the sign lift -1
 
 
-def test_closed_form_limit_p2_multivariate_is_one():
+def test_closed_form_limit_p2_multivariate_is_one(closed_form_check):
     g = MultiPoly(1, {(1,): 4})  # 4*t2 after embedding
-    value = closed_form_limit(1, 1, g, 2, 3, verify=True, verify_levels=3)
+    value = closed_form_check(1, 1, g, 2, 3, levels=3)
     assert value.residue(3) == 1
 
 
-def test_closed_form_limit_random_verify():
+def test_closed_form_limit_random_verify(closed_form_check):
     rng = random.Random(203)
     done = 0
     while done < 12:
@@ -266,7 +265,7 @@ def test_closed_form_limit_random_verify():
         gd = rng.choice([0, 1])
         g = random_multipoly(rng, gd, 3, 2, 5) if gd else MultiPoly.const(0, rng.randint(-5, 5))
         p = rng.choice([2, 3, 5])
-        closed_form_limit(a, n, g, p, 3, verify=True, verify_levels=3 if p < 5 else 2)
+        closed_form_check(a, n, g, p, 3, levels=3 if p < 5 else 2)
         done += 1
 
 
@@ -502,9 +501,15 @@ def test_k_digits_from_k_minus_one_levels_grid():
             short = _certify(factors, p, digits, d)
             full = limit_estimate(f, p, digits, mask)
             label = (f.serialize(), p, mask, digits)
-            assert short.degenerate == full.degenerate, label
-            assert short.certified_digits == full.certified_digits == (None if short.value.exact else digits), label
-            assert str(short.value) == str(full.value) and str(short.nonp_value) == str(full.nonp_value), label
+            # in one variable the full window also sees a factor that first
+            # vanishes past its levels: phi(p^j) <= deg f <= 2, so j <= 2
+            later = d == 1 and not short.degenerate and 0 in _diagonal(f, p, 2, mask)
+            assert full.degenerate == (short.degenerate or later), label
+            if later:
+                assert full.value.is_exact_zero and full.nonp_value.is_exact_zero, label
+            else:
+                assert short.certified_digits == full.certified_digits == (None if short.value.exact else digits), label
+                assert str(short.value) == str(full.value) and str(short.nonp_value) == str(full.nonp_value), label
             value = math.prod(_diagonal(f, p, digits, mask))
             assert short.nonp_value.residue(digits) == nonp_part(value, p) % p**digits, label
             if not zero_limit_predicate(f, p):
@@ -537,3 +542,38 @@ def test_broken_sharp_congruence_raises(monkeypatch):
             with pytest.raises(InvariantError, match=f"level-{level} factor"):
                 limit_estimate(f, p, K, mask)
             monkeypatch.setattr(limits, "_diagonal", walk)
+
+
+@pytest.mark.parametrize(
+    "expr, p, j",
+    [
+        ("(1+t1^4)*(3+t1)", 2, 3),
+        ("1+t1^4", 2, 3),
+        ("(1+t1^8)*(1+t1+t1^2)", 2, 4),
+        ("(1+t1^3+t1^6)*(2-t1)", 3, 2),
+        ("(1+t1^9+t1^18)*(5+t1^2)", 3, 3),
+    ],
+)
+@pytest.mark.parametrize("mask", ["r", "rprime"])
+def test_univariate_window_sees_a_later_vanishing(expr, p, j, mask):
+    # Phi_(p^j) | f: the sequence is exactly 0 from level j on, so a window
+    # of K < j levels is degenerate, with its rows as computed
+    f = parse_poly(expr, 1)
+    for K in range(1, j):
+        est = limit_estimate(f, p, K, mask)
+        assert est.degenerate and not est.stabilized, (expr, K)
+        assert est.value.is_exact_zero and est.nonp_value.is_exact_zero
+        assert est.certified_digits is None and est.nonp_certified_digits == K
+        assert [row[:2] for row in est.window] == [
+            (k, vp(cyclic_resultant(_request(f, p, (k,), mask)), p)) for k in range(1, K + 1)
+        ]
+    assert cyclic_resultant(_request(f, p, (j,), mask)) == 0
+    assert limit_estimate(f, p, j, mask).window[-1] == (j, -1, 0)
+
+
+def test_univariate_window_without_a_later_vanishing_is_unchanged():
+    # deg f reaches phi(8) = 4, but Phi_8 does not divide f
+    f = parse_poly("3+t1^4", 1)
+    est = limit_estimate(f, 2, 2)
+    value = cyclic_resultant(_request(f, 2, (2,), "r"))
+    assert not est.degenerate and est.nonp_value.residue(2) == nonp_part(value, 2) % 4

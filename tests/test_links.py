@@ -506,3 +506,28 @@ def test_h1_nonp_limit_broken_sharp_congruence_raises(monkeypatch):
             with pytest.raises(InvariantError, match=f"level-{level} factor"):
                 h1_nonp_limit(link, p, K)
             monkeypatch.setattr(links, "_diagonal", walk)
+
+
+def test_whitehead_2adic_closed_form_certifies_lmax_plus_one_digits(monkeypatch):
+    # the norm group of Q_2(zeta_(2^L)) puts every level-L unit in
+    # 1 + 2^L Z_2, so the tail past lmax is 1 mod 2^(lmax+1): no digit of
+    # min(K, lmax + 1) differs from the level-11 truncation
+    from padicres import links
+
+    units = []
+    level_log_norm = links.level_log_norm
+
+    def recording(m, level, digits):
+        s, nu, unit = level_log_norm(m, level, digits)
+        units.append((level, unit))
+        return s, nu, unit
+
+    monkeypatch.setattr(links, "level_log_norm", recording)
+    for k in range(3, 64, 2):
+        deep = whitehead_closed_form(k, 2, 12, 11).value
+        for lmax in range(2, 10):
+            closed = whitehead_closed_form(k, 2, 12, lmax)
+            assert closed.achieved_digits == min(12, lmax + 1)
+            assert closed.value.eq_mod(deep, closed.achieved_digits), (k, lmax)
+    assert units and all((unit - 1) % 2**level == 0 for level, unit in units)
+

@@ -730,3 +730,21 @@ def test_oracle_primes_are_searched_once_per_modulus(monkeypatch):
     monkeypatch.setattr(oracles, "is_prime", no_search)
     assert modular_root_product(f, 3, masks) == first == cyclic_resultant(req)
     assert list(itertools.islice(oracles._oracle_primes(3, 9), 4)) == primes
+
+
+def test_factor_walk_leaves_no_reference_cycle():
+    # the walk is a module-level generator, not a closure over its own
+    # state, so a whole cyclic_resultant frees everything by reference count
+    import gc
+
+    from padicres.links import whitehead_delta
+
+    req = CyclicResultantRequest.full(whitehead_delta(7), 2, (4, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        cyclic_resultant(req)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
