@@ -121,24 +121,40 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
     a checked, redundant digit.  The window is refused before any work when
     its levels' cost estimates sum past cost_budget() (window_cost).
 
-    In one variable a factor of level j vanishes only when Phi_(p^j) | f,
-    so phi(p^j) <= deg f, and _level_vanishes tests each such level j > K
-    in turn; the first that vanishes makes the sequence exactly 0 from its
-    level on, and the estimate degenerate, with the window rows as
-    computed.  In more variables no such bound on the level is known.
+    In one variable a later level that vanishes makes the sequence exactly
+    0 from there on (_vanishes_later), and the estimate degenerate, with
+    the window rows as computed.
     """
     check_budget(window_cost(f, p, K, mask))
     est = _certify(_diagonal(f, p, K, mask), p, K, f.num_vars)
-    if f.num_vars == 1 and not est.degenerate:
-        degree, j = f.degree_in(1), K + 1
-        while phi_degree(p, j) <= degree:
-            if _level_vanishes(f, p, j, mask):
-                zero = PadicApprox.zero(p, K)
-                return dataclasses.replace(
-                    est, value=zero, nonp_value=zero, certified_digits=None, stabilized=False, degenerate=True
-                )
-            j += 1
+    if not est.degenerate and _vanishes_later(f, p, K, mask):
+        return _degenerate(est, p, K)
     return est
+
+
+def _vanishes_later(f: MultiPoly, p: int, K: int, mask: str) -> bool:
+    """Whether a one-variable f, vanishing at no level up to K, vanishes
+    at a later level: a factor of level j vanishes only when
+    Phi_(p^j) | f, so phi(p^j) <= deg f, and _level_vanishes tests each
+    such level j > K in turn.  False in more variables, where no such
+    bound on the level is known."""
+    if f.num_vars != 1:
+        return False
+    degree, j = f.degree_in(1), K + 1
+    while phi_degree(p, j) <= degree:
+        if _level_vanishes(f, p, j, mask):
+            return True
+        j += 1
+    return False
+
+
+def _degenerate(est: LimitEstimate, p: int, K: int) -> LimitEstimate:
+    """est for a sequence that is exactly 0 from a level past its window
+    on: exact-zero limits, not stabilized, the window rows as computed."""
+    zero = PadicApprox.zero(p, K)
+    return dataclasses.replace(
+        est, value=zero, nonp_value=zero, certified_digits=None, stabilized=False, degenerate=True
+    )
 
 
 def _certify(factors: list, p: int, K: int, d: int) -> LimitEstimate:

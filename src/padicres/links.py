@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, Tuple
 
 from .cyclo import estimated_log_valuation, level_log_norm, level_log_valuation, phi_degree
 from .errors import InvariantError, OracleMismatchError, PolyParseError
-from .limits import LimitEstimate, _certify, _diagonal, _level_vanishes, window_cost
+from .limits import LimitEstimate, _certify, _degenerate, _diagonal, _level_vanishes, _vanishes_later, window_cost
 from .multipoly import MultiPoly
 from .oracles import modular_root_product
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
@@ -295,15 +295,20 @@ def _nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
     which is totally imaginary, and so is positive.  A product over
     sublinks keeps the congruence.  When no order up to level L is 0, level
     K's is 0 iff some sublink's factor of level K vanishes
-    (limits._level_vanishes), and the window then ends in that 0.
+    (limits._level_vanishes), and the window then ends in that 0.  A
+    one-variable sublink can still vanish at a later level, which
+    limits._vanishes_later tests as limit_estimate does; then the orders
+    are exactly 0 from there on, and the estimate is degenerate.
     """
     levels = nonp_limit_levels(K)
     factors = _h1_diagonal(link, p, levels)
-    if levels < K and 0 not in factors and any(
-        _level_vanishes(link.alexander(s), p, K, "rprime") for s in link.subsets()
-    ):
+    deltas = [link.alexander(s) for s in link.subsets()]
+    if levels < K and 0 not in factors and any(_level_vanishes(delta, p, K, "rprime") for delta in deltas):
         factors.append(0)
-    return _certify(factors, p, K, link.d)
+    est = _certify(factors, p, K, link.d)
+    if not est.degenerate and any(_vanishes_later(delta, p, K, "rprime") for delta in deltas):
+        return _degenerate(est, p, K)
+    return est
 
 
 # ---------------------------------------------------------------------------

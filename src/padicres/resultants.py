@@ -5,7 +5,9 @@
   (phi_resultant_last_var: the norm of f(t', zeta_{p^j}), with the remaining
   variables t' Kronecker-packed into one integer), what is left in t_1 is
   one coefficient list, and the factors multiply back together by resultant
-  multiplicativity (_factors, which a limit window also walks).
+  multiplicativity (_factors, which a limit window also walks).  When
+  swapping variables with equal masks fixes f, the tuples that differ by
+  such swaps have equal factors, and one final norm serves each orbit.
 * resultant_phi_int: the final univariate Res(Phi_{p^j}, g), one per
   factor.
 * mul_mod_phi: the one product of Z[zeta_{p^j}], by Kronecker substitution,
@@ -27,8 +29,12 @@
   about log2(p) products by mul_mod_phi, whose last product is taken only
   on the fixed subring Z[zeta^p]: the factors are split by exponent mod p,
   and the p pairs of classes whose exponents sum to 0 mod p are packed and
-  multiplied, p products of a p-th of the size.  No packed product is
-  unpacked before its reduction.
+  multiplied, p products of a p-th of the size.  A level whose x has degree
+  D < phi(p^(j-1)) is instead the Graeffe step G_p(x)(s) =
+  lc^p prod (s - alpha_i^p), already reduced, by scaled Newton power sums
+  or by the chain in the smallest ring that holds it, as a fitted cost
+  picks (_graeffe_level).  No packed product is unpacked before its
+  reduction.
 
 The oracles this engine is tested against (the Sylvester determinant, the
 subresultant PRS, the literal baseline and the root product modulo primes)
@@ -45,12 +51,15 @@ cyclic_resultant checks its request's cost_estimate, a limit window the sum
 over its levels, and `whitehead` adds the closed form's log norms to its
 window; the literal baseline has its own degree budget.  A window's sum
 takes one walk of its top level's index tuples, as the window itself does
-(masks_cost): each term counts once for every level that contains it.
+(masks_cost): each term counts once for every level that contains it.  The
+estimates charge every tuple and every dense level, so they over-charge f
+that swaps of variables fix and the sparse levels of the odd-p tower.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -116,15 +125,19 @@ def cyclotomic_norm(p: int, j: int, coeffs) -> int:
 
 def _tower_norm(p: int, j: int, x) -> int:
     """N(x(zeta_{p^j})), x reduced mod Phi_{p^j}, one level at a time: at
-    p = 2 on one packed integer (graeffe_norm); at odd p by _level_norm.
-    Each odd level is checked: every conjugate of x is x(1) mod pi, so the
-    norm y to level j-1 has y(1) = x(1) mod p, and the norm to Q is an
-    integer."""
+    p = 2 on one packed integer (graeffe_norm); at odd p by _level_norm,
+    or by _graeffe_level when x is sparse for its level.  Each odd level is
+    checked: every conjugate of x is x(1) mod pi, so the norm y to level
+    j-1 has y(1) = x(1) mod p, and the norm to Q is an integer."""
     if p == 2:
         size = graeffe_bytes(max(map(abs, x)).bit_length(), len(x))
         return graeffe_norm(_pack(x, size, 1 << (8 * size - 1)), len(x), size)
     for level in range(j, 1, -1):
-        y = _level_norm(p, level, x)
+        degree = max(i for i, c in enumerate(x) if c)
+        if degree < phi_degree(p, level - 1):
+            y = _graeffe_level(p, x[: degree + 1])
+        else:
+            y = _level_norm(p, level, x)
         if (sum(y) - sum(x)) % p:
             raise InvariantError(f"norm from level {level} is not x(1) mod {p}")
         x = y
@@ -132,6 +145,77 @@ def _tower_norm(p: int, j: int, x) -> int:
     if any(y[1:]):
         raise InvariantError("norm from level 1 is not an integer")
     return y[0]
+
+
+def _graeffe_level(p: int, x) -> list:
+    """The norm of x(zeta) from Z[zeta_{p^j}] to Z[zeta_{p^(j-1)}], odd p,
+    for x of degree D < phi(p^(j-1)), as D + 1 coefficients: the Graeffe
+    step G_p(x)(s) = prod_{k<p} x(w^k t) = lc^p prod_i (s - alpha_i^p),
+    s = t^p, w a primitive p-th root of 1 and alpha_i the roots of x.  The
+    conjugates of zeta over Q(zeta^p) are the zeta w^k, and
+    prod_k (zeta w^k - alpha) = zeta^p - alpha^p for odd p, so the norm is
+    G_p(x)(zeta^p), and G_p(x), of degree D < phi(p^(j-1)), is already
+    reduced.  It is the same polynomial in every ring Z[zeta_{p^J}], J >= 2,
+    with D < phi(p^(J-1)), so it is taken by whichever of two routes costs
+    less: the scaled power sums (_power_sum_graeffe), or _level_norm in the
+    smallest such ring."""
+    degree, ring = len(x) - 1, 2
+    while phi_degree(p, ring - 1) <= degree:
+        ring += 1
+    if _power_sums_pay(p, degree, max(map(abs, x)).bit_length() + degree.bit_length(), phi_degree(p, ring)):
+        return _power_sum_graeffe(p, x)
+    return _level_norm(p, ring, x)[: degree + 1]
+
+
+def _power_sums_pay(p: int, degree: int, bits: int, n: int) -> bool:
+    """Whether _power_sum_graeffe costs less than _level_norm in a ring of n
+    digits, for x of the degree with coefficients of about `bits` bits.
+    The power sums take p D^2 products, the largest of D and p D words of
+    `bits` bits; the chain takes about log2(p) + 1 products of n digits
+    whose width grows to p * bits.  Fitted on a 2-core host to 116
+    measured pairs (the sparse levels of res-large and windows, and D up to
+    30 with 2 to 200 bits at p = 3, 5 and 7), in units of about 0.2 us: it
+    picks the slower route by more than 20% on 2 of them, and loses 2.4%
+    of the total time against the faster route of each."""
+    words = n * p * bits / 64
+    return p * degree**2 * (1 + p * (degree * bits / 64) ** 2 / 400) < n * p * math.log2(p) + words**1.585 / 20
+
+
+def _power_sum_graeffe(p: int, x) -> list:
+    """G_p(x) = lc^p prod_i (s - alpha_i^p) for x = sum a_i t^i of degree D,
+    lc = a_D, by Newton's identities on scaled power sums.  With P_k the
+    k-th power sum of the alpha_i, Q_k = lc^k P_k is an integer, and
+    multiplying Newton's identity a_D P_k + sum_{i=1}^{min(k-1,D)} a_(D-i)
+    P_(k-i) + [k <= D] k a_(D-k) = 0 by lc^(k-1) gives
+    Q_k = -sum_i a_(D-i) lc^(i-1) Q_(k-i) - [k <= D] k a_(D-k) lc^(k-1).
+    The power sums of the alpha_i^p are the P_(pm), so with
+    F_m = lc^(pm) e_m, e_m their elementary symmetric functions, Newton
+    gives m F_m = sum_{i=1}^m (-1)^(i-1) F_(m-i) Q_(pi), and the coefficient
+    of s^(D-m) is (-1)^m F_m / lc^(p(m-1)).  Both divisions are exact, as
+    the F_m and the coefficients are integers; one that is not raises
+    InvariantError."""
+    degree, lc = len(x) - 1, x[-1]
+    scaled = [0] + [x[degree - i] * lc ** (i - 1) for i in range(1, degree + 1)]
+    sums = [0]
+    for k in range(1, p * degree + 1):
+        total = k * scaled[k] if k <= degree else 0
+        for i in range(1, min(k - 1, degree) + 1):
+            total += scaled[i] * sums[k - i]
+        sums.append(-total)
+    out, elementary, scale = [0] * degree + [lc**p], [1], 1
+    for m in range(1, degree + 1):
+        total = 0
+        for i in range(1, m + 1):
+            term = elementary[m - i] * sums[p * i]
+            total += term if i % 2 else -term
+        value, rest = divmod(total, m)
+        coeff, remainder = divmod(value, scale)
+        if rest or remainder:
+            raise InvariantError("a power-sum Graeffe step left a remainder")
+        elementary.append(value)
+        out[degree - m] = -coeff if m % 2 else coeff
+        scale *= out[-1]
+    return out
 
 
 def graeffe_bytes(bits: int, n: int) -> int:
@@ -498,33 +582,88 @@ def _factors(f: MultiPoly, p: int, masks):
     norm, yields (its trailing indices, 0) once for its whole subtree.  Its
     key, the largest of those indices and 1, is the first diagonal level
     the subtree reaches, so every diagonal value from there on is 0, and
-    the walk yields no tuple with a key as large after it."""
+    the walk yields no tuple with a key as large after it.
+
+    Variables whose swap fixes f and whose masks agree form blocks
+    (_swap_blocks).  Swapping t_a and t_b carries the roots of a tuple onto
+    those of the tuple with j_a and j_b swapped, so the two factors are
+    equal: only a tuple whose indices do not decrease within any block is
+    computed, an elimination whose trailing indices already decrease within
+    a block is skipped, and each computed factor is yielded for every
+    rearrangement of its tuple within the blocks, all with the same key.
+    So every selected tuple is still yielded, and a factor 0 ends the same
+    levels."""
     if not masks:
         return iter([((), f.constant_value())])
-    return _walk(_univariate(f) if len(masks) == 1 else f, p, masks, (), 1, [math.inf])
+    links, orbit = _swap_blocks(f, masks)
+    return _walk(_univariate(f) if len(masks) == 1 else f, p, masks, (), 1, [math.inf], links, orbit)
 
 
-def _walk(g, p: int, masks, index: Tuple[int, ...], top: int, bound: list):
+def _swap_blocks(f: MultiPoly, masks):
+    """(links, orbit) for the blocks of variables whose swaps fix f, among
+    those with equal masks (when the swaps (a b) and (b c) fix f, so does
+    (a c), so comparing with each block's first variable partitions them).
+    links[i] is the offset, in the trailing index
+    tuple of variable i, of the next variable of its block, or -1; orbit
+    lists the permutations of the positions within the blocks, empty when
+    every block is a single variable."""
+    d = len(masks)
+    blocks = []
+    for i in range(d):
+        for block in blocks:
+            swap = list(range(1, d + 1))
+            swap[block[0]], swap[i] = i + 1, block[0] + 1
+            if masks[block[0]] == masks[i] and f.permute_vars(swap) == f:
+                block.append(i)
+                break
+        else:
+            blocks.append([i])
+    links = [-1] * d
+    for block in blocks:
+        for a, b in zip(block, block[1:]):
+            links[a] = b - a - 1
+    orbit = []
+    for perms in itertools.product(*map(itertools.permutations, blocks)):
+        sigma = list(range(d))
+        for block, perm in zip(blocks, perms):
+            for a, b in zip(block, perm):
+                sigma[a] = b
+        orbit.append(sigma)
+    return links, orbit if len(orbit) > 1 else []
+
+
+def _walk(g, p: int, masks, index: Tuple[int, ...], top: int, bound: list, links, orbit):
     """_factors' walk below one index prefix: g is a UniPoly when one mask
     is left, else a MultiPoly; top is the key of index, and bound[0] the
     least key a vanishing factor has reached so far, shared by the whole
-    walk (a module-level generator, so a walk leaves no reference cycle)."""
+    walk (a module-level generator, so a walk leaves no reference cycle).
+    The index of the variable being eliminated stays at most that of the
+    next variable of its block (links)."""
+    link = links[len(masks) - 1]
+    cap = index[link] if link >= 0 else math.inf
     for j in sorted(masks[-1]):
         key = max(top, j)
-        if key >= bound[0]:
+        if key >= bound[0] or j > cap:
             return
         if len(masks) == 1:
             value = resultant_phi_int(p, j, g)
             if not value:
                 bound[0] = key
-            yield (j,) + index, value
+            if orbit:
+                tuples = (j,) + index
+                for sigma in dict.fromkeys(tuple(tuples[k] for k in sigma) for sigma in orbit):
+                    yield sigma, value
+            else:
+                yield (j,) + index, value
             continue
         h = phi_resultant_last_var(g, p, j)
         if h.is_zero:
             bound[0] = key
             yield (j,) + index, 0
         else:
-            yield from _walk(_univariate(h) if len(masks) == 2 else h, p, masks[:-1], (j,) + index, key, bound)
+            yield from _walk(
+                _univariate(h) if len(masks) == 2 else h, p, masks[:-1], (j,) + index, key, bound, links, orbit
+            )
 
 
 def cost_estimate(req: CyclicResultantRequest) -> float:
@@ -539,6 +678,11 @@ def cost_estimate(req: CyclicResultantRequest) -> float:
     n * bits / 64 words, or one product of that size if g is linear
     (cyclotomic_norm's closed form).  The terms follow _factors' walk of the
     masks' index tuples (_cost); masks_cost also sums them over a window.
+    Every tuple is charged, and every odd-p level as a dense one in the full
+    ring, so f that swaps of variables fix (one final norm per orbit) and
+    the sparse levels of a small-degree g (_graeffe_level) are charged more
+    than they cost; charging them less would admit requests the budget
+    refuses today, such as `climit 5+t1+t2+t1*t2 --vars 2 -p 3 -K 7`.
     """
     return masks_cost(req.f, req.p, req.factor_mask)
 

@@ -316,7 +316,9 @@ def test_window_walk_against_the_per_level_resultants():
 
 def test_window_eliminates_once_per_index_prefix(monkeypatch):
     # a d = 2 rprime window of depth K: K eliminations of t2, and K final
-    # norms in t1 after each; none past a zero factor
+    # norms in t1 after each, or only those with j1 <= j2 when swapping t1
+    # and t2 fixes f, as it fixes every Whitehead polynomial; none past a
+    # zero factor
     calls = []
     elimination, final = resultants.phi_resultant_last_var, resultants.resultant_phi_int
 
@@ -332,9 +334,13 @@ def test_window_eliminates_once_per_index_prefix(monkeypatch):
     monkeypatch.setattr(resultants, "resultant_phi_int", counting_final)
     for K in (1, 2, 5):
         calls.clear()
-        limit_estimate(whitehead(3), 2, K, mask="rprime")
+        limit_estimate(parse_poly("5+t1+2*t2+t1*t2", 2), 2, K, mask="rprime")
         assert len(calls) == K + K * K
         assert sorted(calls) == sorted([(2, j) for j in range(1, K + 1)] + [(1, j) for j in range(1, K + 1)] * K)
+        calls.clear()
+        limit_estimate(whitehead(3), 2, K, mask="rprime")
+        assert len(calls) == K + K * (K + 1) // 2
+        assert sorted(calls) == sorted([(2, j) for j in range(1, K + 1)] + [(1, i) for j in range(1, K + 1) for i in range(1, j + 1)])
     # a zero at level 1 ends the walk: t2 at index 0, then t1 at 0 and at 1,
     # where 1 + t1 vanishes
     calls.clear()

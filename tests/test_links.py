@@ -10,6 +10,7 @@ from padicres.errors import OracleMismatchError
 from padicres.limits import limit_estimate
 from padicres.links import (
     CoveringSpec,
+    LinkSpec,
     character_oracle,
     closed_form_cost,
     h1_nonp_limit,
@@ -531,3 +532,41 @@ def test_whitehead_2adic_closed_form_certifies_lmax_plus_one_digits(monkeypatch)
             assert closed.value.eq_mod(deep, closed.achieved_digits), (k, lmax)
     assert units and all((unit - 1) % 2**level == 0 for level, unit in units)
 
+
+
+@pytest.mark.parametrize(
+    "expr, p, j",
+    [
+        ("1+t1^4", 2, 3),
+        ("(1+t1^8)*(1+t1+t1^2)", 2, 4),
+        ("(1+t1^9+t1^18)*(5+t1^2)", 3, 3),
+    ],
+)
+def test_h1_nonp_limit_sees_a_later_vanishing_in_a_knot_sublink(expr, p, j):
+    # Phi_(p^j) | Delta: |H_1| is 0 from level j on, so a limit of K < j
+    # digits is degenerate, alone or as a component of a link
+    knot = parse_poly(expr, 1)
+    links = [
+        LinkSpec(1, ("K",), {frozenset({1}): knot}),
+        LinkSpec(
+            2,
+            ("K", "U"),
+            {frozenset({1}): knot, frozenset({2}): MultiPoly.const(1, 1), frozenset({1, 2}): whitehead_delta(3)},
+        ),
+    ]
+    for link in links:
+        assert h1_order(link, CoveringSpec(p, (j,) * link.d)).order == 0
+        assert h1_order(link, CoveringSpec(p, (j - 1,) * link.d)).order != 0
+        for K in range(1, j):
+            est = h1_nonp_limit(link, p, K)
+            assert est.degenerate and not est.stabilized, (expr, link.d, K)
+            assert est.value.is_exact_zero and est.nonp_value.is_exact_zero
+            assert est.certified_digits is None and est.nonp_certified_digits == K
+
+
+def test_h1_nonp_limit_without_a_later_vanishing_is_unchanged():
+    # deg Delta reaches phi(8) = 4, but Phi_8 does not divide it
+    link = LinkSpec(1, ("K",), {frozenset({1}): parse_poly("3+t1^4", 1)})
+    est = h1_nonp_limit(link, 2, 2)
+    order = h1_order(link, CoveringSpec(2, (1,))).order
+    assert not est.degenerate and est.nonp_value.residue(2) == nonp_part(order, 2) % 4

@@ -146,7 +146,20 @@ def test_a_bound_too_small_is_an_internal_error(capsys, monkeypatch):
 
 def test_oracles_share_nothing_with_the_engine():
     names = vars(oracles)
-    for engine in ("phi_resultant_last_var", "cyclotomic_norm", "mul_mod_phi", "_pack", "_unpack", "_factors"):
+    engine_names = (
+        "phi_resultant_last_var",
+        "cyclotomic_norm",
+        "mul_mod_phi",
+        "_pack",
+        "_unpack",
+        "_factors",
+        "_walk",
+        "_swap_blocks",
+        "_graeffe_level",
+        "_power_sum_graeffe",
+        "_power_sums_pay",
+    )
+    for engine in engine_names:
         assert engine not in names, engine
     tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):

@@ -378,6 +378,144 @@ def test_a_wrong_restricted_product_is_an_internal_error(capsys, monkeypatch):
     assert "unexpected error" in captured.err and "norm from level 2 is not x(1) mod 3" in captured.err
 
 
+def sparse_inputs(rng, sizes=(2, 40, 120)):
+    """Coefficient lists of degree 1 to 30 with coefficients of the given
+    bit sizes, with a zero constant term, a repeated root and a negative
+    leading coefficient among them."""
+    for degree in (1, 2, 3, 5, 8, 13, 20, 30):
+        for bits in sizes:
+            x = [rng.randint(-(2**bits), 2**bits) for _ in range(degree)] + [rng.randint(1, 2**bits)]
+            yield x
+            yield [0] + x[1:-1] + [-x[-1]]
+            if degree >= 3:
+                # (t - r)^2 times a random polynomial of degree - 2
+                r, y = rng.randint(-5, 5), x[: degree - 2] + x[-1:]
+                yield [sum(y[i - k] * c for k, c in enumerate((r * r, -2 * r, 1)) if 0 <= i - k < len(y)) for i in range(degree + 1)]
+
+
+def test_sparse_levels_against_the_conjugate_product(monkeypatch):
+    # a level whose x has degree D < phi(p^(j-1)) is the Graeffe step G_p(x),
+    # by scaled power sums or by the chain in a smaller ring, whichever the
+    # cost picks: both routes against the literal product of the conjugates
+    # in the full ring of the level, on both sides of the crossover
+    routes = {"sums": 0, "ring": 0}
+    sums, level_norm = resultants._power_sum_graeffe, resultants._level_norm
+
+    def counting_sums(p, x):
+        routes["sums"] += 1
+        return sums(p, x)
+
+    def counting_ring(p, j, x):
+        routes["ring"] += 1
+        return level_norm(p, j, x)
+
+    monkeypatch.setattr(resultants, "_power_sum_graeffe", counting_sums)
+    monkeypatch.setattr(resultants, "_level_norm", counting_ring)
+    rng = random.Random(23)
+    for p, level, sizes in ((3, 4, (2, 40, 120)), (5, 3, (2, 40, 120)), (7, 3, (2, 40))):
+        for x in sparse_inputs(rng, sizes):
+            degree = len(x) - 1
+            if degree >= resultants.phi_degree(p, level - 1):
+                continue
+            expected = literal_level_norm(p, level, resultants.reduce_mod_phi(x, p, level))
+            assert not any(expected[degree + 1 :])
+            assert sums(p, x) == expected[: degree + 1], (p, x)
+            assert resultants._graeffe_level(p, x) == expected[: degree + 1], (p, x)
+    assert routes["sums"] and routes["ring"]
+
+
+def test_sparse_final_norms_against_prs_and_the_root_product():
+    # whole final norms whose top levels are sparse, at levels up to 5, 3
+    # and 3; Phi_9 (t + 2) vanishes at level 2, and its sparse levels 4 and 5
+    # lead to a nonzero value
+    rng = random.Random(29)
+    for p, top in ((3, 5), (5, 3), (7, 3)):
+        for x in itertools.islice(sparse_inputs(rng, (2, 24)), 0, None, 3):
+            g = UniPoly(x)
+            f = MultiPoly(1, {(i,): c for i, c in enumerate(x) if c})
+            for j in range(2, top + 1):
+                value = resultant_phi_int(p, j, g)
+                assert value == modular_root_product(f, p, [[j]]), (p, j, x)
+                if resultants.phi_degree(p, j) * len(x) <= 400:
+                    assert value == resultant_prs(cyclotomic(p, j), g), (p, j, x)
+    g = cyclotomic(3, 2) * UniPoly((2, 1))
+    assert resultant_phi_int(3, 2, g) == 0
+    for j in (4, 5):
+        assert resultant_phi_int(3, j, g) == modular_root_product(MultiPoly(1, {(i,): c for i, c in enumerate(g.coeffs)}), 3, [[j]])
+
+
+def test_a_wrong_power_sum_step_is_an_internal_error(capsys, monkeypatch):
+    # one coefficient of a power-sum Graeffe step off by one breaks
+    # y(1) = x(1) mod p at its level: exit 1, nothing on stdout
+    from padicres.cli import main
+
+    sums = resultants._power_sum_graeffe
+    calls = []
+
+    def off_by_one(p, x):
+        calls.append(len(x) - 1)
+        value = sums(p, x)
+        value[0] += 1
+        return value
+
+    monkeypatch.setattr(resultants, "_power_sum_graeffe", off_by_one)
+    code = main(["res", "-p", "7", "-n", "3", "1+t1+t1^6"])
+    captured = capsys.readouterr()
+    assert calls == [6]
+    assert code == 1 and not captured.out
+    assert "unexpected error" in captured.err and "norm from level 3 is not x(1) mod 7" in captured.err
+
+
+def symmetrize(f, block):
+    """The sum of f over the permutations of the variables in block."""
+    total = MultiPoly.zero(f.num_vars)
+    for perm in itertools.permutations(block):
+        order = list(range(1, f.num_vars + 1))
+        for a, b in zip(block, perm):
+            order[a - 1] = b
+        total = total + f.permute_vars(order)
+    return total
+
+
+def test_symmetric_inputs_against_the_oracles():
+    # one final norm per orbit of the swaps that fix f: two and three
+    # variables, the whole set or a block {t1, t3}, equal and unequal
+    # levels and masks, against the baseline, the root product and (in two
+    # variables) the PRS
+    rng = random.Random(31)
+    cases = 0
+    for d, block, p, levels in [
+        (2, [1, 2], 2, (3, 3)),
+        (2, [1, 2], 3, (2, 2)),
+        (2, [1, 2], 5, (2, 1)),
+        (2, [1, 2], 7, (1, 1)),
+        (3, [1, 2, 3], 2, (2, 2, 2)),
+        (3, [1, 2, 3], 3, (1, 1, 1)),
+        (3, [1, 3], 2, (2, 1, 2)),
+        (3, [1, 3], 3, (1, 2, 1)),
+        (3, [1, 2, 3], 2, (2, 1, 2)),
+    ]:
+        for _ in range(4):
+            f = symmetrize(random_multipoly(rng, d, 3, 2, 4), block)
+            if f.is_zero:
+                continue
+            masks = [range(1, n + 1) for n in levels]
+            masks[0] = range(0, levels[0] + 1)
+            for req in (
+                CyclicResultantRequest.full(f, p, levels),
+                CyclicResultantRequest.rprime(f, p, levels),
+                CyclicResultantRequest.custom(f, p, levels, masks),
+            ):
+                value = cyclic_resultant(req)
+                assert value == modular_root_product(f, p, req.factor_mask), (str(f), p, levels)
+                assert value == cyclic_resultant_baseline(req, budget=4096), (str(f), p, levels)
+                if d == 2:
+                    assert value == prs_cyclic_resultant(f, p, req.factor_mask), (str(f), p, levels)
+                cases += 1
+            assert len(resultants._swap_blocks(f, [range(2)] * d)[1]) >= 2, str(f)
+    assert cases > 90
+
+
 def test_graeffe_route_against_prs_and_the_conjugate_product():
     # at p = 2 the tower takes root-squaring steps; the literal product of
     # the conjugates on the same element and the PRS (while it stays fast)
@@ -649,12 +787,21 @@ def test_each_elimination_runs_once_per_index_prefix(monkeypatch):
 
     monkeypatch.setattr(resultants, "phi_resultant_last_var", counting_elimination)
     monkeypatch.setattr(resultants, "resultant_phi_int", counting_final)
-    req = CyclicResultantRequest.full(parse_poly("5+t1+t2+t3", 3), 2, (2, 2, 2))
+    # three indices per variable, and no swap of variables fixes f: 3
+    # eliminations of t3, 9 of t2, and 27 final norms in t1
+    req = CyclicResultantRequest.full(parse_poly("5+t1+2*t2+3*t3", 3), 2, (2, 2, 2))
     value = cyclic_resultant(req)
-    # three indices per variable: 3 eliminations of t3, 9 of t2, and 27
-    # final norms in t1
     assert [eliminations.count(d) for d in (3, 2, 1)] == [3, 9, 0]
     assert len(finals) == 27
+    assert value == cyclic_resultant_baseline(req, budget=4096)
+    # f symmetric in all three: one elimination of t2 per j2 <= j3 (6), and
+    # one final norm per j1 <= j2 <= j3 (10, one per orbit of the 27 tuples)
+    eliminations.clear()
+    finals.clear()
+    req = CyclicResultantRequest.full(parse_poly("5+t1+t2+t3", 3), 2, (2, 2, 2))
+    value = cyclic_resultant(req)
+    assert [eliminations.count(d) for d in (3, 2, 1)] == [3, 6, 0]
+    assert len(finals) == 10
     assert value == cyclic_resultant_baseline(req, budget=4096)
 
 

@@ -1,11 +1,13 @@
-"""The stdout of climit, whitehead, twopart and iwasawa on a small grid,
-pinned by one sha256 per command family.
+"""The stdout of res, climit, whitehead, twopart and iwasawa on a small
+grid, pinned by one sha256 per command family.
 
 Each family's digest covers every run's argv, exit code and stdout, in
 order.  The grid covers zero limits (p | f(1,...,1)), unit limits and
 degenerate windows (a masked resultant that vanishes identically), one and
-two variables, both masks, and p in 2, 3, 5, 7.  A refactor of the limit
-code must leave every digest as it is; a deliberate change of the output
+two variables, both masks, and p in 2, 3, 5, 7.  The res family holds
+inputs symmetric in two or three variables, at equal and unequal levels and
+masks, and polynomials of small degree at high odd levels.  A refactor of the limit
+or resultant code must leave every digest as it is; a deliberate change of the output
 recomputes them with `PYTHONPATH=src python tests/test_stdout_grid.py`.
 """
 
@@ -22,10 +24,38 @@ PRIMES = (2, 3, 5, 7)
 CLIMIT_1 = ("2-t1", "1+t1", "3-t1", "t1-1", "5+t1^2", "1+t1+t1^3")
 CLIMIT_2 = ("5+t1+t2+t1*t2", "2-t1*t2", "1-t1", "3+t1-t2")
 IWASAWA = ("t-6", "t^2-t+1", "3*t-6", "t-1", "t+1", "4+t^3", "t^2+1", "9*t+3")
+RES_2 = ("5+t1+t2+t1*t2", "2-t1-t2+2*t1*t2", "1+t1*t2", "3+t1^2+t2^2")
+RES_3 = ("5+t1+t2+t3", "2+t1*t2+t2*t3+t1*t3", "3+t1+t2+t3^2")
+# (p, levels, f): small degree at high odd levels, with a zero constant
+# term, a repeated root, negative leading coefficients and a vanishing value
+RES_SPARSE = (
+    (3, "5", "2+t1^2"),
+    (3, "5", "t1^3-t1+3"),
+    (3, "4", "t1^2+3*t1"),
+    (5, "3", "(t1+2)^2"),
+    (5, "3", "5+t1-2*t1^3"),
+    (7, "3", "1+t1+t1^6"),
+    (7, "2", "3-t1^4"),
+    (3, "5,1", "3+t1+t2"),
+    (3, "4", "1+t1^9"),
+    (3, "4", "1+t1^3+t1^6"),
+)
 
 
 def grid():
     """(family, argv) for every run, in a fixed order."""
+    for p in PRIMES:
+        for expr in RES_2:
+            for levels in ("2,2", "3,2", "2,3") if p < 7 else ("1,1", "2,1"):
+                for mask in ("r", "rprime"):
+                    yield "res", ["res", expr, "-p", str(p), "-n", levels, "--mask", mask]
+            yield "res", ["res", expr, "-p", str(p), "-n", "2,2", "--mask", "custom", "--mask-sets", "0,1;1,2"]
+        for expr in RES_3:
+            for mask in ("r", "rprime"):
+                yield "res", ["res", expr, "-p", str(p), "-n", "1,1,1" if p > 3 else "2,2,2", "--mask", mask]
+    for p, levels, expr in RES_SPARSE:
+        yield "res", ["res", expr, "-p", str(p), "-n", levels]
+    yield "res", ["res", "3+t1^2+t2^2", "-p", "3", "-n", "2,2", "--verify", "--format", "json"]
     for p in PRIMES:
         for mask in ("r", "rprime"):
             for expr in CLIMIT_1:
@@ -58,6 +88,7 @@ def digests() -> dict:
 
 
 EXPECTED = {
+    "res": "8c6a9c8a49fd832f0933435583b7cc6673249854f03487d60361bc889b1787cf",
     "climit": "248330709ed3ff082326e4697ddb9595789124644cc43285be3a23b0951afb43",
     "whitehead": "63e31c209d9574072a8c7ecfa85a160ce6ac96ad47b37e10a1ac4528ec91ff9d",
     "iwasawa": "a36cdda335f3380b8ef908cf8fc5f58c0f2d327fc1a2329b03db9f51289a9bde",
@@ -70,7 +101,7 @@ def computed():
     return digests()
 
 
-@pytest.mark.parametrize("family", ["climit", "whitehead", "twopart", "iwasawa"])
+@pytest.mark.parametrize("family", ["res", "climit", "whitehead", "twopart", "iwasawa"])
 def test_stdout_digest(computed, family):
     assert computed[family] == EXPECTED[family]
 
