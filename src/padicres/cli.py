@@ -352,7 +352,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except Exception as exc:
-        print(f"unexpected error: {exc}", file=sys.stderr)
+        # an empty message (MemoryError()) still names what went wrong
+        print(f"unexpected error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_UNEXPECTED
 
 

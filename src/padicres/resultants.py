@@ -10,10 +10,13 @@
   such swaps have equal factors, and one final norm serves each orbit.
 * resultant_phi_int: the final univariate Res(Phi_{p^j}, g), one per
   factor.
-* mul_mod_phi: the one product of Z[zeta_{p^j}], by Kronecker substitution,
-  reduced mod t^(p^j) - 1 and mod Phi_{p^j} on the packed integer itself (a
-  fold of its top digits onto those below), so only phi(p^j) digits are
-  unpacked; the odd-p tower norm and CycloPadic share it.
+* mul_mod_phi: the one product of Z[zeta_{p^j}].  Below a fitted size
+  (_product_plan, from the operands' lengths, nonzero counts and
+  coefficient maxima) it is schoolbook: a plain convolution, folded mod
+  t^(p^j) - 1 and then mod Phi_{p^j}.  Above it, Kronecker substitution,
+  reduced mod t^(p^j) - 1 and mod Phi_{p^j} on the packed integer itself
+  (a fold of its top digits onto those below), so only phi(p^j) digits are
+  unpacked.  The odd-p tower norm and CycloPadic share it.
 * cyclotomic_norm: the norm of g(zeta_{p^j}) that every step above takes,
   down the cyclotomic tower one level at a time, or by a closed form when g
   is linear; CycloPadic.norm_lift shares it.  At p = 2 the whole tower runs
@@ -28,13 +31,15 @@
   conjugates of x (p - 1 at level 1) by Itoh and Tsujii's addition chain,
   about log2(p) products by mul_mod_phi, whose last product is taken only
   on the fixed subring Z[zeta^p]: the factors are split by exponent mod p,
-  and the p pairs of classes whose exponents sum to 0 mod p are packed and
-  multiplied, p products of a p-th of the size.  A level whose x has degree
-  D < phi(p^(j-1)) is instead the Graeffe step G_p(x)(s) =
-  lc^p prod (s - alpha_i^p), already reduced, by scaled Newton power sums
-  or by the chain in the smallest ring that holds it, as a fitted cost
-  picks (_graeffe_level).  No packed product is unpacked before its
-  reduction.
+  and only the pairs whose exponents sum to 0 mod p are multiplied, by the
+  same fitted choice, one schoolbook product per pair or the p pairs of
+  classes packed, p products of a p-th of the size.  As soon as x is
+  linear (always at p = 3, level 1) the closed form finishes.  A level
+  whose x has degree D < phi(p^(j-1)) is instead the Graeffe step
+  G_p(x)(s) = lc^p prod (s - alpha_i^p), already reduced, by scaled
+  Newton power sums or by the chain in the smallest ring that holds it, as
+  a fitted cost picks (_graeffe_level).  No packed product is unpacked
+  before its reduction.
 
 The oracles this engine is tested against (the Sylvester determinant, the
 subresultant PRS, the literal baseline and the root product modulo primes)
@@ -126,9 +131,10 @@ def cyclotomic_norm(p: int, j: int, coeffs) -> int:
 def _tower_norm(p: int, j: int, x) -> int:
     """N(x(zeta_{p^j})), x reduced mod Phi_{p^j}, one level at a time: at
     p = 2 on one packed integer (graeffe_norm); at odd p by _level_norm,
-    or by _graeffe_level when x is sparse for its level.  Each odd level is
-    checked: every conjugate of x is x(1) mod pi, so the norm y to level
-    j-1 has y(1) = x(1) mod p, and the norm to Q is an integer."""
+    or by _graeffe_level when x is sparse for its level, until x is linear
+    (always so at p = 3, level 1), which _linear_norm finishes.  Each odd
+    level is checked: every conjugate of x is x(1) mod pi, so the norm y to
+    level j-1 has y(1) = x(1) mod p, and the norm to Q is an integer."""
     if p == 2:
         size = graeffe_bytes(max(map(abs, x)).bit_length(), len(x))
         return graeffe_norm(_pack(x, size, 1 << (8 * size - 1)), len(x), size)
@@ -141,6 +147,8 @@ def _tower_norm(p: int, j: int, x) -> int:
         if (sum(y) - sum(x)) % p:
             raise InvariantError(f"norm from level {level} is not x(1) mod {p}")
         x = y
+        if not any(x[2:]):
+            return _linear_norm(p, level - 1, x[0], x[1] if len(x) > 1 else 0)
     y = _level_norm(p, 1, x)
     if any(y[1:]):
         raise InvariantError("norm from level 1 is not an integer")
@@ -172,13 +180,15 @@ def _power_sums_pay(p: int, degree: int, bits: int, n: int) -> bool:
     digits, for x of the degree with coefficients of about `bits` bits.
     The power sums take p D^2 products, the largest of D and p D words of
     `bits` bits; the chain takes about log2(p) + 1 products of n digits
-    whose width grows to p * bits.  Fitted on a 2-core host to 116
-    measured pairs (the sparse levels of res-large and windows, and D up to
-    30 with 2 to 200 bits at p = 3, 5 and 7), in units of about 0.2 us: it
-    picks the slower route by more than 20% on 2 of them, and loses 2.4%
-    of the total time against the faster route of each."""
+    whose width grows to p * bits.  Fitted on a 2-core host, in units of
+    about 0.3 us, with mul_mod_phi's schoolbook products, which make small
+    rings cheaper: on the 330 sparse levels of the benchmark's res-large
+    and windows passes (seeds 1 to 10) it picks the slower route by more
+    than 20% on none, and on 110 random x of degree up to 30 with 2 to 200
+    bits at p = 3, 5 and 7 on 4, losing 0.6% of their total time against
+    the faster route of each."""
     words = n * p * bits / 64
-    return p * degree**2 * (1 + p * (degree * bits / 64) ** 2 / 400) < n * p * math.log2(p) + words**1.585 / 20
+    return p * degree**2 * (1 + p * (degree * bits / 64) ** 2 / 400) < 2 * n * p * math.log2(p) + words**1.585 / 40
 
 
 def _power_sum_graeffe(p: int, x) -> list:
@@ -326,8 +336,13 @@ def _fixed_product(y, z, p: int, j: int) -> list:
     the last product of a level's norm does.  p packed products of
     phi(p^(j-1)) digits each, folded as mul_mod_phi folds; the coefficients
     of the sum are those of y z at multiples of p, so mul_mod_phi's digit
-    bound covers them."""
-    size = _product_size(y, z)
+    bound covers them.  Below a fitted size (_product_plan) it is instead
+    the schoolbook product of only the pairs of coefficients whose
+    exponents sum to 0 mod p (_schoolbook), reduced as mul_mod_phi reduces
+    its own."""
+    size, schoolbook = _product_plan(y, z, p)
+    if schoolbook:
+        return reduce_mod_phi(_schoolbook(y, z, p), p, j - 1)
     half = 1 << (8 * size - 1)
     ys = [_pack(y[r::p], size, half) for r in range(p)]
     zs = [_pack(z[r::p], size, half) for r in range(p)]
@@ -367,19 +382,55 @@ def phi_degree(p: int, j: int) -> int:
 def mul_mod_phi(a, b, p: int, j: int) -> list:
     """The product of a(zeta) and b(zeta) in Z[zeta_{p^j}], j >= 1, a and b
     given by at most p^j integer coefficients each, as phi(p^j)
-    coefficients: one Kronecker product, reduced on the packed integer
-    (_fold)."""
-    size = _product_size(a, b)
+    coefficients.  Below a fitted size (_product_plan) it is the schoolbook
+    product (_schoolbook), a plain convolution on at most 2 p^j
+    coefficients, folded mod t^(p^j) - 1 and then mod Phi_{p^j}
+    (reduce_mod_phi); above it, one Kronecker product, reduced on the
+    packed integer (_fold)."""
+    size, schoolbook = _product_plan(a, b, 1)
+    if schoolbook:
+        return reduce_mod_phi(_schoolbook(a, b, 1), p, j)
     half = 1 << (8 * size - 1)
     return _fold(_pack(a, size, half) * _pack(b, size, half), p, j, size)
 
 
-def _product_size(a, b) -> int:
-    """Bytes per digit for a folded product of a and b: every digit holds
-    c + 2^(w-1), so the width w covers the inputs' coefficients as well as
-    every digit on the way, each at most 4 max|a| max|b| min(len(a), len(b))."""
+def _product_plan(a, b, step: int):
+    """(size, schoolbook) for the coefficients of a b at the multiples of
+    step: the bytes per digit of a Kronecker product (every digit holds
+    c + 2^(w-1), w = 8*size, and is at most 4 max|a| max|b|
+    min(len(a), len(b))), and whether _schoolbook costs less.  It takes a
+    row per nonzero coefficient of the sparser operand, of a step-th of the
+    other's products each; the Kronecker route packs and unpacks about
+    len(a) + len(b) digits and takes step products of len * w / step bits.
+    Fitted on a 2-core host, in units of about 0.08 us, to the products of
+    one res-large and one windows pass and to dense, shorter and sparse
+    operands at p = 3 to 13 of 1 to 3,000 bits: 4% slower in total than
+    the faster route of each."""
     top_a, top_b = max(map(abs, a)), max(map(abs, b))
-    return _digit_bytes(max(top_a, top_b, 4 * top_a * top_b * min(len(a), len(b))))
+    size = _digit_bytes(max(top_a, top_b, 4 * top_a * top_b * min(len(a), len(b))))
+    nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
+    rows, other = (nonzero_a, len(b)) if nonzero_a <= nonzero_b else (nonzero_b, len(a))
+    schoolbook = 16 * rows + rows * other / step * (1 + top_a.bit_length() * top_b.bit_length() / 65536)
+    words = sorted((len(a) * size / (8 * step), len(b) * size / (8 * step)))
+    kronecker = 120 + 40 * step + 2 * (len(a) + len(b)) * (1 + size / 8) + step * words[0] ** 0.585 * words[1] / 8
+    return size, schoolbook < kronecker
+
+
+def _schoolbook(a, b, step: int) -> list:
+    """The coefficients of a b at the exponents 0, step, 2 step, ..., one
+    product per pair of coefficients whose exponents sum to a multiple of
+    step: each nonzero coefficient of the operand with fewer of them meets
+    the class of the other's exponents that completes it."""
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
+    classes = [b[r::step] for r in range(step)]
+    out = [0] * ((len(a) + len(b) - 2) // step + 1)
+    for i, c in enumerate(a):
+        if c:
+            r = -i % step
+            for k, d in enumerate(classes[r], (i + r) // step):
+                out[k] += c * d
+    return out
 
 
 def _fold(value: int, p: int, j: int, size: int) -> list:
@@ -462,7 +513,11 @@ def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
     D_i = n*deg_{t_i} f in t_i (n = phi(p^j)), so the strides
     S_i = prod_{k<i} (D_k + 1) keep the digits apart; each coefficient is at
     most ||f||_1^n, which the digit width w of _digit_size covers.  Packing
-    is a ring homomorphism, so no intermediate value needs a bound.
+    is a ring homomorphism, so no intermediate value needs a bound.  When
+    deg_{t_d} f >= n, f is first reduced mod Phi_{p^j}(t_d) on its terms
+    (_reduce_last_var), so at most n t_d-coefficients are packed (at n = 1
+    the one left is the result); the bound stays that of f, since
+    f(t', zeta) is unchanged.
     """
     d = f.num_vars
     if d < 2:
@@ -475,6 +530,14 @@ def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
     bounds = [n * e + 1 for e in degrees[:-1]]
     strides = [math.prod(bounds[:i]) for i in range(d)]
     size = _digit_size(f, n)
+    if degrees[-1] >= n:
+        # f(t', zeta) is unchanged: pack only the n coefficients left
+        terms = _reduce_last_var(terms, p, j)
+        if n == 1:  # Res(t - zeta, f) = f(t', zeta), zeta = +-1
+            return MultiPoly._of_terms(d - 1, {exp[:-1]: c for exp, c in terms.items()})
+        if not terms:
+            return MultiPoly.zero(d - 1)
+        degrees[-1] = max(exp[-1] for exp in terms)
     places = {exp: size * sum(e * s for e, s in zip(exp[:-1], strides)) for exp in terms}
     # one digit array per occurring t_d-exponent, split by sign so no digit
     # carries, up to the highest occupied digit
@@ -503,6 +566,26 @@ def phi_resultant_last_var(f: MultiPoly, p: int, j: int) -> MultiPoly:
                 exp.append(e)
             result[tuple(exp)] = c
     return MultiPoly._of_terms(d - 1, result)
+
+
+def _reduce_last_var(terms: dict, p: int, j: int) -> dict:
+    """f's terms with its last exponent reduced mod t^(p^j) - 1, then mod
+    Phi_{p^j} = sum_{k<p} t^(k*q), q = p^(j-1): t^((p-1)q + r) is
+    -sum_{k<p-1} t^(k*q + r).  j >= 0; the terms that cancel are dropped."""
+    order = p**j
+    q = order // p
+    top = order - q
+    reduced = {}
+    for exp, c in terms.items():
+        rest, e = exp[:-1], exp[-1] % order
+        if e < top:
+            spots = (e,)
+        else:
+            spots, c = range(e - top, e, q), -c
+        for spot in spots:
+            key = rest + (spot,)
+            reduced[key] = reduced.get(key, 0) + c
+    return {exp: c for exp, c in reduced.items() if c}
 
 
 def _univariate(f: MultiPoly) -> UniPoly:
@@ -683,6 +766,9 @@ def cost_estimate(req: CyclicResultantRequest) -> float:
     the sparse levels of a small-degree g (_graeffe_level) are charged more
     than they cost; charging them less would admit requests the budget
     refuses today, such as `climit 5+t1+t2+t1*t2 --vars 2 -p 3 -K 7`.
+    Small levels are still charged as Kronecker products, though
+    mul_mod_phi takes them by schoolbook products where those cost less,
+    and a level whose x turns linear is still charged its products.
     """
     return masks_cost(req.f, req.p, req.factor_mask)
 

@@ -437,6 +437,41 @@ def test_broken_norm_is_internal_not_user_error(capsys, monkeypatch):
     assert "t1" not in err and "unexpected error" in err
 
 
+def test_an_empty_internal_error_names_its_class(capsys, monkeypatch):
+    # MemoryError() has no message: the class name stands in for it
+    def out_of_memory(a, b, p, j):
+        raise MemoryError()
+
+    monkeypatch.setattr(resultants, "mul_mod_phi", out_of_memory)
+    code, out, err = run(capsys, "res", "-p", "3", "-n", "2", "t1^2-2")
+    assert code == 1 and not out
+    assert "unexpected error: MemoryError" in err
+
+
+def test_an_elimination_packs_at_most_phi_coefficients():
+    # deg_{t2} f = 1024 >= phi(p^j): reduced mod Phi_{p^j}(t2) on its terms
+    # first, each request peaks near 30 MB; packing all 1025 t2-coefficients,
+    # about 260 KB each, needs about 800 MB, past the 200 MB cap
+    script = "\n".join(
+        [
+            "import resource, sys",
+            "resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))",
+            "from padicres.cli import main",
+            "f = '(2*t1)^1024*(1+t2)^1024'",
+            "codes = [main(['res', '-p', p, '-n', '1,1', g]) for p, g in [('2', f), ('2', f + '+1'), ('3', f + '+1')]]",
+            "sys.exit(max(codes))",
+        ]
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # at p = 2, t2 = -1 kills the product and leaves 1 in f + 1; at p = 3,
+    # 1024 = 1 mod 3 and (1 + t2)^3 = -1 at t2 = w, w^2
+    values = [int(line.split(": ")[1]) for line in done.stdout.splitlines() if line.startswith("value: ")]
+    assert values == [0, (2**2048 + 1) ** 2, (1 + 2**6144) * (1 + 2**3072) ** 2]
+
+
 def test_too_narrow_packing_is_internal_not_user_error(capsys, monkeypatch):
     # one-byte digits cannot hold Res(Phi_4(t2), 100*t1 + t2) = 10000*t1^2 + 1
     monkeypatch.setattr(resultants, "_digit_size", lambda f, n: 1)

@@ -158,6 +158,9 @@ def test_oracles_share_nothing_with_the_engine():
         "_graeffe_level",
         "_power_sum_graeffe",
         "_power_sums_pay",
+        "_schoolbook",
+        "_product_plan",
+        "_reduce_last_var",
     )
     for engine in engine_names:
         assert engine not in names, engine

@@ -336,6 +336,116 @@ def test_level_norm_against_the_conjugate_product():
                 assert resultants._level_norm(p, j, x) == literal_level_norm(p, j, x), (p, j, x[:3])
 
 
+def fixed_part(y, z, p, j):
+    """The Z[zeta^p] part of y z in Z[zeta_{p^j}], as _fixed_product gives
+    it, by UniPoly product: the coefficients of y z at the multiples of p,
+    reduced mod s^(p^(j-1)) - 1 and by monic division by Phi_{p^(j-1)}."""
+    order = p ** (j - 1)
+    folded = [0] * order
+    for i, c in enumerate((UniPoly(y) * UniPoly(z)).coeffs[::p]):
+        folded[i % order] += c
+    _, rem = UniPoly(folded).divmod_monic(cyclotomic(p, j - 1))
+    return [rem[i] for i in range(resultants.phi_degree(p, j - 1))]
+
+
+def kernel_operands(rng, p, j, bits):
+    """Operands of mul_mod_phi and _fixed_product at level j: dense ones
+    while their schoolbook product stays small, then a monomial, a
+    binomial, a zero-padded one and one with a negative leading
+    coefficient."""
+    n = resultants.phi_degree(p, j)
+    top = 2**bits
+    e = rng.randrange(1, n)
+    operands = [
+        [0] * e + [-top] + [0] * (n - e - 1),
+        [top - 1] + [0] * (e - 1) + [-3] + [0] * (n - e - 1),
+    ]
+    if n * n * max(1, bits / 64) ** 2 <= 50000:
+        dense = [rng.randint(-top, top) for _ in range(n)]
+        operands += [dense, dense[: n // 3 + 1] + [0] * (n - n // 3 - 1), dense[:-1] + [-top]]
+    return operands
+
+
+def test_schoolbook_and_kronecker_products_agree(monkeypatch):
+    # both kernels of mul_mod_phi and _fixed_product, each forced, on the
+    # same operands on both sides of the fitted crossover, against each
+    # other and UniPoly products; and the level norm by each against the
+    # literal product of the conjugates
+    plan = resultants._product_plan
+    picked = set()
+    rng = random.Random(43)
+
+    def products(a, b, p, j, route):
+        monkeypatch.setattr(resultants, "_product_plan", lambda a, b, step: (plan(a, b, step)[0], route))
+        fixed = resultants._fixed_product(a, b, p, j) if j >= 2 else None
+        return resultants.mul_mod_phi(a, b, p, j), fixed
+
+    for p in (3, 5, 7, 11, 13):
+        for j in (1, 2, 3):
+            # a forced Kronecker product of 2028 digits of 3,000 bits takes
+            # about a second
+            for bits in (1, 40, 400, 3000) if resultants.phi_degree(p, j) <= 300 else (1, 40, 400):
+                operands = kernel_operands(rng, p, j, bits)
+                for a, b in itertools.product(operands, repeat=2):
+                    picked.update(plan(a, b, step)[1] for step in ((1, p) if j >= 2 else (1,)))
+                    school, kronecker = products(a, b, p, j, True), products(a, b, p, j, False)
+                    monkeypatch.setattr(resultants, "_product_plan", plan)
+                    assert school == kronecker, (p, j, bits)
+                    assert school[0] == product_mod_phi(a, b, p, j), (p, j, bits)
+                    if j >= 2:
+                        assert school[1] == fixed_part(a, b, p, j), (p, j, bits)
+                if resultants.phi_degree(p, j) <= 42 and bits <= 400:
+                    for x in operands:
+                        expected = literal_level_norm(p, j, x)
+                        for route in (True, False):
+                            monkeypatch.setattr(resultants, "_product_plan", lambda a, b, step, r=route: (plan(a, b, step)[0], r))
+                            assert resultants._level_norm(p, j, x) == expected, (p, j, bits, route)
+                        monkeypatch.setattr(resultants, "_product_plan", plan)
+    # longer than phi, up to p^j, for mul_mod_phi, which reduces them
+    for p, j in ((3, 2), (5, 2), (7, 1)):
+        a, b = [rng.randint(-99, 99) for _ in range(p**j)], [rng.randint(-(2**90), 2**90) for _ in range(p**j - 1)]
+        assert products(a, b, p, j, True)[0] == products(a, b, p, j, False)[0] == product_mod_phi(a, b, p, j)
+    assert picked == {True, False}
+
+
+def test_linear_finish_against_the_level_chain(monkeypatch):
+    # a tower finishes by the closed form as soon as x is linear, always at
+    # p = 3, level 1: x linear at levels 1-4 against the chain of
+    # _level_norm down to Q and the literal product of the conjugates, and
+    # nonlinear x at p = 3, whose norm to level 1 is linear, against the chain
+    rng = random.Random(47)
+    finishes = []
+    linear = resultants._linear_norm
+
+    def counting(p, j, a, b):
+        finishes.append((p, j))
+        return linear(p, j, a, b)
+
+    def chain(p, j, x):
+        while j:
+            x, j = resultants._level_norm(p, j, x), j - 1
+        assert not any(x[1:])
+        return x[0]
+
+    for p, top in ((3, 4), (5, 4), (7, 4)):
+        for j in range(1, top + 1):
+            n = resultants.phi_degree(p, j)
+            for a, b in [(rng.randint(-(2**60), 2**60), rng.randint(1, 2**60)), (-7, -(2**100)), (2**30 + 1, 0)]:
+                x = [a, b] + [0] * (n - 2)
+                value = linear(p, j, a, b)
+                assert value == chain(p, j, x), (p, j, a, b)
+                if n <= 300:
+                    assert value == conjugate_product_norm(p, j, x), (p, j, a, b)
+    monkeypatch.setattr(resultants, "_linear_norm", counting)
+    for j in (2, 3, 4):
+        n = resultants.phi_degree(3, j)
+        for bits in (2, 60, 600):
+            x = [rng.randint(-(2**bits), 2**bits) for _ in range(n - 1)] + [-(2**bits)]
+            finishes.clear()
+            assert resultants._tower_norm(3, j, x) == chain(3, j, x), (j, bits)
+            assert finishes == [(3, 1)], (j, bits)
+
+
 def prs_cyclic_resultant(f, p, masks):
     """The masked iterated resultant of a bivariate f by the subresultant
     PRS: t2 against prod_{j in masks[1]} Phi_{p^j}, then t1 against the
