@@ -175,59 +175,69 @@ class CycloPadic:
 
 def pi_valuation(x: CycloPadic) -> int:
     """v_pi of the canonical lift of x, an integer (v_pi(p) = phi(p^m) by
-    total ramification), read off residues: with p^c the largest power of p
-    dividing every coefficient, v_pi(x) = c*phi + the order of t - 1 in
-    x/p^c mod p, since pi = 1 - zeta and Phi_{p^m} = (t - 1)^phi mod p.
+    total ramification), read off residues (residue_valuation).
 
     This is v_pi of every element congruent to x mod p^prec, not only of the
     lift: x != 0 mod p^prec gives c < prec and an order below phi, so
     v_pi(x) < prec*phi = v_pi(p^prec).  Raises PrecisionExhaustedError only
     for x = 0 mod p^prec."""
-    p = x.p
-    content = math.gcd(*x.coeffs)
-    if content == 0:
+    if not any(x.coeffs):
         raise PrecisionExhaustedError("value indistinguishable from 0 at this precision")
-    c = vp(content, p)
+    return residue_valuation(dict(enumerate(x.coeffs)), x.p, phi_degree(x.p, x.level))
+
+
+def residue_valuation(coeffs: dict, p: int, phi: int) -> int:
+    """v_pi of the nonzero element sum_e coeffs[e] zeta^e of Z[zeta_(p^m)],
+    phi = phi(p^m), given reduced mod Phi_(p^m) (every e < phi): with p^c
+    the largest power of p dividing every coefficient, c*phi plus the order
+    of t - 1 in x/p^c mod p, since pi = 1 - zeta and Phi_(p^m) = (t - 1)^phi
+    mod p."""
+    c = vp(math.gcd(*coeffs.values()), p)
     scale = p**c
-    return c * phi_degree(p, x.level) + _order_at_one([a // scale % p for a in x.coeffs], p)
+    return c * phi + _order_at_one({e: r for e, a in coeffs.items() if (r := a // scale % p)}, p)
 
 
-def _order_at_one(residues, p: int) -> int:
-    """The multiplicity of t = 1 as a root of a nonzero polynomial over F_p,
-    given by its coefficients, base-p digit by digit from the highest: over
-    F_p, (t - 1)^q = t^q - 1 for q = p^i, so the digit at q counts the exact
-    divisions by t^q - 1 (at most p - 1, or the digit above would be
-    larger): at most p (log_p deg + 1) divisions, each O(deg)."""
-    g = list(residues)
-    while not g[-1]:
-        g.pop()
+def _order_at_one(residues: dict, p: int) -> int:
+    """The multiplicity of t = 1 as a root of the nonzero polynomial
+    sum_e residues[e] t^e over F_p, given by its nonzero coefficients, base-p
+    digit by digit: over F_p, (t - 1)^q = t^q - 1 for q = p^i.  The least q
+    with g != 0 mod t^q - 1 bounds the order from above, so g may be
+    replaced by that remainder (at p = 2, one integer of q bits for
+    _order_at_one_f2); then, from the next lower q down, the digit at q
+    counts the exact divisions by t^q - 1 (at most p - 1), after which the
+    order is below q and g is again replaced by its remainder mod t^q - 1.
+    Each step is O(terms * p), and there are O(p log_p(order)) of them."""
     q = 1
-    while q * p < len(g):
+    if p == 2:
+        while True:
+            g = 0
+            for e in residues:
+                g ^= 1 << e % q
+            if g:
+                return _order_at_one_f2(g)
+            q *= 2
+    while not (g := _wrap(residues, q, p)):
         q *= p
     order = 0
-    while q:
-        quotient = _divide_by_power_minus_one(g, q, p)
-        if quotient is None:
-            q //= p
-        else:
+    while q > 1:
+        q //= p
+        while not (rest := _wrap(g, q, p)):
+            # the quotient's block h is the sum of g's blocks above it
+            quotient = {}
+            for e, a in g.items():
+                for i in range(e % q, e - q + 1, q):
+                    quotient[i] = quotient.get(i, 0) + a
             g, order = quotient, order + q
+        g = rest
     return order
 
 
-def _divide_by_power_minus_one(g, q: int, p: int):
-    """g / (t^q - 1) over F_p, or None when it does not divide g: in blocks
-    of q coefficients, g_k = h_(k-q) - h_k makes each block of the quotient
-    h the sum of the blocks of g above it, and the remainder their sum."""
-    blocks = [g[i:i + q] for i in range(0, len(g), q)]
-    blocks[-1] = blocks[-1] + [0] * (q - len(blocks[-1]))
-    acc = [0] * q
-    quotient = []
-    for block in reversed(blocks):
-        acc = [(a + b) % p for a, b in zip(acc, block)]
-        quotient.append(acc)
-    if any(quotient.pop()):
-        return None
-    return [c for block in reversed(quotient) for c in block]
+def _wrap(coeffs: dict, q: int, p: int) -> dict:
+    """sum_e coeffs[e] t^e mod (t^q - 1, p), as its nonzero coefficients."""
+    rest = {}
+    for e, a in coeffs.items():
+        rest[e % q] = rest.get(e % q, 0) + a
+    return {e: a % p for e, a in rest.items() if a % p}
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,13 @@ since it reports rows 1..K, so its top level is a checked, redundant digit;
 links.h1_nonp_limit certifies the homology orders of the diagonal covers
 from K - 1 levels through the same _certify.
 
+Exact valuations with no norm.  Q_p(zeta_(p^k)) is totally ramified, so
+v_p(N(x)) = v_pi(x), and v_p of a level's factor is a sum of v_pi(f(rep))
+over Galois orbits, read from the content and the order of t - 1 of small
+exact coefficients (_orbit_valuations).  One orbit walk, _orbit_values,
+serves it and _level_vanishes' zero test.  The 2-part exponents of the
+homology orders (links.two_part_exponent_check) are read from it.
+
 The zero/nonzero dichotomy is read from level 1: every masked factor
 f(zeta_1,...,zeta_d) has the same residue as f(1,...,1) in the residue
 field, so p divides one masked resultant iff it divides all of them iff
@@ -39,17 +46,22 @@ Iwasawa invariants come by two independent routes: an exact fit of
 v_p = lambda*n + mu*p^n + nu on trailing levels, whose v_p are running sums
 over one walk's per-level factors, and the structural count
 (mu from the content; lambda, the roots a with |a|_p = 1, |a-1|_p < 1, as
-the Weierstrass degree of f(1+s): Washington, GTM 83, Thm 7.3).
+the Weierstrass degree of f(1+s): Washington, GTM 83, Thm 7.3).  The fit
+stays on norms: from orbit valuations, e_n - e_(n-1) would be
+mu phi(p^n) + lambda, read from the same content and order at t = 1 as the
+structural count, and the two routes would no longer be independent.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Tuple
 
+from .cyclo import residue_valuation
 from .errors import InvariantError, VanishingResultantError, WindowTooShortError
 from .multipoly import MultiPoly
 from .padic import PadicApprox, teichmuller, vp, vp_split
@@ -222,10 +234,11 @@ def _diagonal(f: MultiPoly, p: int, K: int, mask: str) -> list:
     """The per-level factors of the masked resultants at levels (1,...,1)
     to (K,...,K), K >= 1: entry k - 1 collects the factors whose largest
     index is k (index 0 joins level 1), so level k's value is the product
-    of entries 0..k-1.  After a factor 0 the walk stops (_factors), and the
-    later entries are 1.  Every diagonal is walked here: a limit window's,
-    each sublink's of a homology order (links._h1_diagonal) and the Iwasawa
-    fit's."""
+    of entries 0..k-1.  After a factor 0 the walk stops (_factors): the
+    later entries hold what the walk had multiplied in before it, and every
+    reader stops at the 0.  Every diagonal value is walked here: a limit
+    window's, each sublink's of a homology order (links._h1_diagonal) and
+    the Iwasawa fit's."""
     acc = [1] * (K + 1)
     for index, factor in _factors(f, p, _window_masks(p, K, f.num_vars, mask)):
         acc[max((1, *index))] *= factor
@@ -236,50 +249,119 @@ def _level_vanishes(f: MultiPoly, p: int, k: int, mask: str) -> bool:
     """Whether f vanishes at a tuple of p-power roots of unity that the
     mask admits and whose largest index is k >= 2, given that it vanishes
     at none whose largest index is below k: whether R_k = 0 while
-    R_(k-1) != 0, with no norm taken.
-
-    Every value f(zeta_1, ..., zeta_d) is f(1,...,1) mod pi, so none
-    vanishes unless p | f(1,...,1).  Then each Galois orbit of tuples has
-    one representative (z^c_1, ..., z^c_d), z = exp(2 pi i / p^k), whose
-    first coordinate a of index k has c_a = 1.  A degree count prunes most
-    of them.  Let m be the largest index of the other coordinates: z has
-    degree p^(k-m) over Q(zeta_(p^m)) (phi(p^k) when m = 0), so it is a
-    root of f(..., t_a, ...) over that field only if deg_(t_a) f reaches
-    that degree, or if that polynomial is 0, when f also vanishes with t_a
-    at index max(m, 1) < k, which the premise excludes.  A representative's
-    value is sum_e A(e) z^e, A(e) the sum of the coefficients whose
-    monomial is z^e.  Since Phi_(p^k)(x) = Phi_p(x^q), q = p^(k-1), and the
-    z^r, r < q, are a basis of Q(z) over Q(zeta_p), the value is 0 iff
-    A(e) = A(e + q) for every e mod p^k.  There are at most
-    d p^((d-1)k) representatives, each O(terms of f); the cost is not
-    charged to the budget."""
+    R_(k-1) != 0, with no norm taken.  Every value f(zeta_1, ..., zeta_d)
+    is f(1,...,1) mod pi, so none vanishes unless p | f(1,...,1); then
+    _orbit_values enumerates the Galois orbits, pruned by its degree count,
+    and one is 0 iff its reduced value has no nonzero coefficient."""
     if k < 2:
         raise ValueError(f"the vanishing test needs a level k >= 2, got {k}")
-    d = f.num_vars
-    if f.evaluate((1,) * d) % p:
+    if f.evaluate((1,) * f.num_vars) % p:
         return False
-    n, q = p**k, p ** (k - 1)
+    return any(not any(value.values()) for _, value in _orbit_values(f, p, (k,), mask, True))
+
+
+def _orbit_values(f: MultiPoly, p: int, levels, mask: str, prune: bool = False):
+    """(k, value) for f at one representative of each Galois orbit of the
+    tuples of p-power roots of unity that the mask admits and whose largest
+    index is k, for each k >= 1 in levels.  value is {e: coefficient of
+    zeta^e} reduced mod Phi_(p^k), every e < phi(p^k) (zero coefficients
+    may remain).
+
+    A representative is (z^c_1, ..., z^c_d), z = exp(2 pi i / p^k), whose
+    first coordinate a of index k has c_a = 1 and each other c_i is a unit
+    times p^(k - j_i), j_i its index.  Its value sums the coefficients of f
+    by monomial z^e, e mod p^k; since Phi_(p^k)(x) = Phi_p(x^q),
+    q = p^(k-1), z^e for e >= (p-1) q is minus the sum of z^(e - i q),
+    i = 1..p-1.  There are at most d p^((d-1)k) representatives
+    (_orbit_count), each O(terms of f * p).
+
+    With prune, a degree count skips the orbits where no value can vanish
+    first (_level_vanishes' premise): let m be the largest index of the
+    other coordinates; z has degree p^(k-m) over Q(zeta_(p^m)) (phi(p^k)
+    when m = 0), so it is a root of f(..., t_a, ...) over that field only
+    if deg_(t_a) f reaches that degree, or if that polynomial is 0, when f
+    also vanishes with t_a at index max(m, 1) < k."""
+    d = f.num_vars
     low = mask == "rprime"
-    # lists, not tuples built from generators: those are resized as they
-    # fill, and CPython's tuple free lists keep some of every size left over
-    exponents = [[0]] + [[p ** (k - j) * u for u in range(1, p**j) if u % p] for j in range(1, k + 1)]
-    for a in range(d):
-        # each term as (its t_a exponent, the others', its coefficient)
-        rows = [(e[a], e[:a] + e[a + 1 :], coeff) for e, coeff in f.terms()]
-        degree = f.degree_in(a + 1)
-        ranges = [range(low, k if i < a else k + 1) for i in range(d) if i != a]
-        for indices in itertools.product(*ranges):
-            m = max(indices, default=0)
-            if degree < (p ** (k - m) if m else (p - 1) * q):
-                continue
-            for c in itertools.product(*[exponents[j] for j in indices]):
-                value = {}
-                for base, rest, coeff in rows:
-                    e = (base + sum(map(operator.mul, rest, c))) % n
-                    value[e] = value.get(e, 0) + coeff
-                if all(x == value.get((e + q) % n, 0) for e, x in value.items()):
-                    return True
-    return False
+    for k in levels:
+        n, q = p**k, p ** (k - 1)
+        top = n - q
+        for a in range(d):
+            # each term as (its t_a exponent, the others', its coefficient)
+            rows = [(e[a], e[:a] + e[a + 1 :], coeff) for e, coeff in f.term_dict().items()]
+            degree = f.degree_in(a + 1)
+            ranges = [range(low, k if i < a else k + 1) for i in range(d) if i != a]
+            for indices in itertools.product(*ranges):
+                m = max(indices, default=0)
+                if prune and degree < (p ** (k - m) if m else top):
+                    continue
+                # lists, not tuples built from generators: those are resized
+                # as they fill, and CPython's tuple free lists keep some of
+                # every size left over
+                units = [[p ** (k - j) * u for u in range(1, p**j) if u % p] or [0] for j in indices]
+                for c in itertools.product(*units):
+                    value = {}
+                    for base, rest, coeff in rows:
+                        e = (base + sum(map(operator.mul, rest, c))) % n
+                        if e < top:
+                            value[e] = value.get(e, 0) + coeff
+                        else:
+                            for r in range(e - top, top, q):
+                                value[r] = value.get(r, 0) - coeff
+                    yield k, value
+
+
+def _orbit_valuations(f: MultiPoly, p: int, K: int, mask: str) -> list:
+    """v_p of the per-level factors of _diagonal(f, p, K, mask), with no
+    norm: Q_p(zeta_(p^k)) is totally ramified, so v_p(N(x)) = v_pi(x), and
+    a level-k factor's v_p is the sum of v_pi(f(rep)) over the
+    representatives of _orbit_values (residue_valuation), plus
+    v_p(f(1,...,1)) at level 1 for the tuple of indices 0 in the full mask;
+    a constant f takes no walk.  A factor 0 gives v_p = inf at its level
+    and ends the walk, and the later entries are 0.  Every conjugate of
+    f(rep) is f(1,...,1) mod pi, so v_pi(f(rep)) = 0 iff p does not divide
+    f(1,...,1); each representative is checked against that, and a failure
+    raises InvariantError."""
+    one = f.evaluate((1,) * f.num_vars)
+    out = [0] * K
+    if mask == "r":
+        if not one:
+            return [math.inf] + out[1:]
+        out[0] = vp(one, p)
+    if f.total_degree() == 0:
+        # each level's factor is f(1,...,1) to the power of its tuples
+        return [v + vp(one, p) * _orbit_count(p, k, f.num_vars, mask) * phi_degree(p, k) for k, v in enumerate(out, 1)]
+    for k, value in _orbit_values(f, p, range(1, K + 1), mask):
+        if not any(value.values()):
+            out[k - 1] = math.inf
+            return out
+        v = residue_valuation(value, p, phi_degree(p, k))
+        if (v == 0) != (one % p != 0):
+            raise InvariantError(f"v_pi = {v} at level {k}, but f(1,...,1) = {one}")
+        out[k - 1] += v
+    return out
+
+
+def orbit_cost(f: MultiPoly, p: int, K: int, mask: str) -> float:
+    """Work of _orbit_valuations(f, p, K, mask), in cost_estimate's units,
+    estimated before doing any in O(K d) arithmetic: the representatives
+    of levels 1..K (_orbit_count) times the terms of f, 20 units each.
+    Fitted on a 2-core host: 14 units measured for Whitehead polynomials
+    at p = 2 (K = 8 to 14), 14 to 18 for unit-case f at p = 2 to 7, and 31
+    to 41 for zero-case f at p = 3, where the order at t = 1 of a value
+    takes more steps.  A constant f, which takes no walk, is charged all
+    the same."""
+    count = sum(_orbit_count(p, k, f.num_vars, mask) for k in range(1, K + 1))
+    return 20 * count * len(f.term_dict())
+
+
+def _orbit_count(p: int, k: int, d: int, mask: str) -> int:
+    """The Galois orbits of level k in d variables: with a the first
+    coordinate of index k, sum_(a<d) N(k-1)^a N(k)^(d-1-a), N(j) the roots
+    of unity of order dividing p^j that the mask admits (p^j in the full
+    mask, p^j - 1 without 1)."""
+    below, upto = p ** (k - 1) - (mask == "rprime"), p**k - (mask == "rprime")
+    return sum(below**a * upto ** (d - 1 - a) for a in range(d))
 
 
 def sign_of(f: MultiPoly, p: int, levels, mask: str = "r") -> int:

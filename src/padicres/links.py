@@ -30,10 +30,20 @@ from typing import Dict, FrozenSet, Tuple
 
 from .cyclo import estimated_log_valuation, level_log_norm, level_log_valuation, phi_degree
 from .errors import InvariantError, OracleMismatchError, PolyParseError
-from .limits import LimitEstimate, _certify, _degenerate, _diagonal, _level_vanishes, _vanishes_later, window_cost
+from .limits import (
+    LimitEstimate,
+    _certify,
+    _degenerate,
+    _diagonal,
+    _level_vanishes,
+    _orbit_valuations,
+    _vanishes_later,
+    orbit_cost,
+    window_cost,
+)
 from .multipoly import MultiPoly
 from .oracles import modular_root_product
-from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
+from .padic import PadicApprox, nonp_part, teichmuller, vp_split
 from .parsing import parse_poly
 from .resultants import CyclicResultantRequest, check_budget, cyclic_resultant
 from .unipoly import cyclotomic, is_prime
@@ -201,11 +211,11 @@ def trefoil_spec() -> LinkSpec:
 
 def _assert_prefactor_cancels(cov: CoveringSpec):
     # |G| / prod_{single-component xi} |1 - xi(meridian)|: each variable
-    # contributes prod_{zeta != 1} (1 - zeta) = (t^{p^n}-1)/(t-1) at t=1 = p^n.
-    for n in cov.levels:
-        prod = 1
-        for j in range(1, n + 1):
-            prod *= cyclotomic(cov.p, j).evaluate(1)
+    # contributes prod_{zeta != 1} (1 - zeta) = (t^{p^n}-1)/(t-1) at t=1 = p^n,
+    # checked at every level n up to the largest
+    prod = 1
+    for n in range(1, max(cov.levels) + 1):
+        prod *= cyclotomic(cov.p, n).evaluate(1)
         if prod != cov.p**n:
             raise OracleMismatchError(
                 f"prefactor cancellation failed at level {n}: {prod} != {cov.p}^{n}"
@@ -470,16 +480,19 @@ class TwoPartReport:
 def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
     """Verify v_2(|H_1(S^3_{n,n})|) = n*2^n - 2n + 1 + sum of nu over the
     2-power roots zeta != +-1 of order <= 2^n, for n = 1..n_max >= 1.
-    Refused before any work when nonp_limit_cost of the window exceeds
-    cost_budget().
+    Refused before any work when limits.orbit_cost, summed over the
+    sublinks, exceeds cost_budget().
 
     The per-level nu sums are t - s*phi from level_log_valuation, the
     valuation of the cyclotomic-log norms under the Q_2-normalized
-    valuation.  The left side is exact: v_2 of the orders, a running sum
-    over the per-level factors _h1_diagonal reads from one diagonal walk
-    per sublink, levels (1,...,1) to (n_max,...,n_max), with h1_order's
-    conventions (_h1_factor); an order 0, a cover that is not a rational
-    homology sphere, gives exponent 0.
+    valuation.  The left side is exact and takes no norm: v_2 of the
+    orders, a running sum over the levels of each sublink's orbit
+    valuations (limits._orbit_valuations, levels (1,...,1) to
+    (n_max,...,n_max)), since v_2 of a level's factor is the sum of
+    v_pi(Delta_S(rep)) over its Galois orbits.  An order 0, a cover that is
+    not a rational homology sphere, gives exponent 0, as in h1_order.  No
+    value is formed, so the parity sign check of _h1_factor, which h1_order
+    and the `whitehead` windows run, has nothing to check here.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("need odd k = 2m+1 with m >= 1")
@@ -487,18 +500,18 @@ def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     m = (k - 1) // 2
     link = whitehead_link_spec(k)
-    check_budget(nonp_limit_cost(link, 2, n_max))
+    deltas = [link.alexander(s) for s in link.subsets()]
+    check_budget(sum(orbit_cost(delta, 2, n_max, "rprime") for delta in deltas))
     nu_sums = {}
     for level in range(2, n_max + 1):
         shift, t = level_log_valuation(m, level)
         nu_sums[level] = t - shift * phi_degree(2, level)
+    levels = map(sum, zip(*(_orbit_valuations(delta, 2, n_max, "rprime") for delta in deltas)))
+    _assert_prefactor_cancels(CoveringSpec(2, (n_max, n_max)))
     rows = []
-    exponent = 0
-    for n, factor in enumerate(_h1_diagonal(link, 2, n_max), 1):
-        _assert_prefactor_cancels(CoveringSpec(2, (n, n)))
+    for n, exponent in enumerate(itertools.accumulate(levels), 1):
         predicted = n * 2**n - 2 * n + 1 + sum(nu_sums[lv] for lv in range(2, n + 1))
-        # a factor 0 is an order 0 from its level on, each later factor 0 too
-        exponent += vp(factor, 2) if factor else 0
-        rows.append((n, exponent if factor else 0, predicted))
+        # v_2(0) = inf: an order 0 from its level on gives exponent 0
+        rows.append((n, exponent if exponent < math.inf else 0, predicted))
     ok = all(exact == predicted for _, exact, predicted in rows)
     return TwoPartReport(k=k, rows=tuple(rows), ok=ok)

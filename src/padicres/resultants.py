@@ -340,9 +340,9 @@ def _fixed_product(y, z, p: int, j: int) -> list:
     the schoolbook product of only the pairs of coefficients whose
     exponents sum to 0 mod p (_schoolbook), reduced as mul_mod_phi reduces
     its own."""
-    size, schoolbook = _product_plan(y, z, p)
-    if schoolbook:
-        return reduce_mod_phi(_schoolbook(y, z, p), p, j - 1)
+    size, operands = _product_plan(y, z, p)
+    if operands:
+        return reduce_mod_phi(_schoolbook(*operands, p), p, j - 1)
     half = 1 << (8 * size - 1)
     ys = [_pack(y[r::p], size, half) for r in range(p)]
     zs = [_pack(z[r::p], size, half) for r in range(p)]
@@ -387,18 +387,19 @@ def mul_mod_phi(a, b, p: int, j: int) -> list:
     coefficients, folded mod t^(p^j) - 1 and then mod Phi_{p^j}
     (reduce_mod_phi); above it, one Kronecker product, reduced on the
     packed integer (_fold)."""
-    size, schoolbook = _product_plan(a, b, 1)
-    if schoolbook:
-        return reduce_mod_phi(_schoolbook(a, b, 1), p, j)
+    size, operands = _product_plan(a, b, 1)
+    if operands:
+        return reduce_mod_phi(_schoolbook(*operands, 1), p, j)
     half = 1 << (8 * size - 1)
     return _fold(_pack(a, size, half) * _pack(b, size, half), p, j, size)
 
 
 def _product_plan(a, b, step: int):
-    """(size, schoolbook) for the coefficients of a b at the multiples of
+    """(size, operands) for the coefficients of a b at the multiples of
     step: the bytes per digit of a Kronecker product (every digit holds
     c + 2^(w-1), w = 8*size, and is at most 4 max|a| max|b|
-    min(len(a), len(b))), and whether _schoolbook costs less.  It takes a
+    min(len(a), len(b))), and, when _schoolbook costs less, its operands,
+    the one with fewer nonzero coefficients first, else None.  It takes a
     row per nonzero coefficient of the sparser operand, of a step-th of the
     other's products each; the Kronecker route packs and unpacks about
     len(a) + len(b) digits and takes step products of len * w / step bits.
@@ -406,23 +407,22 @@ def _product_plan(a, b, step: int):
     one res-large and one windows pass and to dense, shorter and sparse
     operands at p = 3 to 13 of 1 to 3,000 bits: 4% slower in total than
     the faster route of each."""
+    rows, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
+    if rows > nonzero_b:
+        a, b, rows = b, a, nonzero_b
     top_a, top_b = max(map(abs, a)), max(map(abs, b))
     size = _digit_bytes(max(top_a, top_b, 4 * top_a * top_b * min(len(a), len(b))))
-    nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
-    rows, other = (nonzero_a, len(b)) if nonzero_a <= nonzero_b else (nonzero_b, len(a))
-    schoolbook = 16 * rows + rows * other / step * (1 + top_a.bit_length() * top_b.bit_length() / 65536)
+    schoolbook = 16 * rows + rows * len(b) / step * (1 + top_a.bit_length() * top_b.bit_length() / 65536)
     words = sorted((len(a) * size / (8 * step), len(b) * size / (8 * step)))
     kronecker = 120 + 40 * step + 2 * (len(a) + len(b)) * (1 + size / 8) + step * words[0] ** 0.585 * words[1] / 8
-    return size, schoolbook < kronecker
+    return size, (a, b) if schoolbook < kronecker else None
 
 
 def _schoolbook(a, b, step: int) -> list:
     """The coefficients of a b at the exponents 0, step, 2 step, ..., one
     product per pair of coefficients whose exponents sum to a multiple of
-    step: each nonzero coefficient of the operand with fewer of them meets
-    the class of the other's exponents that completes it."""
-    if len(a) - a.count(0) > len(b) - b.count(0):
-        a, b = b, a
+    step: each nonzero coefficient of a, the operand with fewer of them
+    (_product_plan), meets the class of b's exponents that completes it."""
     classes = [b[r::step] for r in range(step)]
     out = [0] * ((len(a) + len(b) - 2) // step + 1)
     for i, c in enumerate(a):

@@ -678,12 +678,38 @@ def test_whitehead_truncation_below_level_two_is_user_error(capsys, lmax):
 
 
 def test_twopart_budget_refuses_before_any_elimination(capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("the elimination started")
+    # twopart walks Galois orbits, and its cost term (limits.orbit_cost,
+    # summed over the sublinks) first passes the budget at n_max = 22: the
+    # refusal comes before any orbit is walked
+    from padicres import limits
 
-    monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
-    code, out, err = run(capsys, "twopart", "-k", "3", "--n-max", "12")
+    def no_work(*args):
+        raise AssertionError("an orbit walk started")
+
+    monkeypatch.setattr(limits, "_orbit_values", no_work)
+    code, out, err = run(capsys, "twopart", "-k", "3", "--n-max", "22")
     assert code == 3 and "budget" in err and not out
+    # the patch is what a run the budget admits goes through
+    code, out, err = run(capsys, "twopart", "-k", "3", "--n-max", "3")
+    assert code == 1 and "an orbit walk started" in err
+
+
+def test_twopart_n_max_12_matches_the_norm_route(capsys):
+    # n_max = 12, refused while the exact side took norms, runs in well
+    # under 10 s; its rows up to n = 8 equal v_2 of the orders from the
+    # norms of one diagonal walk per sublink
+    import itertools
+
+    from padicres.links import _h1_diagonal, whitehead_link_spec
+    from padicres.padic import vp
+
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "twopart", "-k", "3", "--n-max", "12", "--format", "json")
+    assert code == 0 and time.perf_counter() - start < 10
+    record = json.loads(out)
+    assert record["ok"] is True and [row[0] for row in record["rows"]] == list(range(1, 13))
+    norms = itertools.accumulate(vp(factor, 2) for factor in _h1_diagonal(whitehead_link_spec(3), 2, 8))
+    assert [row[1] for row in record["rows"][:8]] == list(norms)
 
 
 def test_iwasawa_budget_refuses_before_any_norm(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -7,6 +8,8 @@ import pytest
 from padicres.cyclo import (
     CycloPadic,
     _into_convergence,
+    _order_at_one,
+    _order_at_one_f2,
     _log_series,
     _packed_argument,
     _packed_log_series,
@@ -18,6 +21,7 @@ from padicres.cyclo import (
     nu_zeta,
     phi_degree,
     pi_valuation,
+    residue_valuation,
 )
 from padicres.errors import DegenerateValueError, PrecisionExhaustedError
 from padicres.multipoly import random_multipoly
@@ -278,6 +282,49 @@ def test_pi_valuation_against_the_norm():
                     at_or_above_k += v >= K
                 assert pi_valuation(edge) == K * deg - 1
     assert zeros > 100 and at_or_above_k > 200
+
+
+def test_order_at_one_on_sparse_residues():
+    # the order of t = 1 as the least r with a nonzero Hasse derivative
+    # sum_e a_e C(e, r) mod p (C(e, r) mod p digit by digit, by Lucas), on
+    # sparse polynomials of degree up to about 1,000 times (t - 1)^r and
+    # (t^(p^i) - 1)^m, and at p = 2 against _order_at_one_f2 on the dense
+    # bits
+    def binomial_mod(e, r, p):
+        out = 1
+        while r:
+            out = out * math.comb(e % p, r % p) % p
+            e, r = e // p, r // p
+        return out
+
+    rng = random.Random(33)
+    orders = set()
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        g = {rng.randrange(300): rng.randrange(1, p) for _ in range(rng.randint(1, 3))}
+        for q, m in [(1, rng.randrange(8)), (p ** rng.randint(1, 3 if p < 7 else 2), rng.randrange(3))]:
+            for _ in range(m):
+                times = {}
+                for e, a in g.items():
+                    times[e + q] = times.get(e + q, 0) + a
+                    times[e] = times.get(e, 0) - a
+                g = {e: a % p for e, a in times.items() if a % p}
+        order = 0
+        while not sum(a * binomial_mod(e, order, p) for e, a in g.items()) % p:
+            order += 1
+        assert _order_at_one(g, p) == order, (p, g)
+        if p == 2:
+            assert _order_at_one_f2(sum(1 << e for e in g)) == order
+        orders.add(order)
+    assert len(orders) > 40
+
+
+def test_residue_valuation_reads_content_and_order():
+    # v_pi = c phi + the order at t = 1 of x / p^c mod p
+    assert residue_valuation({0: 4, 1: -4}, 2, 2) == 2 * 2 + 1
+    assert residue_valuation({0: 9}, 3, 6) == 12
+    assert residue_valuation({3: 5}, 5, 20) == 20
+    assert residue_valuation({0: 1, 2: 1}, 3, 6) == 0
 
 
 def _log_series_by_terms(y, t):

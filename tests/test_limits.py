@@ -11,10 +11,14 @@ from padicres.limits import (
     _certify,
     _diagonal,
     _level_vanishes,
+    _orbit_count,
+    _orbit_valuations,
+    _orbit_values,
     _request,
     iwasawa_fit,
     lambda_mu_structural,
     limit_estimate,
+    orbit_cost,
     order_invariance_check,
     sign_of,
     window_cost,
@@ -583,3 +587,129 @@ def test_univariate_window_without_a_later_vanishing_is_unchanged():
     est = limit_estimate(f, 2, 2)
     value = cyclic_resultant(_request(f, 2, (2,), "r"))
     assert not est.degenerate and est.nonp_value.residue(2) == nonp_part(value, 2) % 4
+
+
+# the largest K per (p, d) at which the norm route (_diagonal) of a
+# four-term f still takes well under a second
+ORBIT_DEPTH = {
+    (2, 1): 8, (3, 1): 7, (5, 1): 5, (7, 1): 4,
+    (2, 2): 6, (3, 2): 4, (5, 2): 3, (7, 2): 2,
+    (2, 3): 4, (3, 3): 2, (5, 3): 1, (7, 3): 1,
+}
+
+
+def diagonal_valuations(f, p, K, mask):
+    """v_p of _diagonal's per-level factors up to its first 0, which reads
+    inf; the entries past it are not defined by the walk."""
+    out = []
+    for factor in _diagonal(f, p, K, mask):
+        out.append(vp(factor, p) if factor else math.inf)
+        if not factor:
+            break
+    return out
+
+
+def test_orbit_valuations_equal_vp_of_the_diagonal():
+    # every (p, d) at its depth, both masks, unit and zero cases, and fixed
+    # inputs: factors that vanish (t1*t2 = -1 and Phi_8(t1) at p = 2, t1 = 1,
+    # Phi_9(t1)), constants, and p dividing the content
+    rng = random.Random(25)
+    cases = [
+        (parse_poly("1+t1*t2", 2), 2, 4),
+        (parse_poly("1+t1^4", 1), 2, 5),
+        (parse_poly("(1+t1^4)*(3+t2)", 2), 2, 4),
+        (parse_poly("t1-1", 1), 3, 3),
+        (parse_poly("(1+t1^3+t1^6)*(4+t2)", 2), 3, 3),
+        (parse_poly("7", 1), 7, 3),
+        (parse_poly("12", 2), 2, 4),
+        (parse_poly("-1", 3), 3, 2),
+        (parse_poly("0*t1", 2), 2, 2),
+        (parse_poly("9+3*t1+6*t2*t1", 2), 3, 4),
+        (parse_poly("4-4*t1+8*t1*t2", 2), 2, 5),
+        (parse_poly("5*t1^2+10*t1+25", 1), 5, 4),
+        (parse_poly("2*t1+2*t2+2*t3+2", 3), 2, 3),
+    ]
+    for (p, d), K in ORBIT_DEPTH.items():
+        for zero_case in (False, True):
+            f = random_multipoly(rng, d, 4, 2, 6)
+            cases.append((f - f.evaluate((1,) * d) % p if zero_case else f, p, K))
+    vanishing = 0
+    for f, p, K in cases:
+        for mask in ("r", "rprime"):
+            expected = diagonal_valuations(f, p, K, mask)
+            got = _orbit_valuations(f, p, K, mask)
+            label = (f.serialize(), p, K, mask)
+            assert got[: len(expected)] == expected, label
+            # the walk ends at a 0, and the later levels read v_p(1)
+            assert got[len(expected) :] == [0] * (K - len(expected)), label
+            vanishing += math.inf in got
+    assert vanishing >= 10
+
+
+def test_level_vanishes_finds_the_first_zero_of_the_diagonal():
+    # the shared orbit walk's zero test, with its degree prune, against
+    # where the norm route's first factor 0 falls
+    rng = random.Random(26)
+    cases = [
+        (parse_poly("1+t1*t2", 2), 2, 4),
+        (parse_poly("1+t1^4", 1), 2, 4),
+        (parse_poly("(1+t1^4)*(3+t2)", 2), 2, 4),
+        (parse_poly("(1+t1^2)*(1+t2^4)", 2), 2, 4),
+        (parse_poly("(1+t1^3+t1^6)*(4+t2)", 2), 3, 3),
+        (parse_poly("(1+t1*t2^2)*(2+t3)", 3), 2, 3),
+        (parse_poly("(1+t1^9+t1^18)*(3-t1)", 1), 3, 4),
+    ]
+    for (p, d), K in ORBIT_DEPTH.items():
+        f = random_multipoly(rng, d, 4, 2, 6)
+        cases.append((f - f.evaluate((1,) * d) % p, p, K))
+    found = 0
+    for f, p, K in cases:
+        for mask in ("r", "rprime"):
+            factors = _diagonal(f, p, K, mask)
+            first = factors.index(0) + 1 if 0 in factors else None
+            for k in range(2, min(K, first or K) + 1):
+                assert _level_vanishes(f, p, k, mask) == (k == first), (f.serialize(), p, mask, k)
+                found += k == first
+    assert found >= 8
+
+
+def test_orbit_representatives_count_the_galois_orbits():
+    # the walk yields one representative per orbit, as many as the closed
+    # form counts, and the closed form agrees with a count of the tuples:
+    # phi(p^j) roots of each index j, over the orbits of the Galois group of
+    # the top level
+    for text, d in [("1+t1*t2", 2), ("2+t1+t2+t3", 3), ("1+t1^2", 1)]:
+        f = parse_poly(text, d)
+        for p, mask in itertools.product((2, 3), ("r", "rprime")):
+            walked = [k for k, _ in _orbit_values(f, p, (1, 2, 3), mask)]
+            assert [walked.count(k) for k in (1, 2, 3)] == [_orbit_count(p, k, d, mask) for k in (1, 2, 3)]
+    for p, d, k, mask in itertools.product((2, 3, 5), (1, 2, 3), (1, 2, 3), ("r", "rprime")):
+        tuples = 0
+        for index in itertools.product(range(mask == "rprime", k + 1), repeat=d):
+            if max(index) == k:
+                tuples += math.prod(p ** (j - 1) * (p - 1) if j else 1 for j in index)
+        assert _orbit_count(p, k, d, mask) * p ** (k - 1) * (p - 1) == tuples
+
+
+def test_orbit_cost_scales_with_orbits_and_terms():
+    f, g = parse_poly("1+t1*t2", 2), parse_poly("1+t1+t2+t1*t2", 2)
+    assert orbit_cost(g, 2, 10, "rprime") == 2 * orbit_cost(f, 2, 10, "rprime")
+    # level k of d = 2 has about 2 p^k orbits, so one more level costs
+    # about p times as much
+    ratio = orbit_cost(f, 3, 12, "r") / orbit_cost(f, 3, 11, "r")
+    assert 2.9 < ratio < 3.1
+    assert orbit_cost(parse_poly("5", 1), 2, 40, "r") == 20 * 40
+
+
+def test_a_broken_orbit_valuation_raises(monkeypatch):
+    # v_pi of every conjugate is 0 iff p does not divide f(1,...,1): a
+    # valuation that breaks it is an InvariantError
+    from padicres import limits
+
+    valuation = limits.residue_valuation
+    monkeypatch.setattr(limits, "residue_valuation", lambda *args: valuation(*args) + 1)
+    with pytest.raises(InvariantError, match="v_pi"):
+        _orbit_valuations(parse_poly("3+t1+t2", 2), 2, 2, "r")
+    monkeypatch.setattr(limits, "residue_valuation", lambda *args: 0)
+    with pytest.raises(InvariantError, match="v_pi"):
+        _orbit_valuations(parse_poly("2+t1+3*t2", 2), 2, 2, "rprime")

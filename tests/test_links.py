@@ -24,6 +24,7 @@ from padicres.links import (
     whitehead_link_spec,
 )
 from padicres.multipoly import MultiPoly
+from padicres import resultants
 from padicres.padic import PadicApprox, nonp_part, teichmuller, vp
 from padicres.oracles import sylvester_resultant
 from padicres.parsing import parse_poly
@@ -270,13 +271,16 @@ def test_whitehead_closed_form_p2_cross_agreement():
 
 
 def test_two_part_exponent_report(monkeypatch):
-    # the nu sums come from the squaring loop alone: no cyclotomic norm
+    # the nu sums come from the squaring loop alone and the exact side from
+    # orbit valuations: no cyclotomic norm, no elimination
     from padicres.cyclo import CycloPadic
 
-    def no_norm(self):
+    def no_norm(*args):
         raise AssertionError("two_part_exponent_check took a norm")
 
     monkeypatch.setattr(CycloPadic, "norm_lift", no_norm)
+    monkeypatch.setattr(resultants, "resultant_phi_int", no_norm)
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", no_norm)
     report = two_part_exponent_check(3, 4)
     assert report.ok
     assert report.rows == ((1, 1, 1), (2, 9, 9), (3, 29, 29), (4, 77, 77))
@@ -297,29 +301,40 @@ def test_two_part_rows_through_level_eight():
 
 
 def test_two_part_exact_side_equals_h1_order(monkeypatch):
-    # one diagonal walk per sublink gives h1_order's exponent at every level
+    # the orbit valuations, summed over sublinks, give h1_order's exponent
+    # at every level
     for k in (3, 5, 13, 25):
         link = whitehead_link_spec(k)
         rows = two_part_exponent_check(k, 4).rows
         assert [n for n, _, _ in rows] == [1, 2, 3, 4]
         for n, exact, _ in rows:
             assert exact == h1_order(link, CoveringSpec(2, (n, n))).p_exponent, (k, n)
-    # h1_order's conventions, on walks patched per sublink (the Whitehead
-    # link's sublinks {1} and {2} have Delta = 1, and every parity sign is +)
+    # h1_order's convention for an order 0, on valuations patched per
+    # sublink (the Whitehead link's sublinks {1} and {2} have Delta = 1)
     from padicres import links
 
-    def patched(factors_by_vars):
-        return lambda f, p, K, mask: factors_by_vars[f.num_vars][:K]
+    def patched(by_vars):
+        return lambda f, p, K, mask: by_vars[f.num_vars][:K]
 
-    # per-level factors: values 2, 8, 0, 0, so a vanishing factor at level 3
-    # gives exponent 0 from there on
-    monkeypatch.setattr(links, "_diagonal", patched({1: [1, 1, 1, 1], 2: [2, 4, 0, 1]}))
+    # per-level valuations 1, 2, inf, 0: the values 2, 8, 0, 0, so a
+    # vanishing factor at level 3 gives exponent 0 from there on
+    monkeypatch.setattr(links, "_orbit_valuations", patched({1: [0, 0, 0, 0], 2: [1, 2, math.inf, 0]}))
     assert [exact for _, exact, _ in two_part_exponent_check(3, 4).rows] == [1, 3, 0, 0]
-    # values 2, -8, 32, 64: a sign against the parity prediction at level 2
-    # is an oracle mismatch
-    monkeypatch.setattr(links, "_diagonal", patched({1: [1, 1, 1, 1], 2: [2, -4, -4, 2]}))
+    monkeypatch.setattr(links, "_orbit_valuations", patched({1: [0, math.inf, 0, 0], 2: [1, 2, 3, 4]}))
+    assert [exact for _, exact, _ in two_part_exponent_check(3, 4).rows] == [1, 0, 0, 0]
+
+
+def test_h1_diagonal_sign_against_the_parity_prediction(monkeypatch):
+    # a level's value with a sign against the parity prediction is an
+    # oracle mismatch in the orders the whitehead windows certify: values
+    # 2, -8, 32, 64 from per-level factors patched per sublink
+    from padicres import links
+
+    factors = {1: [1, 1, 1, 1], 2: [2, -4, -4, 2]}
+    monkeypatch.setattr(links, "_diagonal", lambda f, p, K, mask: factors[f.num_vars][:K])
+    assert links._h1_diagonal(whitehead_link_spec(3), 2, 1) == [2]
     with pytest.raises(OracleMismatchError, match=r"sublink \(1, 2\)"):
-        two_part_exponent_check(3, 4)
+        links._h1_diagonal(whitehead_link_spec(3), 2, 4)
 
 
 def test_whitehead_even_nonp_limit():
@@ -570,3 +585,20 @@ def test_h1_nonp_limit_without_a_later_vanishing_is_unchanged():
     est = h1_nonp_limit(link, 2, 2)
     order = h1_order(link, CoveringSpec(2, (1,))).order
     assert not est.degenerate and est.nonp_value.residue(2) == nonp_part(order, 2) % 4
+
+
+def test_a_prefactor_that_does_not_cancel_is_an_oracle_mismatch(monkeypatch):
+    # |G| over the single-component factors |1 - xi(meridian)| is checked at
+    # every level up to the cover's, by h1_order and twopart alike
+    from padicres import links
+
+    def broken(p, j):
+        # Phi_(p^2)(1) read as 3 p
+        return UniPoly([3 * p]) if j == 2 else cyclotomic(p, j)
+
+    monkeypatch.setattr(links, "cyclotomic", broken)
+    with pytest.raises(OracleMismatchError, match="level 2"):
+        h1_order(whitehead_link_spec(3), CoveringSpec(2, (1, 3)))
+    with pytest.raises(OracleMismatchError, match="level 2"):
+        two_part_exponent_check(3, 4)
+    assert h1_order(whitehead_link_spec(3), CoveringSpec(2, (1, 1))).order == 6
