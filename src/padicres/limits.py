@@ -316,8 +316,8 @@ def _orbit_valuations(f: MultiPoly, p: int, K: int, mask: str) -> list:
     norm: Q_p(zeta_(p^k)) is totally ramified, so v_p(N(x)) = v_pi(x), and
     a level-k factor's v_p is the sum of v_pi(f(rep)) over the
     representatives of _orbit_values (residue_valuation), plus
-    v_p(f(1,...,1)) at level 1 for the tuple of indices 0 in the full mask;
-    a constant f takes no walk.  A factor 0 gives v_p = inf at its level
+    v_p(f(1,...,1)) at level 1 for the tuple of indices 0 in the full mask.
+    A factor 0 gives v_p = inf at its level
     and ends the walk, and the later entries are 0.  Every conjugate of
     f(rep) is f(1,...,1) mod pi, so v_pi(f(rep)) = 0 iff p does not divide
     f(1,...,1); each representative is checked against that, and a failure
@@ -328,9 +328,6 @@ def _orbit_valuations(f: MultiPoly, p: int, K: int, mask: str) -> list:
         if not one:
             return [math.inf] + out[1:]
         out[0] = vp(one, p)
-    if f.total_degree() == 0:
-        # each level's factor is f(1,...,1) to the power of its tuples
-        return [v + vp(one, p) * _orbit_count(p, k, f.num_vars, mask) * phi_degree(p, k) for k, v in enumerate(out, 1)]
     for k, value in _orbit_values(f, p, range(1, K + 1), mask):
         if not any(value.values()):
             out[k - 1] = math.inf
@@ -349,9 +346,11 @@ def orbit_cost(f: MultiPoly, p: int, K: int, mask: str) -> float:
     Fitted on a 2-core host: 14 units measured for Whitehead polynomials
     at p = 2 (K = 8 to 14), 14 to 18 for unit-case f at p = 2 to 7, and 31
     to 41 for zero-case f at p = 3, where the order at t = 1 of a value
-    takes more steps.  A constant f, which takes no walk, is charged all
-    the same."""
-    count = sum(_orbit_count(p, k, f.num_vars, mask) for k in range(1, K + 1))
+    takes more steps."""
+    try:
+        count = sum(_orbit_count(p, float(k), f.num_vars, mask) for k in range(1, K + 1))
+    except OverflowError:  # levels past the float range
+        return math.inf
     return 20 * count * len(f.term_dict())
 
 

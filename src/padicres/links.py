@@ -384,11 +384,30 @@ def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
             phi = 2 ** (level - 1)
             t = estimated_log_valuation((k - 1) // 2, level)
             work = K + 14 - (-t // phi)
-            words = phi * (2 * work + 16) / 64
-            total += (level + 2 * math.sqrt(phi * work / t) + 8) * (words**1.585 / 150 + 5 * phi)
+            total += (level + 2 * math.sqrt(phi * work / t) + 8) * _slots_product_cost(phi, work)
     except OverflowError:  # levels past the float range
         return math.inf
     return total
+
+
+def nu_sums_cost(n_max: int) -> float:
+    """Work of level_log_valuation at levels 2..n_max, in cost_estimate's
+    units: level L squares L times at 32 digits (_Slots products, as in
+    closed_form_cost).  On a 2-core host it is 3 to 25 times the measured
+    time at each L from 14 to 18 for k = 3, 5 and 11, and with orbit_cost
+    the default budget admits twopart up to n_max = 20."""
+    try:
+        return sum((level + 1) * _slots_product_cost(2 ** (level - 1), 32) for level in range(2, n_max + 1))
+    except OverflowError:  # levels past the float range
+        return math.inf
+
+
+def _slots_product_cost(phi: int, digits: int) -> float:
+    """One _Slots product of phi coefficients at `digits` digits: 5 units
+    per coefficient plus W^1.585 / 150 for W = phi * (2 digits + 16) / 64
+    words."""
+    words = phi * (2 * digits + 16) / 64
+    return words**1.585 / 150 + 5 * phi
 
 
 def whitehead_degenerate(k: int, p: int) -> bool:
@@ -481,7 +500,7 @@ def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
     """Verify v_2(|H_1(S^3_{n,n})|) = n*2^n - 2n + 1 + sum of nu over the
     2-power roots zeta != +-1 of order <= 2^n, for n = 1..n_max >= 1.
     Refused before any work when limits.orbit_cost, summed over the
-    sublinks, exceeds cost_budget().
+    sublinks, plus nu_sums_cost exceeds cost_budget().
 
     The per-level nu sums are t - s*phi from level_log_valuation, the
     valuation of the cyclotomic-log norms under the Q_2-normalized
@@ -501,7 +520,7 @@ def two_part_exponent_check(k: int, n_max: int) -> TwoPartReport:
     m = (k - 1) // 2
     link = whitehead_link_spec(k)
     deltas = [link.alexander(s) for s in link.subsets()]
-    check_budget(sum(orbit_cost(delta, 2, n_max, "rprime") for delta in deltas))
+    check_budget(sum(orbit_cost(delta, 2, n_max, "rprime") for delta in deltas) + nu_sums_cost(n_max))
     nu_sums = {}
     for level in range(2, n_max + 1):
         shift, t = level_log_valuation(m, level)

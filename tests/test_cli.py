@@ -583,7 +583,7 @@ def _break_sharp_congruence(monkeypatch, target, p, level):
     """Multiply the level-`level` factor of `target`'s diagonal walks by
     1 + p^(level-1): its non-p part stays 1 mod p^(level-1), the old,
     weaker check, but is no longer 1 mod p^level."""
-    from padicres import limits, links
+    from padicres import cyclo, limits, links
 
     walk = limits._diagonal
 
@@ -678,20 +678,26 @@ def test_whitehead_truncation_below_level_two_is_user_error(capsys, lmax):
 
 
 def test_twopart_budget_refuses_before_any_elimination(capsys, monkeypatch):
-    # twopart walks Galois orbits, and its cost term (limits.orbit_cost,
-    # summed over the sublinks) first passes the budget at n_max = 22: the
-    # refusal comes before any orbit is walked
-    from padicres import limits
+    # twopart walks Galois orbits and takes one log valuation per level,
+    # and its cost terms (limits.orbit_cost, summed over the sublinks, and
+    # links.nu_sums_cost) first pass the budget at n_max = 21: the refusal
+    # comes before any orbit is walked or any valuation taken
+    from padicres import cyclo, limits, links
 
     def no_work(*args):
-        raise AssertionError("an orbit walk started")
+        raise AssertionError("work started")
 
     monkeypatch.setattr(limits, "_orbit_values", no_work)
-    code, out, err = run(capsys, "twopart", "-k", "3", "--n-max", "22")
-    assert code == 3 and "budget" in err and not out
-    # the patch is what a run the budget admits goes through
+    monkeypatch.setattr(links, "level_log_valuation", no_work)
+    for n_max in ("21", "2000", "10000000"):
+        code, out, err = run(capsys, "twopart", "-k", "3", "--n-max", n_max)
+        assert code == 3 and "budget" in err and not out
+    # the patches are what a run the budget admits goes through
     code, out, err = run(capsys, "twopart", "-k", "3", "--n-max", "3")
-    assert code == 1 and "an orbit walk started" in err
+    assert code == 1 and "work started" in err
+    monkeypatch.setattr(links, "level_log_valuation", cyclo.level_log_valuation)
+    code, out, err = run(capsys, "twopart", "-k", "3", "--n-max", "3")
+    assert code == 1 and "work started" in err
 
 
 def test_twopart_n_max_12_matches_the_norm_route(capsys):

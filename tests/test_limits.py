@@ -699,6 +699,8 @@ def test_orbit_cost_scales_with_orbits_and_terms():
     ratio = orbit_cost(f, 3, 12, "r") / orbit_cost(f, 3, 11, "r")
     assert 2.9 < ratio < 3.1
     assert orbit_cost(parse_poly("5", 1), 2, 40, "r") == 20 * 40
+    # levels past the float range cost inf, found without walking them all
+    assert orbit_cost(f, 2, 10**7, "r") == orbit_cost(parse_poly("5", 1), 2, 10**7, "r") == math.inf
 
 
 def test_a_broken_orbit_valuation_raises(monkeypatch):
