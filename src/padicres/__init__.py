@@ -4,8 +4,8 @@ first-homology orders of branched p-power coverings of links.
 Everything is exact big-integer arithmetic, the cross-checking oracles
 included: the Sylvester determinant and the subresultant PRS (in
 `oracles`), and complex_root_product and character_oracle, which evaluate
-at the p-power roots of unity modulo primes q = 1 (mod p^N) and recover the
-integer by the CRT, apart from the resultant engine.
+at the p-power roots of unity modulo products of primes q = 1 (mod p^N)
+and recover the integer by the CRT, apart from the resultant engine.
 """
 
 from .errors import (

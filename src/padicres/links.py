@@ -10,7 +10,7 @@ exactly the j>=1-masked iterated resultant of Delta_S at levels (n_i)_{i in
 S}, and the prefactor cancels against |G|; the cancellation is asserted,
 not assumed.  Two independent exact routes are provided: the product of
 masked resultants by the resultant engine (h1_order), and the character sum
-evaluated in F_q for enough primes q and recovered by the CRT
+evaluated modulo products of a few primes and recovered by the CRT
 (character_oracle).
 
 The twisted Whitehead family is built in, with the closed-form limits of
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
 from .cyclo import estimated_log_valuation, level_log_norm, level_log_valuation, phi_degree
-from .errors import InvariantError, OracleMismatchError, PolyParseError
+from .errors import BudgetExceededError, InvariantError, OracleMismatchError, PolyParseError
 from .limits import (
     LimitEstimate,
     _certify,
@@ -322,7 +322,7 @@ def _nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
 
 
 # ---------------------------------------------------------------------------
-# the character-sum oracle (exact, in F_q)
+# the character-sum oracle (exact, by modular root products)
 # ---------------------------------------------------------------------------
 
 _MAX_ORACLE_GROUP = 4096  # largest deck group |G| the character oracle takes
@@ -334,16 +334,18 @@ def character_oracle(link: LinkSpec, cov: CoveringSpec) -> H1Result:
     The characters of G = (+) Z/p^{n_i} with support S take every tuple of
     nontrivial p-power roots of unity at the levels of S, so their factors
     multiply to the product of Delta_S over those tuples, which
-    modular_root_product computes exactly in F_q.  The |1 - xi(meridian)|
-    prefactor is computed the same way, as the product of 1 - zeta over
-    each component's nontrivial roots, and must equal p^{n_i}, so that it
-    cancels against |G| = prod p^{n_i}.
+    modular_root_product computes exactly, modulo products of a few primes
+    joined by the CRT.  The |1 - xi(meridian)| prefactor is computed the
+    same way, as the product of 1 - zeta over each component's nontrivial
+    roots, and must equal p^{n_i}, so that it cancels against
+    |G| = prod p^{n_i}.  A group larger than _MAX_ORACLE_GROUP is refused
+    as a BudgetExceededError.
     """
     if len(cov.levels) != link.d:
         raise ValueError("covering levels must list one entry per component")
     size = cov.group_order()
     if size > _MAX_ORACLE_GROUP:
-        raise ValueError(f"|G| = {size} exceeds the oracle scale {_MAX_ORACLE_GROUP}")
+        raise BudgetExceededError(f"|G| = {size} exceeds the character oracle's budget {_MAX_ORACLE_GROUP}")
     one_minus_t = MultiPoly(1, {(0,): 1, (1,): -1})
     for n in cov.levels:
         prefactor = modular_root_product(one_minus_t, cov.p, [range(1, n + 1)])

@@ -28,8 +28,8 @@ product), so an agreement is evidence and a disagreement a bug:
   literal iterated Sylvester determinants against t^(p^n) - 1, or against
   the product of the masked Phi_{p^j}; degree-guarded.
 * modular_root_product (complex_root_product for a request): the product of
-  f over the masked root-of-unity tuples, evaluated in F_q for enough
-  primes q and recovered by the CRT (Collins' modular method).
+  f over the masked root-of-unity tuples, evaluated modulo products Q of a
+  few primes each and recovered by the CRT (Collins' modular method).
 
 Sign conventions follow the Sylvester determinant with the first argument's
 coefficient rows on top.
@@ -45,6 +45,7 @@ from .multipoly import MultiPoly
 from .unipoly import UniPoly, cyclotomic, is_prime, power_minus_one
 
 BASELINE_BUDGET_DEFAULT = 256
+_RING_PRIMES = 8  # primes per ring of modular_root_product
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +229,15 @@ def cyclic_resultant_baseline(req, budget: int = BASELINE_BUDGET_DEFAULT) -> int
     polynomial prod_{j in mask} Phi_{p^j}.  Degree-guarded: the product of
     the p^(n_i) with deg f must stay within `budget`.
     """
-    degree_load = 1
-    for n in req.levels:
-        degree_load *= req.p**n
-    degree_load *= max(1, req.f.total_degree())
+    degree_load = math.prod(req.p**n for n in req.levels) * max(1, req.f.total_degree())
     if degree_load > budget:
-        raise BudgetExceededError(
-            f"baseline degree load {degree_load} exceeds budget {budget}"
-        )
+        raise BudgetExceededError(f"baseline degree load {degree_load} exceeds budget {budget}")
     divisors = []
     for n, mask in zip(req.levels, req.factor_mask):
         if mask == frozenset(range(n + 1)):
             divisors.append(power_minus_one(req.p**n))
         else:
-            d = UniPoly((1,))
-            for j in sorted(mask):
-                d = d * cyclotomic(req.p, j)
-            divisors.append(d)
+            divisors.append(math.prod((cyclotomic(req.p, j) for j in sorted(mask)), start=UniPoly((1,))))
     g = req.f
     for idx in range(len(req.levels) - 1, -1, -1):
         if g.is_zero:
@@ -265,12 +258,15 @@ def modular_root_product(f: MultiPoly, p: int, masks) -> int:
     """The product of f over the root-of-unity tuples the masks select
     (variable i runs over the primitive p^j-th roots of unity, j in
     masks[i]), exactly, by Collins' modular method and apart from the
-    engine: no norm, tower or packing, just f evaluated at each tuple in
-    F_q.  The primes q = 1 (mod p^N), N the largest index in the masks,
-    hold the p^N-th roots of unity; each of the `count` factors is at most
-    ||f||_1 in absolute value, so primes are added until their product
-    exceeds 2 * ||f||_1^count, and the CRT in the symmetric range is the
-    value, sign included.  A residue of 0 modulo one q decides nothing.
+    engine: no norm, tower or packing.  Each of the `count` factors is at
+    most ||f||_1 in absolute value, so primes q = 1 (mod p^N), N the
+    largest index in the masks, are taken until their product exceeds
+    2 * ||f||_1^count.  Up to _RING_PRIMES of them make one ring Z/Q, Q
+    their product, with a zeta of order p^N the CRT of theirs, and one
+    pass evaluates f at every tuple in Z/Q (a ring of all primes would be
+    slower: bigint division is quadratic).  The CRT joins the rings and its
+    symmetric lift is the value, sign included; a residue of 0 modulo one
+    ring decides nothing.
     """
     if f.is_zero:
         return 0
@@ -280,27 +276,42 @@ def modular_root_product(f: MultiPoly, p: int, masks) -> int:
     count = math.prod(len(r) for r in roots)
     terms = list(f.terms())
     # per term, the exponent of zeta_{p^N} of its monomial at every tuple
-    columns = [
-        [sum(ks) % m for ks in itertools.product(*[[e * k for k in r] for e, r in zip(exp, roots)])]
-        for exp, _ in terms
-    ]
+    columns = []
+    for exp, _ in terms:
+        column = [0]
+        for e, r in zip(exp, roots):
+            column = [(a + e * k) % m for a in column for k in r]
+        columns.append(column)
     bound = 2 * sum(abs(c) for _, c in terms) ** count
-    value, modulus = 0, 1
-    for q, zeta in _oracle_primes(p, m):
+    need = -(-bound.bit_length() // 62)  # each prime exceeds 2^62
+    primes = _oracle_primes(p, m, need)
+    if len(primes) < need:
+        raise BudgetExceededError(f"too few primes q = 1 (mod {m}) below 2^64 for the oracle")
+    residues = []
+    for i in range(0, need, _RING_PRIMES):
+        ring, zeta = _crt(primes[i : i + _RING_PRIMES])
         powers = [1] * m
-        for i in range(1, m):
-            powers[i] = powers[i - 1] * zeta % q
+        for k in range(1, m):
+            powers[k] = powers[k - 1] * zeta % ring
         sums = [0] * count
         for (_, c), column in zip(terms, columns):
-            sums = [s + c * powers[i] for s, i in zip(sums, column)]
+            sums = [s + c * powers[k] for s, k in zip(sums, column)]
         residue = 1
         for s in sums:
-            residue = residue * s % q
-        value += modulus * ((residue - value % q) * pow(modulus % q, -1, q) % q)
+            residue = residue * s % ring
+        residues.append((ring, residue))
+    modulus, value = _crt(residues)
+    return value - modulus if 2 * value > modulus else value
+
+
+def _crt(pairs):
+    """(M, x) for pairs (q, r) of coprime moduli q and residues r: M the
+    product of the q, x in [0, M) the integer that is r modulo each q."""
+    value, modulus = 0, 1
+    for q, r in pairs:
+        value += modulus * ((r - value) * pow(modulus, -1, q) % q)
         modulus *= q
-        if modulus > bound:
-            return value - modulus if 2 * value > modulus else value
-    raise BudgetExceededError(f"too few primes q = 1 (mod {m}) below 2^64 for the oracle")
+    return modulus, value
 
 
 # (p, m) -> the oracle primes found so far and the search that finds more;
@@ -308,39 +319,28 @@ def modular_root_product(f: MultiPoly, p: int, masks) -> int:
 _ORACLE_PRIMES: dict = {}
 
 
-def _oracle_primes(p: int, m: int):
-    """The primes q = 1 (mod m), 2^62 < q < 2^64, ascending, each with a
-    zeta of multiplicative order m in F_q (m a power of p).  Each modulus
-    is searched once per process: later calls replay the primes found and
-    resume the search past them."""
+def _oracle_primes(p: int, m: int, count: int) -> list:
+    """The first `count` primes q = 1 (mod m), 2^62 < q < 2^64, ascending
+    (fewer if that range runs out), each with a zeta of multiplicative
+    order m in F_q (m a power of p).  Each modulus is searched once per
+    process: later calls reuse the primes found and resume the search."""
     found, search = _ORACLE_PRIMES.setdefault((p, m), ([], _search_oracle_primes(p, m)))
-    i = 0
-    while True:
-        if i == len(found):
-            prime = next(search, None)
-            if prime is None:
-                return
-            found.append(prime)
-        yield found[i]
-        i += 1
+    found.extend(itertools.islice(search, max(0, count - len(found))))
+    return found[:count]
 
 
 def _search_oracle_primes(p: int, m: int):
-    k = (1 << 62) // m + 1
-    while k * m + 1 < 1 << 64:
-        q = k * m + 1
+    for q in range(((1 << 62) // m + 1) * m + 1, 1 << 64, m):
         if is_prime(q):
             for a in itertools.count(2):
                 zeta = pow(a, (q - 1) // m, q)
                 if m == 1 or pow(zeta, m // p, q) != 1:
                     yield q, zeta
                     break
-        k += 1
 
 
 def complex_root_product(req) -> int:
     """The masked iterated cyclic resultant of a CyclicResultantRequest by
-    the independent route: the product of f over the selected tuples of
-    complex p-power roots of unity, computed exactly in F_q by
-    modular_root_product."""
+    the independent route, the product of f over the selected tuples of
+    complex p-power roots of unity, exactly: modular_root_product."""
     return modular_root_product(req.f, req.p, req.factor_mask)

@@ -520,6 +520,13 @@ def test_linkh1_builtin_whitehead(capsys):
     assert "order: 4" in out
 
 
+def test_linkh1_verify_past_the_oracle_scale_exits_3(capsys):
+    # |G| = 2^14 exceeds the character oracle's 4096: a cost refusal, as
+    # the baseline's degree guard is for res --verify, not a user error
+    code, out, err = run(capsys, "linkh1", "--whitehead", "3", "-p", "2", "-n", "7,7", "--verify")
+    assert code == 3 and "budget" in err and "16384" in err and not out
+
+
 def test_linkh1_trefoil_json(capsys):
     code, out, _ = run(capsys, "linkh1", "-p", "2", "-n", "1", "--format", "json")
     assert code == 0

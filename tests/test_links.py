@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from padicres.errors import OracleMismatchError
+from padicres.errors import BudgetExceededError, OracleMismatchError
 from padicres.limits import limit_estimate
 from padicres.links import (
     CoveringSpec,
@@ -181,7 +181,8 @@ def test_character_oracle_on_the_largest_covers():
 
 
 def test_character_oracle_scale_guard():
-    with pytest.raises(ValueError):
+    # a cost refusal, not a user error: the CLI exits 3 for it
+    with pytest.raises(BudgetExceededError, match="16384"):
         character_oracle(whitehead_link_spec(2), CoveringSpec(2, (7, 7)))
 
 

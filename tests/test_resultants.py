@@ -942,32 +942,54 @@ def test_three_variable_routes_agree():
 
 
 def test_modular_root_product_against_the_baseline():
-    # custom masks, three variables and p = 5, which acceptance criterion 1's
-    # grid leaves out: the F_q route equals the literal Sylvester baseline
+    # custom masks, three variables and p = 5 or 7, which acceptance
+    # criterion 1's grid leaves out: the modular route equals the literal
+    # Sylvester baseline
     rng = random.Random(10061)
-    done = 0
+    done, seen = 0, set()
     while done < 40:
         d = rng.choice([1, 2, 3])
         f = random_multipoly(rng, d, 3, 3, 9)
         if f.is_zero:
             continue
-        p = rng.choice([2, 3, 5]) if d < 3 else 2
+        p = rng.choice([2, 3, 5, 7]) if d < 3 else 2
         levels = tuple(rng.randint(1, 2 if p < 5 else 1) for _ in range(d))
         masks = [set(rng.sample(range(n + 1), rng.randint(1, n + 1))) for n in levels]
         req = CyclicResultantRequest.custom(f, p, levels, masks)
         value = cyclic_resultant_baseline(req, budget=4096)
         assert modular_root_product(f, p, masks) == value == cyclic_resultant(req), (f.serialize(), p, masks)
         done += 1
+        seen.add(p)
+    assert seen == {2, 3, 5, 7}
 
 
 def test_modular_root_product_zero_residue_is_not_zero():
-    # the value is the first oracle prime itself: 0 modulo that prime, and
-    # only the second prime's residue, through the CRT, decides it
-    q, _ = next(oracles._oracle_primes(2, 2))
-    f = MultiPoly.const(1, q)
-    assert modular_root_product(f, 2, [{1}]) == q
-    assert modular_root_product(f - MultiPoly.const(1, 2 * q), 2, [{1}]) == -q
+    # the value is the modulus of the first ring, the product of its
+    # _RING_PRIMES primes: 0 in that ring, and only the second ring's
+    # residue, through the CRT, decides it
+    ring = math.prod(q for q, _ in oracles._oracle_primes(2, 2, oracles._RING_PRIMES))
+    f = MultiPoly.const(1, ring)
+    assert modular_root_product(f, 2, [{1}]) == ring
+    assert modular_root_product(f - MultiPoly.const(1, 2 * ring), 2, [{1}]) == -ring
     assert modular_root_product(parse_poly("1 + t1", 1), 2, [{0, 1}]) == 0
+
+
+def test_modular_root_product_joins_several_rings(monkeypatch):
+    # ||f||_1 = 13 over the 3^2 * 3^3 = 243 tuples needs a bound of about
+    # 900 bits, so 15 primes in two rings, which the CRT joins
+    f = parse_poly("2 - 3*t1 + t2^2 - 4*t1*t2 + 3*t1^2*t2", 2)
+    req = CyclicResultantRequest.full(f, 3, (2, 3))
+    rings = []
+    crt = oracles._crt
+
+    def spy(pairs):
+        pairs = list(pairs)
+        rings.append(len(pairs))
+        return crt(pairs)
+
+    monkeypatch.setattr(oracles, "_crt", spy)
+    assert modular_root_product(f, 3, req.factor_mask) == cyclic_resultant(req) != 0
+    assert rings[:-1] == [oracles._RING_PRIMES, 15 - oracles._RING_PRIMES] and rings[-1] == 2
 
 
 def test_oracle_primes_are_searched_once_per_modulus(monkeypatch):
@@ -977,7 +999,7 @@ def test_oracle_primes_are_searched_once_per_modulus(monkeypatch):
     masks = [{1, 2}, {2}]
     req = CyclicResultantRequest.custom(f, 3, (2, 2), masks)
     first = modular_root_product(f, 3, masks)
-    primes = list(itertools.islice(oracles._oracle_primes(3, 9), 4))
+    primes = oracles._oracle_primes(3, 9, 4)
     for q, zeta in primes:
         assert q % 9 == 1 and 2**62 < q < 2**64 and is_prime(q)
         assert pow(zeta, 9, q) == 1 and pow(zeta, 3, q) != 1
@@ -988,7 +1010,7 @@ def test_oracle_primes_are_searched_once_per_modulus(monkeypatch):
 
     monkeypatch.setattr(oracles, "is_prime", no_search)
     assert modular_root_product(f, 3, masks) == first == cyclic_resultant(req)
-    assert list(itertools.islice(oracles._oracle_primes(3, 9), 4)) == primes
+    assert oracles._oracle_primes(3, 9, 4) == primes
 
 
 def test_factor_walk_leaves_no_reference_cycle():
