@@ -24,23 +24,23 @@ from .errors import (
     PadicResError,
     PolyParseError,
 )
-from .limits import iwasawa_fit, lambda_mu_structural, limit_estimate, zero_limit_predicate
+from .limits import iwasawa_fit, lambda_mu_structural, limit_estimate, window_levels, zero_limit_predicate
 from .links import (
     CoveringSpec,
     _nonp_limit,
     character_oracle,
+    check_character_oracle,
     closed_form_cost,
     h1_order,
     load_link_spec,
     nonp_limit_cost,
-    nonp_limit_levels,
     trefoil_spec,
     two_part_exponent_check,
     whitehead_closed_form,
     whitehead_degenerate,
     whitehead_link_spec,
 )
-from .oracles import complex_root_product, cyclic_resultant_baseline
+from .oracles import check_baseline_load, complex_root_product, cyclic_resultant_baseline
 from .parsing import parse_poly
 from .resultants import CyclicResultantRequest, check_budget, cyclic_resultant
 from .unipoly import UniPoly
@@ -104,6 +104,8 @@ def _emit(args, payload: dict):
 
 def cmd_res(args) -> int:
     req = _build_request(args)
+    if args.verify:
+        check_baseline_load(req)
     value = cyclic_resultant(req)
     payload = {
         "command": "res",
@@ -185,6 +187,8 @@ def cmd_linkh1(args) -> int:
         link = trefoil_spec()
     levels = _parse_levels(args.levels)
     cov = CoveringSpec(args.prime, levels)
+    if args.verify:
+        check_character_oracle(link, cov)
     result = h1_order(link, cov)
     payload = {
         "order": _format_int(result.order, args.truncate),
@@ -209,7 +213,7 @@ def cmd_whitehead(args) -> int:
     if whitehead_degenerate(args.k, args.prime):
         window = 0.0
     else:
-        window = nonp_limit_cost(link, args.prime, nonp_limit_levels(args.digits))
+        window = nonp_limit_cost(link, args.prime, window_levels(args.digits))
     check_budget(closed_form_cost(args.k, args.prime, args.digits, args.lmax) + window)
     closed = whitehead_closed_form(args.k, args.prime, args.digits, truncation_level=args.lmax)
     payload = {

@@ -23,17 +23,21 @@ of L levels certifies K <= L + 1 digits (_certify), which checks every
 congruence inside the window, so a failure raises InvariantError instead of
 shrinking the count.  A factor that vanishes makes the sequence exactly 0
 from its level on; a window of K - 1 levels learns whether one of level K
-does from _level_vanishes, without a norm.  limit_estimate walks K levels,
-since it reports rows 1..K, so its top level is a checked, redundant digit;
-links.h1_nonp_limit certifies the homology orders of the diagonal covers
-from K - 1 levels through the same _certify.
+does from _level_vanishes, without a norm.  Both windows, limit_estimate's
+and links.h1_nonp_limit's of the homology orders of the diagonal covers,
+walk window_levels(K) = max(1, K - 1) levels through the same _certify.
+limit_estimate still reports rows 1..K: row K's residue is the running
+non-p part mod p^K, by the sharp congruence, and its v_p is 0 in the unit
+case and a sum of orbit valuations (below) in the zero case, unless taking
+level K's norms is estimated to cost less.
 
 Exact valuations with no norm.  Q_p(zeta_(p^k)) is totally ramified, so
 v_p(N(x)) = v_pi(x), and v_p of a level's factor is a sum of v_pi(f(rep))
 over Galois orbits, read from the content and the order of t - 1 of small
 exact coefficients (_orbit_valuations).  One orbit walk, _orbit_values,
-serves it and _level_vanishes' zero test.  The 2-part exponents of the
-homology orders (links.two_part_exponent_check) are read from it.
+serves it (and so limit_estimate's top row in the zero case) and
+_level_vanishes' zero test.  The 2-part exponents of the homology orders
+(links.two_part_exponent_check) are read from it.
 
 The zero/nonzero dichotomy is read from level 1: every masked factor
 f(zeta_1,...,zeta_d) has the same residue as f(1,...,1) in the residue
@@ -111,6 +115,14 @@ def window_cost(f: MultiPoly, p: int, K: int, mask: str) -> float:
     return masks_cost(f, p, _window_masks(p, K, f.num_vars, mask), K)
 
 
+def window_levels(K: int) -> int:
+    """The diagonal levels a window walks for K >= 1 digits: by the sharp
+    congruence, levels 1..K - 1 fix K digits, and level 1 fixes the first."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    return max(1, K - 1)
+
+
 @dataclass(frozen=True)
 class LimitEstimate:
     value: PadicApprox
@@ -128,17 +140,34 @@ class LimitEstimate:
 def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstimate:
     """Limit of the masked resultant sequence and of its non-p parts, mod p^K.
 
-    The diagonal factors of levels (k,...,k), k = 1..K, are computed and
-    certified (_certify): the window reports rows 1..K, so its top level is
-    a checked, redundant digit.  The window is refused before any work when
-    its levels' cost estimates sum past cost_budget() (window_cost).
+    The diagonal factors of levels (k,...,k), k = 1..window_levels(K), are
+    computed and certified (_certify), and the window reports rows 1..K.
+    For K >= 2, row K stands on a level-K factor with non-p part 1, as the
+    sharp congruence makes it mod p^K, and v_p 0 in the unit case, else
+    the sum over level K's orbits (_orbit_valuations), unless the estimates
+    (window_cost against window_cost below K plus orbit_cost) find level
+    K's norms cheaper.  The route taken is refused before any work when
+    its estimate exceeds cost_budget().
 
     In one variable a later level that vanishes makes the sequence exactly
     0 from there on (_vanishes_later), and the estimate degenerate, with
     the window rows as computed.
     """
-    check_budget(window_cost(f, p, K, mask))
-    est = _certify(_diagonal(f, p, K, mask), p, K, f.num_vars)
+    levels = window_levels(K)
+    cost = window_cost(f, p, levels, mask)
+    orbits = levels < K and zero_limit_predicate(f, p)
+    if orbits:
+        exact, cost = window_cost(f, p, K, mask), cost + orbit_cost(f, p, K, mask, first=K)
+        if exact <= cost:
+            levels, cost, orbits = K, exact, False
+    check_budget(cost)
+    factors = _diagonal(f, p, levels, mask)
+    if levels < K:
+        # a stand-in level-K factor: non-p part 1, as the sharp congruence
+        # makes the real one's mod p^K, and the real v_p (inf: it vanishes)
+        v = _orbit_valuations(f, p, K, mask, first=K)[-1] if orbits and 0 not in factors else 0
+        factors.append(0 if v == math.inf else p**v)
+    est = _certify(factors, p, K, f.num_vars)
     if not est.degenerate and _vanishes_later(f, p, K, mask):
         return _degenerate(est, p, K)
     return est
@@ -311,10 +340,11 @@ def _orbit_values(f: MultiPoly, p: int, levels, mask: str, prune: bool = False):
                     yield k, value
 
 
-def _orbit_valuations(f: MultiPoly, p: int, K: int, mask: str) -> list:
+def _orbit_valuations(f: MultiPoly, p: int, K: int, mask: str, first: int = 1) -> list:
     """v_p of the per-level factors of _diagonal(f, p, K, mask), with no
-    norm: Q_p(zeta_(p^k)) is totally ramified, so v_p(N(x)) = v_pi(x), and
-    a level-k factor's v_p is the sum of v_pi(f(rep)) over the
+    norm, at levels first..K (the entries below first are 0):
+    Q_p(zeta_(p^k)) is totally ramified, so v_p(N(x)) = v_pi(x), and a
+    level-k factor's v_p is the sum of v_pi(f(rep)) over the
     representatives of _orbit_values (residue_valuation), plus
     v_p(f(1,...,1)) at level 1 for the tuple of indices 0 in the full mask.
     A factor 0 gives v_p = inf at its level
@@ -324,11 +354,11 @@ def _orbit_valuations(f: MultiPoly, p: int, K: int, mask: str) -> list:
     raises InvariantError."""
     one = f.evaluate((1,) * f.num_vars)
     out = [0] * K
-    if mask == "r":
+    if mask == "r" and first == 1:
         if not one:
             return [math.inf] + out[1:]
         out[0] = vp(one, p)
-    for k, value in _orbit_values(f, p, range(1, K + 1), mask):
+    for k, value in _orbit_values(f, p, range(first, K + 1), mask):
         if not any(value.values()):
             out[k - 1] = math.inf
             return out
@@ -339,16 +369,17 @@ def _orbit_valuations(f: MultiPoly, p: int, K: int, mask: str) -> list:
     return out
 
 
-def orbit_cost(f: MultiPoly, p: int, K: int, mask: str) -> float:
-    """Work of _orbit_valuations(f, p, K, mask), in cost_estimate's units,
-    estimated before doing any in O(K d) arithmetic: the representatives
-    of levels 1..K (_orbit_count) times the terms of f, 20 units each.
+def orbit_cost(f: MultiPoly, p: int, K: int, mask: str, first: int = 1) -> float:
+    """Work of _orbit_valuations(f, p, K, mask, first), in cost_estimate's
+    units, estimated before doing any in O(K d) arithmetic: the
+    representatives of levels first..K (_orbit_count) times the terms of
+    f, 20 units each.
     Fitted on a 2-core host: 14 units measured for Whitehead polynomials
     at p = 2 (K = 8 to 14), 14 to 18 for unit-case f at p = 2 to 7, and 31
     to 41 for zero-case f at p = 3, where the order at t = 1 of a value
     takes more steps."""
     try:
-        count = sum(_orbit_count(p, float(k), f.num_vars, mask) for k in range(1, K + 1))
+        count = sum(_orbit_count(p, float(k), f.num_vars, mask) for k in range(first, K + 1))
     except OverflowError:  # levels past the float range
         return math.inf
     return 20 * count * len(f.term_dict())

@@ -40,6 +40,7 @@ from .limits import (
     _vanishes_later,
     orbit_cost,
     window_cost,
+    window_levels,
 )
 from .multipoly import MultiPoly
 from .oracles import modular_root_product
@@ -278,26 +279,19 @@ def nonp_limit_cost(link: LinkSpec, p: int, levels: int) -> float:
     return sum(window_cost(link.alexander(s), p, levels, "rprime") for s in link.subsets())
 
 
-def nonp_limit_levels(K: int) -> int:
-    """The diagonal levels h1_nonp_limit walks for K >= 1 digits."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    return max(1, K - 1)
-
-
 def h1_nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
     """p-adic limit of |H_1| and of its non-p parts along the diagonal
-    covers, mod p^K, from the orders at levels 1..max(1, K - 1)
+    covers, mod p^K, from the orders at levels 1..window_levels(K)
     (_nonp_limit).  Refused before any work when nonp_limit_cost of the
     levels walked exceeds cost_budget().
     """
-    check_budget(nonp_limit_cost(link, p, nonp_limit_levels(K)))
+    check_budget(nonp_limit_cost(link, p, window_levels(K)))
     return _nonp_limit(link, p, K)
 
 
 def _nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
     """h1_nonp_limit without its budget check.  The orders at levels
-    1..L = max(1, K - 1) (_h1_diagonal), certified once as one diagonal
+    1..L = window_levels(K) (_h1_diagonal), certified once as one diagonal
     (limits._certify), give K <= L + 1 digits: each sublink's masked
     resultant satisfies the sharp congruence R_(k+1) = R_k mod p^(k+1) on
     non-p parts (limits), and so does its absolute value, since every factor
@@ -310,7 +304,7 @@ def _nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
     limits._vanishes_later tests as limit_estimate does; then the orders
     are exactly 0 from there on, and the estimate is degenerate.
     """
-    levels = nonp_limit_levels(K)
+    levels = window_levels(K)
     factors = _h1_diagonal(link, p, levels)
     deltas = [link.alexander(s) for s in link.subsets()]
     if levels < K and 0 not in factors and any(_level_vanishes(delta, p, K, "rprime") for delta in deltas):
@@ -328,6 +322,17 @@ def _nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
 _MAX_ORACLE_GROUP = 4096  # largest deck group |G| the character oracle takes
 
 
+def check_character_oracle(link: LinkSpec, cov: CoveringSpec) -> None:
+    """Refuse levels that do not list one entry per component, as a
+    ValueError, and a deck group larger than _MAX_ORACLE_GROUP, as a
+    BudgetExceededError."""
+    if len(cov.levels) != link.d:
+        raise ValueError("covering levels must list one entry per component")
+    size = cov.group_order()
+    if size > _MAX_ORACLE_GROUP:
+        raise BudgetExceededError(f"|G| = {size} exceeds the character oracle's budget {_MAX_ORACLE_GROUP}")
+
+
 def character_oracle(link: LinkSpec, cov: CoveringSpec) -> H1Result:
     """|H_1| by the character sum, apart from the resultant engine.
 
@@ -338,14 +343,9 @@ def character_oracle(link: LinkSpec, cov: CoveringSpec) -> H1Result:
     joined by the CRT.  The |1 - xi(meridian)| prefactor is computed the
     same way, as the product of 1 - zeta over each component's nontrivial
     roots, and must equal p^{n_i}, so that it cancels against
-    |G| = prod p^{n_i}.  A group larger than _MAX_ORACLE_GROUP is refused
-    as a BudgetExceededError.
+    |G| = prod p^{n_i}.  Refused first by check_character_oracle.
     """
-    if len(cov.levels) != link.d:
-        raise ValueError("covering levels must list one entry per component")
-    size = cov.group_order()
-    if size > _MAX_ORACLE_GROUP:
-        raise BudgetExceededError(f"|G| = {size} exceeds the character oracle's budget {_MAX_ORACLE_GROUP}")
+    check_character_oracle(link, cov)
     one_minus_t = MultiPoly(1, {(0,): 1, (1,): -1})
     for n in cov.levels:
         prefactor = modular_root_product(one_minus_t, cov.p, [range(1, n + 1)])

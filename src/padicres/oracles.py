@@ -221,17 +221,24 @@ def resultant_prs(f: UniPoly, g: UniPoly):
             return s * final if isinstance(final, int) else (-final if s < 0 else final)
 
 
+def check_baseline_load(req, budget: int = BASELINE_BUDGET_DEFAULT) -> None:
+    """Refuse, as a BudgetExceededError, a request whose degree load for
+    cyclic_resultant_baseline, the product of the p^(n_i) with deg f,
+    exceeds budget."""
+    degree_load = math.prod(req.p**n for n in req.levels) * max(1, req.f.total_degree())
+    if degree_load > budget:
+        raise BudgetExceededError(f"baseline degree load {degree_load} exceeds budget {budget}")
+
+
 def cyclic_resultant_baseline(req, budget: int = BASELINE_BUDGET_DEFAULT) -> int:
     """Oracle route for a CyclicResultantRequest: literal iterated Sylvester
     determinants, no factorization.
 
     Full masks use t^(p^n) - 1 itself; partial masks use the explicit divisor
-    polynomial prod_{j in mask} Phi_{p^j}.  Degree-guarded: the product of
-    the p^(n_i) with deg f must stay within `budget`.
+    polynomial prod_{j in mask} Phi_{p^j}.  Degree-guarded
+    (check_baseline_load).
     """
-    degree_load = math.prod(req.p**n for n in req.levels) * max(1, req.f.total_degree())
-    if degree_load > budget:
-        raise BudgetExceededError(f"baseline degree load {degree_load} exceeds budget {budget}")
+    check_baseline_load(req, budget)
     divisors = []
     for n, mask in zip(req.levels, req.factor_mask):
         if mask == frozenset(range(n + 1)):

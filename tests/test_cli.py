@@ -111,14 +111,15 @@ def test_res_budget_bounds_three_variable_elimination(capsys, monkeypatch, level
 @pytest.mark.parametrize(
     "argv",
     [
-        ["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "3", "-K", "7"],
+        ["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "3", "-K", "8"],
         ["whitehead", "-k", "5", "-p", "3", "-K", "8"],
     ],
 )
 def test_window_budget_refuses_before_any_elimination(capsys, monkeypatch, argv):
     # the estimates of every level and sublink of the window are summed and
     # refused before level 1 is computed; `whitehead -K 8` walks and charges
-    # 7 levels (2.07e9), while -K 7 walks 6 (5.45e7) and is accepted
+    # 7 levels (2.07e9), while -K 7 walks 6 (5.45e7) and is accepted; so
+    # does `climit -p 3 -K 8`, whose f(1,1) = 8 is a 3-adic unit (1.76e9)
     def no_work(*args):
         raise AssertionError("the elimination started")
 
@@ -128,16 +129,23 @@ def test_window_budget_refuses_before_any_elimination(capsys, monkeypatch, argv)
 
 
 def test_window_budget_is_the_sum_over_levels(capsys, monkeypatch):
-    # a cap above every level's own estimate but below their sum refuses
+    # 2 divides f(1,1) = 8: the window charges levels 1..K-1 and the orbit
+    # walk of level K, which the estimates take over level K's norms at
+    # K = 7; a cap above every part's own estimate but below their sum
+    # refuses, and one at their sum admits
+    from padicres.limits import orbit_cost
+
     f = parse_poly("5+t1+t2+t1*t2", 2)
-    costs = [resultants.cost_estimate(CyclicResultantRequest.full(f, 2, (k, k))) for k in range(1, 5)]
-    cap = int(max(costs)) + 1
-    assert sum(costs) > cap
-    monkeypatch.setenv("PADIC_RES_BUDGET", str(cap))
-    code, out, err = run(capsys, "climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "4")
+    costs = [resultants.cost_estimate(CyclicResultantRequest.full(f, 2, (k, k))) for k in range(1, 8)]
+    charged = sum(costs[:6]) + orbit_cost(f, 2, 7, "r", first=7)
+    assert charged < sum(costs)
+    assert max(costs[:6]) < charged * (1 - 1e-9)
+    argv = ["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "7"]
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(int(charged * (1 - 1e-9))))
+    code, out, err = run(capsys, *argv)
     assert code == 3 and "budget" in err and not out
-    monkeypatch.setenv("PADIC_RES_BUDGET", str(int(sum(costs)) + 1))
-    code, out, _ = run(capsys, "climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "4")
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(int(charged * (1 + 1e-9)) + 1))
+    code, out, _ = run(capsys, *argv)
     assert code == 0 and out
 
 
@@ -527,6 +535,25 @@ def test_linkh1_verify_past_the_oracle_scale_exits_3(capsys):
     assert code == 3 and "budget" in err and "16384" in err and not out
 
 
+@pytest.mark.parametrize(
+    "argv, engine, message",
+    [
+        (["linkh1", "--whitehead", "3", "-p", "2", "-n", "7,7", "--verify"], "h1_order", "|G| = 16384 exceeds"),
+        (["res", "-p", "2", "-n", "9,9", "--verify", "2-t1-t2+2*t1*t2"], "cyclic_resultant", "baseline degree load 524288"),
+    ],
+)
+def test_verify_limits_refuse_before_the_engine(capsys, monkeypatch, argv, engine, message):
+    # the oracles' limits are checked before the exact route runs
+    from padicres import cli
+
+    def no_work(*args):
+        raise AssertionError("the engine started")
+
+    monkeypatch.setattr(cli, engine, no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and message in err
+
+
 def test_linkh1_trefoil_json(capsys):
     code, out, _ = run(capsys, "linkh1", "-p", "2", "-n", "1", "--format", "json")
     assert code == 0
@@ -610,7 +637,7 @@ def _break_sharp_congruence(monkeypatch, target, p, level):
         (["whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "6"], "2 - t1 - t2 + 2*t1*t2"),
         (["whitehead", "-k", "4", "-p", "3", "-K", "3"], "2 - 2*t1 - 2*t2 + 2*t1*t2"),
         (["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "3"], "5+t1+t2+t1*t2"),
-        (["climit", "2-t1", "-p", "3", "-K", "2", "--mask", "rprime"], "2-t1"),
+        (["climit", "2-t1", "-p", "3", "-K", "3", "--mask", "rprime"], "2-t1"),
     ],
     ids=["whitehead-p2", "whitehead-p3", "climit-p2", "climit-p3"],
 )

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import operator
@@ -8,13 +9,16 @@ import pytest
 from padicres.errors import InvariantError, VanishingResultantError, WindowTooShortError
 from padicres import resultants
 from padicres.limits import (
+    LimitEstimate,
     _certify,
+    _degenerate,
     _diagonal,
     _level_vanishes,
     _orbit_count,
     _orbit_valuations,
     _orbit_values,
     _request,
+    _vanishes_later,
     iwasawa_fit,
     lambda_mu_structural,
     limit_estimate,
@@ -22,6 +26,7 @@ from padicres.limits import (
     order_invariance_check,
     sign_of,
     window_cost,
+    window_levels,
     zero_limit_predicate,
 )
 from padicres.multipoly import MultiPoly, random_multipoly
@@ -337,10 +342,14 @@ def test_window_eliminates_once_per_index_prefix(monkeypatch):
     monkeypatch.setattr(resultants, "phi_resultant_last_var", counting_elimination)
     monkeypatch.setattr(resultants, "resultant_phi_int", counting_final)
     for K in (1, 2, 5):
+        # p does not divide f(1,1) = 9: the window walks K - 1 levels
+        L = window_levels(K)
         calls.clear()
         limit_estimate(parse_poly("5+t1+2*t2+t1*t2", 2), 2, K, mask="rprime")
-        assert len(calls) == K + K * K
-        assert sorted(calls) == sorted([(2, j) for j in range(1, K + 1)] + [(1, j) for j in range(1, K + 1)] * K)
+        assert len(calls) == L + L * L
+        assert sorted(calls) == sorted([(2, j) for j in range(1, L + 1)] + [(1, j) for j in range(1, L + 1)] * L)
+        # 2 divides f(1,1) = 2, and up to K = 6 the estimates take level K's
+        # norms over its orbits: the window walks K levels
         calls.clear()
         limit_estimate(whitehead(3), 2, K, mask="rprime")
         assert len(calls) == K + K * (K + 1) // 2
@@ -531,7 +540,8 @@ def test_k_digits_from_k_minus_one_levels_grid():
 
 def test_broken_sharp_congruence_raises(monkeypatch):
     # a level-k factor whose non-p part is 1 mod p^(k-1) but not mod p^k
-    # contradicts the theorem: InvariantError, never fewer digits
+    # contradicts the theorem: InvariantError, never fewer digits.  The
+    # window walks levels 1..K-1, so those are the ones checked
     from padicres import limits
 
     walk = limits._diagonal
@@ -541,7 +551,7 @@ def test_broken_sharp_congruence_raises(monkeypatch):
         (parse_poly("2-t1", 1), 5, 3, "rprime"),
     ]:
         assert limit_estimate(f, p, K, mask).nonp_certified_digits == K
-        for level in range(2, K + 1):
+        for level in range(2, K):
 
             def patched(g, q, n, m, level=level):
                 factors = walk(g, q, n, m)
@@ -552,6 +562,21 @@ def test_broken_sharp_congruence_raises(monkeypatch):
             with pytest.raises(InvariantError, match=f"level-{level} factor"):
                 limit_estimate(f, p, K, mask)
             monkeypatch.setattr(limits, "_diagonal", walk)
+    # in the zero case, with the orbit route forced, an orbit value of level
+    # K that is a unit although p divides f(1,...,1) breaks the same theorem
+    values = limits._orbit_values
+
+    def corrupted(f, p, levels, mask, prune=False):
+        walk = values(f, p, levels, mask, prune)
+        k, _ = next(walk)
+        yield k, {0: 1}
+        yield from walk
+
+    monkeypatch.setattr(limits, "orbit_cost", lambda *args, **kwargs: 0.0)
+    monkeypatch.setattr(limits, "_orbit_values", corrupted)
+    for f, p, K, mask in [(parse_poly("5+t1+t2+t1*t2", 2), 2, 4, "r"), (parse_poly("7-2*t2+t1-3*t1*t2", 2), 3, 3, "r")]:
+        with pytest.raises(InvariantError, match=f"v_pi = 0 at level {K}"):
+            limit_estimate(f, p, K, mask)
 
 
 @pytest.mark.parametrize(
@@ -587,6 +612,76 @@ def test_univariate_window_without_a_later_vanishing_is_unchanged():
     est = limit_estimate(f, 2, 2)
     value = cyclic_resultant(_request(f, 2, (2,), "r"))
     assert not est.degenerate and est.nonp_value.residue(2) == nonp_part(value, 2) % 4
+
+
+# the top row's equivalence grid: vanishing factors (Phi_8(t1 t2) from
+# level 3, zeta_1 zeta_2 = -1, t1 = -1 from level 1, zeta_1 = zeta_2, and
+# Phi_8 in one variable, alone and times 3 + t1) next to polynomials
+# without them, with p dividing f(1,...,1) and not
+TOP_ROW_POLYS = {
+    1: ["1+t1^4", "(1+t1^4)*(3+t1)", "2-t1", "t1^3-t1+3", "6+t1^2"],
+    2: ["1+t1^4*t2^4", "1+t1*t2", "(1+t1)*(5+t2)", "t1-t2", "5+t1+t2+t1*t2", "7-2*t2+t1-3*t1*t2"],
+    3: ["5+t1+t2+t3", "3+t1+2*t2^4", "1+t1*t2*t3-4*t3^2"],
+}
+# the K-level oracle's window_cost cap: it admits K = 5 at p = 2 in every
+# d, and the whole grid runs in about a second on a 2-core host
+TOP_ROW_COST = 1e6
+
+
+def _k_level_window(f, p, K, mask):
+    """The estimate from levels 1..K, each norm taken: the window before
+    its top row came from the sharp congruence and orbit valuations."""
+    est = _certify(_diagonal(f, p, K, mask), p, K, f.num_vars)
+    if not est.degenerate and _vanishes_later(f, p, K, mask):
+        return _degenerate(est, p, K)
+    return est
+
+
+def test_top_row_from_k_minus_one_levels_equals_the_k_level_window(monkeypatch):
+    # every LimitEstimate field, on the cost estimates' own route and on
+    # each zero-case route forced: orbit_cost 0 takes the orbit walk, inf
+    # level K's norms
+    from padicres import limits
+
+    rng = random.Random(4421)
+    cases = [(parse_poly(text, d), mask) for d, texts in TOP_ROW_POLYS.items() for text in texts for mask in ("r", "rprime")]
+    for d in (1, 2, 3):
+        for zero in (True, False):
+            cases.append((_shifted(random_multipoly(rng, d, 4, 2, 5), 2, zero), "r"))
+    valuations, orbit_walks = limits._orbit_valuations, []
+    real_orbit_cost = limits.orbit_cost
+
+    def counting(*args, **kwargs):
+        orbit_walks.append(args)
+        return valuations(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "_orbit_valuations", counting)
+    routes = {"estimated": real_orbit_cost, "orbits": lambda *a, **k: 0.0, "norms": lambda *a, **k: math.inf}
+    checked, first_zero_at_k, taken = 0, 0, {name: 0 for name in routes}
+    for f, mask in cases:
+        for p in (2, 3, 5, 7):
+            for K in range(1, 6):
+                if window_cost(f, p, K, mask) > TOP_ROW_COST:
+                    break
+                oracle = _k_level_window(f, p, K, mask)
+                zero_case = K >= 2 and zero_limit_predicate(f, p)
+                for name, cost in routes.items() if zero_case else [("estimated", real_orbit_cost)]:
+                    monkeypatch.setattr(limits, "orbit_cost", cost)
+                    orbit_walks.clear()
+                    est = limit_estimate(f, p, K, mask)
+                    label = (f.serialize(), p, mask, K, name)
+                    for field in dataclasses.fields(LimitEstimate):
+                        assert getattr(est, field.name) == getattr(oracle, field.name), (label, field.name)
+                    assert str(est.value) == str(oracle.value) and str(est.nonp_value) == str(oracle.nonp_value), label
+                    if zero_case and oracle.window[-2][1] >= 0:
+                        taken[name] += bool(orbit_walks)
+                        first_zero_at_k += name == "orbits" and oracle.window[-1][1] < 0
+                    checked += 1
+    # the forced orbit route ran wherever levels 1..K-1 did not vanish
+    # already, and found the factors that first vanish at level K; the
+    # forced norm route never ran it, and the estimates took both routes
+    assert taken["orbits"] >= 40 and taken["norms"] == 0 and 0 < taken["estimated"] < taken["orbits"]
+    assert first_zero_at_k >= 4 and checked >= 400
 
 
 # the largest K per (p, d) at which the norm route (_diagonal) of a
