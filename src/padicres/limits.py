@@ -25,11 +25,37 @@ shrinking the count.  A factor that vanishes makes the sequence exactly 0
 from its level on; a window of K - 1 levels learns whether one of level K
 does from _level_vanishes, without a norm.  Both windows, limit_estimate's
 and links.h1_nonp_limit's of the homology orders of the diagonal covers,
-walk window_levels(K) = max(1, K - 1) levels through the same _certify.
+walk window_levels(K) = max(1, K - 1) levels through the same _certify
+(limit_estimate only outside the unit case in d >= 2 variables, below).
 limit_estimate still reports rows 1..K: row K's residue is the running
 non-p part mod p^K, by the sharp congruence, and its v_p is 0 in the unit
 case and a sum of orbit valuations (below) in the zero case, unless taking
 level K's norms is estimated to cost less.
+
+Unit-case limits in d >= 2 variables, with no d-variable norm.  Let
+G(f)(x^p) = prod_(eps in mu_p^d) f(eps x), the Graeffe step, so that the
+full-mask R_k = G^k(f)(1,...,1).  (i) G(f) = f^(p^(d-1)) mod p: every eps
+is 1 mod pi = 1 - zeta_p, so G(f)(x^p) = f(x)^(p^d) = f(x^p)^(p^(d-1))
+mod pi by Frobenius, and both sides lie in Z[x].  (ii) A = B mod p^j,
+j >= 1, gives G(A) = G(B) mod p^(j+1): for A = B + p^j h the first-order
+term of G(A)(x^p) - G(B)(x^p) is p^j sum_eps (h c)(eps x), c(x) =
+prod_(eta != 1) B(eta x), and sum_eps m(eps x) is p^d times the monomials
+of m whose exponents are all divisible by p, a polynomial over Z[zeta_p];
+the other terms carry p^(2j); and p^(j+1) Z[zeta_p] meets Z in p^(j+1) Z.
+(iii) G(f^m) = G(f)^m.  So G(f) = f^(p^(d-1)) + p h, and k steps of (ii)
+with (iii) give R_(k+1) = G^k(f^(p^(d-1)))(1) = R_k^(p^(d-1)) mod p^(k+1).
+With the sharp congruence, R_k = L mod p^(k+1), the limit L is a unit with
+L^(p^(d-1) - 1) = 1 and L = R_1 = f(1,...,1) mod p: L = omega_p(f(1,...,1))
+at odd p, and 1 at p = 2, where p^(d-1) - 1 is odd and the roots of unity
+of Z_2 are +-1 (padic.teichmuller's value at p = 2).  Row k of the window is
+(k, 0, L mod p^k).
+The prime mask: a full-mask tuple is 1 on the coordinates outside some set
+S and a prime-mask tuple on S, so R_k(f) = prod_S R'_k(f_S), f_S setting
+t_i = 1 for i not in S, and Moebius inversion over the subsets gives
+R'_k(f) = prod_S R_k(f_S)^((-1)^(d - |S|)), with R_k(f_{}) = f(1,...,1)
+exactly.  Each f_S has f_S(1,...,1) = f(1,...,1), so the limits are L for
+|S| >= 2, the one-variable windows of the d polynomials f_{i} for |S| = 1,
+and f(1,...,1) for S = {}; row k is their product mod p^k (_unit_limit).
 
 Exact valuations with no norm.  Q_p(zeta_(p^k)) is totally ramified, so
 v_p(N(x)) = v_pi(x), and v_p of a level's factor is a sum of v_pi(f(rep))
@@ -140,8 +166,10 @@ class LimitEstimate:
 def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstimate:
     """Limit of the masked resultant sequence and of its non-p parts, mod p^K.
 
-    The diagonal factors of levels (k,...,k), k = 1..window_levels(K), are
-    computed and certified (_certify), and the window reports rows 1..K.
+    In d >= 2 variables with p not dividing f(1,...,1) (the unit case), the
+    limit is a closed form (_unit_limit), and no d-variable norm is taken.
+    Otherwise the diagonal factors of levels (k,...,k), k = 1..window_levels(K),
+    are computed and certified (_certify), and the window reports rows 1..K.
     For K >= 2, row K stands on a level-K factor with non-p part 1, as the
     sharp congruence makes it mod p^K, and v_p 0 in the unit case, else
     the sum over level K's orbits (_orbit_valuations), unless the estimates
@@ -153,6 +181,9 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
     0 from there on (_vanishes_later), and the estimate degenerate, with
     the window rows as computed.
     """
+    _window_masks(p, K, f.num_vars, mask)  # K, the mask and p checked first
+    if f.num_vars >= 2 and not zero_limit_predicate(f, p):
+        return _unit_limit(f, p, K, mask)
     levels = window_levels(K)
     cost = window_cost(f, p, levels, mask)
     orbits = levels < K and zero_limit_predicate(f, p)
@@ -171,6 +202,71 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
     if not est.degenerate and _vanishes_later(f, p, K, mask):
         return _degenerate(est, p, K)
     return est
+
+
+def _unit_limit(f: MultiPoly, p: int, K: int, mask: str) -> LimitEstimate:
+    """limit_estimate of f in d >= 2 variables with p not dividing
+    f(1,...,1), by the closed forms of the module docstring, with every v_p
+    0 and row k the limit mod p^k: in the full mask the Teichmuller lift
+    of f(1,...,1) (1 at p = 2), in the prime mask the product over S of
+    the limits of R(f_S) to the power (-1)^(d - |S|), whose d factors with
+    |S| = 1 come from the certified one-variable windows of f at t_j = 1
+    for j != i (_axis).  The budget charges those windows and the rows
+    (unit_rows_cost) before any work."""
+    d, one = f.num_vars, f.evaluate((1,) * f.num_vars)
+    axes = [_axis(f, i) for i in range(d)] if mask == "rprime" else []
+    levels = window_levels(K)
+    check_budget(unit_rows_cost(p, K, d) + sum(window_cost(g, p, levels, "r") for g in axes))
+    limit = teichmuller(one, p, K).residue(K)
+    if axes:
+        modulus, sign = p**K, (-1) ** d
+        # the |S| >= 2 terms sum to the power (-1)^d (d - 1); S = {} is f(1,...,1)
+        limit = pow(limit, sign * (d - 1), modulus) * pow(one, sign, modulus)
+        for g in axes:
+            # the stand-in level-K factor 1, as in limit_estimate's unit case
+            axis = _certify(_diagonal(g, p, levels, "r") + [1] * (K - levels), p, K, 1)
+            limit = limit * pow(axis.value.residue(K), -sign, modulus) % modulus
+    value = PadicApprox.from_int(limit, p, K)
+    return LimitEstimate(
+        value=value,
+        nonp_value=value,
+        certified_digits=K,
+        nonp_certified_digits=K,
+        levels_used=(K,) * d,
+        stabilized=True,
+        degenerate=False,
+        window=tuple((k, 0, limit % p**k) for k in range(1, K + 1)),
+    )
+
+
+def _axis(f: MultiPoly, i: int) -> MultiPoly:
+    """f with t_j = 1 for every j != i + 1, in the one variable t_(i+1)."""
+    terms: dict = {}
+    for e, c in f.terms():
+        terms[(e[i],)] = terms.get((e[i],), 0) + c
+    return MultiPoly(1, terms)
+
+
+def unit_rows_cost(p: int, K: int, d: int) -> float:
+    """Work of _unit_limit's closed forms and rows, in cost_estimate's
+    units, in O(1) arithmetic before any work.  With W(k) = k log2(p) / 64
+    + 1 the words of p^k: at odd p the Teichmuller power, (K - 1) log2 p
+    squarings and reductions mod p^K, W(K)^2 / 16 units each (the
+    reduction is a schoolbook division); d + 2 modular powers and inverses
+    mod p^K, W(K)^2 units each; and each row k reduced and printed in
+    10 + W(k)^2 / 8 units (int to str is quadratic too).  Fitted on a
+    2-core host to 1 to 3 times the measured `climit --format json` at
+    p = 3 and 7, K = 1000 to 6000; the rows of the full mask at p = 2,
+    where the limit is 1, are charged as if they were full-sized."""
+    c = math.log2(p) / 64
+    try:
+        words = K * c + 1
+        # sum of W(k)^2 over k = 1..K
+        rows = c * c * K * (K + 1) * (2 * K + 1) / 6 + c * K * (K + 1) + K
+        power = (K - 1) * math.log2(p) * words**2 / 16 if p != 2 else 0.0
+        return power + (d + 2) * words**2 + 10 * K + rows / 8
+    except OverflowError:  # digits past the float range
+        return math.inf
 
 
 def _vanishes_later(f: MultiPoly, p: int, K: int, mask: str) -> bool:
@@ -493,11 +589,12 @@ def closed_form_limit(a: int, n: int, g: MultiPoly | int, p: int, K: int) -> Pad
     """Exact p-adic limit of the full-mask cyclic resultants of
     f = a*t1^n + g, where g does not involve t1.
 
-    With f(1,...,1) a p-unit the limit is the Teichmuller value
-    omega_p(f(1,...,1)) for odd p and omega_2(g(1,...,1) - a) for p = 2
-    whenever g carries at least one variable; with p | f(1,...,1) the limit
-    is exactly 0.  In the univariate case (g constant, f in t1 alone) there
-    is no outer limit to project onto a root of unity, and the value is
+    With f(1,...,1) a p-unit and g carrying at least one variable, this is
+    the rule of every unit case in two or more variables (the module
+    docstring), limit_estimate's too: omega_p(f(1,...,1)) for odd p and 1
+    for p = 2; with p | f(1,...,1) the limit is exactly 0.  In the
+    univariate case (g constant, f in t1 alone) there is no outer limit to
+    project onto a root of unity, and the value is
     (omega_p(g) - omega_p(-a))^(p^(v_p(n))) instead.
     """
     if a == 0:
@@ -511,8 +608,7 @@ def closed_form_limit(a: int, n: int, g: MultiPoly | int, p: int, K: int) -> Pad
     if f1 % p == 0:
         return PadicApprox.zero(p, K)
     if g.num_vars:
-        # omega_2(g(1,..,1) - a) with omega_2 = 1 on odds; g1 - a is odd here
-        return teichmuller(f1, p, K) if p != 2 else PadicApprox.from_int(1, 2, K, exact=True)
+        return teichmuller(f1, p, K)
     v = vp(n, p)
     if p == 2:
         base = (1 if g1 % 2 else 0) - (1 if a % 2 else 0)

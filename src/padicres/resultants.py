@@ -765,7 +765,7 @@ def cost_estimate(req: CyclicResultantRequest) -> float:
     ring, so f that swaps of variables fix (one final norm per orbit) and
     the sparse levels of a small-degree g (_graeffe_level) are charged more
     than they cost; charging them less would admit requests the budget
-    refuses today, such as `climit 5+t1+t2+t1*t2 --vars 2 -p 3 -K 8`.
+    refuses today, such as `whitehead -k 5 -p 3 -K 8`.
     Small levels are still charged as Kronecker products, though
     mul_mod_phi takes them by schoolbook products where those cost less,
     and a level whose x turns linear is still charged its products.

@@ -9,9 +9,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 @pytest.fixture
 def closed_form_check():
     """A check that closed_form_limit(a, n, g, p, K) agrees with the window
-    limit_estimate of f = a*t1^n + g at `levels` levels, on every digit the
-    window certifies up to `levels`."""
-    from padicres.limits import closed_form_limit, limit_estimate
+    of f = a*t1^n + g certified from its levels 1..levels - 1 (_certify of
+    _diagonal), on every digit the window certifies up to `levels`: the
+    norm route, which limit_estimate no longer takes for the unit case in
+    two or more variables."""
+    from padicres.limits import _certify, _diagonal, closed_form_limit, window_levels
     from padicres.multipoly import MultiPoly
 
     def check(a, n, g, p, K, levels):
@@ -20,7 +22,7 @@ def closed_form_check():
             g = MultiPoly.const(0, g)
         d = g.num_vars + 1
         f = MultiPoly(d, {(n,) + (0,) * (d - 1): a}) + g.embed(d, list(range(2, d + 1)))
-        est = limit_estimate(f, p, levels, mask="r")
+        est = _certify(_diagonal(f, p, window_levels(levels), "r"), p, levels, d)
         digits = levels if est.certified_digits is None else min(levels, est.certified_digits)
         assert est.value.eq_mod(result, digits), (a, n, g, p, result, est.value, digits)
         return result

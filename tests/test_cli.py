@@ -111,7 +111,7 @@ def test_res_budget_bounds_three_variable_elimination(capsys, monkeypatch, level
 @pytest.mark.parametrize(
     "argv",
     [
-        ["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "3", "-K", "8"],
+        ["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "13"],
         ["whitehead", "-k", "5", "-p", "3", "-K", "8"],
     ],
 )
@@ -119,13 +119,101 @@ def test_window_budget_refuses_before_any_elimination(capsys, monkeypatch, argv)
     # the estimates of every level and sublink of the window are summed and
     # refused before level 1 is computed; `whitehead -K 8` walks and charges
     # 7 levels (2.07e9), while -K 7 walks 6 (5.45e7) and is accepted; so
-    # does `climit -p 3 -K 8`, whose f(1,1) = 8 is a 3-adic unit (1.76e9)
+    # does `climit -p 2 -K 13`, whose f(1,1) = 8 is even: 12 levels and the
+    # orbit walk of level 13 (4.88e9)
     def no_work(*args):
         raise AssertionError("the elimination started")
 
     monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
     code, out, err = run(capsys, *argv)
     assert code == 3 and "budget" in err and not out
+
+
+def _no_norm(monkeypatch):
+    """Make every elimination and final norm raise."""
+
+    def no_work(*args):
+        raise AssertionError("a norm started")
+
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
+    monkeypatch.setattr(resultants, "resultant_phi_int", no_work)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # f(1,1) = 8 is a 3-adic unit: refused on the norm route (1.76e9)
+        ["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "3", "-K", "8"],
+        ["climit", "2+t1+t2", "--vars", "2", "-p", "3", "-K", "40"],
+        ["climit", "5+t1+t2+2*t1*t2+t3", "--vars", "3", "-p", "3", "-K", "40"],
+        ["climit", "5+t1+t2+2*t1*t2", "--vars", "2", "-p", "7", "-K", "40", "--format", "json"],
+    ],
+)
+def test_unit_case_full_mask_takes_no_norm(capsys, monkeypatch, argv):
+    # d >= 2 and p not dividing f(1,...,1): the full-mask limit is the
+    # Teichmuller lift of f(1,...,1), and no elimination or norm runs
+    _no_norm(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and not err and time.perf_counter() - start < 1
+
+
+def test_unit_case_budget_charges_the_rows_before_any_work(capsys, monkeypatch):
+    # the closed form's rows are charged (limits.unit_rows_cost): a large K
+    # is refused at once, and a cap just below the charge refuses what a
+    # cap at it admits, with no norm either way
+    from padicres.limits import unit_rows_cost
+
+    _no_norm(monkeypatch)
+    start = time.perf_counter()
+    for K in ("1000000", "100000000000", "1" + "0" * 400):
+        code, out, err = run(capsys, "climit", "2+t1+t2", "--vars", "2", "-p", "3", "-K", K)
+        assert code == 3 and "budget" in err and not out
+    assert time.perf_counter() - start < 1
+    charged = unit_rows_cost(3, 40, 2)
+    argv = ["climit", "2+t1+t2", "--vars", "2", "-p", "3", "-K", "40"]
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(int(charged * (1 - 1e-9))))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and "budget" in err and not out
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(int(charged) + 1))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+
+
+def test_unit_case_rprime_budget_sums_the_one_variable_windows(capsys, monkeypatch):
+    # the prime mask adds the d windows of f at t_j = 1 for j != i to the
+    # rows; a cap below that sum refuses before any norm, and a cap at it
+    # admits a run whose only norms are those of the one-variable windows
+    from padicres.limits import _axis, unit_rows_cost, window_cost, window_levels
+
+    f, p, K = parse_poly("5+t1+t2+2*t1*t2", 2), 2, 11
+    windows = [window_cost(_axis(f, i), p, window_levels(K), "r") for i in range(2)]
+    charged = unit_rows_cost(p, K, 2) + sum(windows)
+    assert max(windows) < charged * (1 - 1e-9) and unit_rows_cost(p, K, 2) < charged * (1 - 1e-9)
+    argv = ["climit", "5+t1+t2+2*t1*t2", "--vars", "2", "-p", "2", "-K", "11", "--mask", "rprime"]
+    _no_norm(monkeypatch)
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(int(charged * (1 - 1e-9))))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and "budget" in err and not out
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(int(charged) + 1))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "a norm started" in err
+    monkeypatch.undo()
+    finals = []
+    final = resultants.resultant_phi_int
+
+    def counting(p, j, g):
+        finals.append(j)
+        return final(p, j, g)
+
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", lambda *args: pytest.fail("an elimination ran"))
+    monkeypatch.setattr(resultants, "resultant_phi_int", counting)
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(int(charged) + 1))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    # the indices 0..K-1 of each axis window's levels 1..K-1 (index 0
+    # joins level 1)
+    assert sorted(finals) == sorted(list(range(K)) * 2)
 
 
 def test_window_budget_is_the_sum_over_levels(capsys, monkeypatch):

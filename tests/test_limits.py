@@ -341,13 +341,19 @@ def test_window_eliminates_once_per_index_prefix(monkeypatch):
 
     monkeypatch.setattr(resultants, "phi_resultant_last_var", counting_elimination)
     monkeypatch.setattr(resultants, "resultant_phi_int", counting_final)
+    from padicres import limits
+
+    estimated = limits.orbit_cost
     for K in (1, 2, 5):
-        # p does not divide f(1,1) = 9: the window walks K - 1 levels
-        L = window_levels(K)
-        calls.clear()
-        limit_estimate(parse_poly("5+t1+2*t2+t1*t2", 2), 2, K, mask="rprime")
-        assert len(calls) == L + L * L
-        assert sorted(calls) == sorted([(2, j) for j in range(1, L + 1)] + [(1, j) for j in range(1, L + 1)] * L)
+        # 2 divides f(1,1) = 8: up to K = 6 the estimates take level K's
+        # norms, and with the orbit walk forced the window walks K - 1 levels
+        for orbit_cost, L in ((estimated, K), (lambda *args, **kwargs: 0.0, window_levels(K))):
+            monkeypatch.setattr(limits, "orbit_cost", orbit_cost)
+            calls.clear()
+            limit_estimate(parse_poly("4+t1+2*t2+t1*t2", 2), 2, K, mask="rprime")
+            assert len(calls) == L + L * L
+            assert sorted(calls) == sorted([(2, j) for j in range(1, L + 1)] + [(1, j) for j in range(1, L + 1)] * L)
+        monkeypatch.setattr(limits, "orbit_cost", estimated)
         # 2 divides f(1,1) = 2, and up to K = 6 the estimates take level K's
         # norms over its orbits: the window walks K levels
         calls.clear()
@@ -810,3 +816,120 @@ def test_a_broken_orbit_valuation_raises(monkeypatch):
     monkeypatch.setattr(limits, "residue_valuation", lambda *args: 0)
     with pytest.raises(InvariantError, match="v_pi"):
         _orbit_valuations(parse_poly("2+t1+3*t2", 2), 2, 2, "rprime")
+
+
+# ---------------------------------------------------------------------------
+# unit-case limits in d >= 2 variables: the closed forms and their identities
+# ---------------------------------------------------------------------------
+
+
+def _restrict(f, S):
+    """f with t_i = 1 for every i not in S, in the variables of S, in order."""
+    terms = {}
+    for e, c in f.terms():
+        key = tuple(e[i] for i in S)
+        terms[key] = terms.get(key, 0) + c
+    return MultiPoly(len(S), terms)
+
+
+# (p, d): the deepest level k + 1 of the Graeffe congruence checked, kept to
+# a fraction of a second of cyclic_resultant per polynomial
+GRAEFFE_DEPTH = {(2, 2): 5, (3, 2): 4, (5, 2): 3, (2, 3): 4, (3, 3): 3, (5, 3): 2}
+
+
+@pytest.mark.parametrize("p, d", sorted(GRAEFFE_DEPTH))
+def test_full_mask_levels_satisfy_the_graeffe_congruence(p, d):
+    # R_(k+1) = R_k^(p^(d-1)) mod p^(k+1), on exact full-mask values, in the
+    # unit and the zero case alike (G(f) = f^(p^(d-1)) mod p, lifted one
+    # digit per Graeffe step); with the sharp congruence it fixes the
+    # unit-case limit as a (p^(d-1) - 1)-th root of unity
+    rng = random.Random(2800 + 10 * p + d)
+    polys = [parse_poly("5+t1+t2+2*t1*t2+t3", 3), parse_poly("2+t1+t2+t3", 3)] if d == 3 else [
+        parse_poly("5+t1+t2+2*t1*t2", 2),
+        parse_poly("1-3*t1*t2", 2),
+        parse_poly("3+t1^2", 2),
+    ]
+    for zero in (True, False, True, False):
+        polys.append(_shifted(random_multipoly(rng, d, 3, 2 if d == 2 else 1, 5), p, zero))
+    cases = {True: 0, False: 0}
+    for f in polys:
+        values = [cyclic_resultant(CyclicResultantRequest.full(f, p, (k,) * d)) for k in range(1, GRAEFFE_DEPTH[p, d] + 1)]
+        for k, (low, high) in enumerate(zip(values, values[1:]), 1):
+            assert (high - pow(low, p ** (d - 1), p ** (k + 1))) % p ** (k + 1) == 0, (f.serialize(), p, k)
+        cases[zero_limit_predicate(f, p)] += 1
+    assert cases[True] >= 2 and cases[False] >= 2
+
+
+@pytest.mark.parametrize("d, levels", [(2, (1, 1)), (2, (2, 2)), (2, (3, 1)), (3, (1, 1, 1)), (3, (2, 1, 2))])
+@pytest.mark.parametrize("p", [2, 3])
+def test_full_mask_is_the_product_of_prime_masks_over_subsets(d, levels, p):
+    # R_r(f) = prod_S R'(f_S): a full-mask tuple is 1 off some set S of its
+    # coordinates, where it is a prime-mask tuple of f_S; R'(f_{}) = f(1,...,1)
+    rng = random.Random(2810 + 10 * d + p)
+    polys = [parse_poly("5+t1+t2+2*t1*t2" + ("+t3" if d == 3 else ""), d), parse_poly("3+t1^2", d)]
+    polys += [random_multipoly(rng, d, 4, 2, 5) for _ in range(3)]
+    for f in polys:
+        product = 1
+        for size in range(d + 1):
+            for S in itertools.combinations(range(d), size):
+                g = _restrict(f, S)
+                sub = tuple(levels[i] for i in S)
+                product *= cyclic_resultant(CyclicResultantRequest.rprime(g, p, sub)) if S else g.constant_value()
+        assert cyclic_resultant(CyclicResultantRequest.full(f, p, levels)) == product, (f.serialize(), p, levels)
+
+
+# unit-case inputs for the equivalence grid: f(1,...,1) odd and prime to
+# 3, 5 and 7 for most, a negative one, an f free of t2, constants, and
+# f(1,...,1) = 1, 5 and 7 at p = 2, where the full-mask limit is 1 anyway
+UNIT_POLYS = {
+    2: ["5+t1+t2+2*t1*t2", "1-3*t1*t2", "3+t1^2", "4+t1-t2+t1^2*t2", "7", "-1", "2-t1*t2", "2+t1-t2+3*t1*t2^2"],
+    3: ["5+t1+t2+2*t1*t2+t3", "2+t1+t2+t3", "1+t1*t2*t3", "4+t2^2", "11"],
+}
+# the K-level oracle's window_cost cap
+UNIT_GRID_COST = 2e6
+
+
+def test_unit_case_closed_forms_equal_the_k_level_window():
+    # every LimitEstimate field of the closed forms equals the window that
+    # takes every norm of levels 1..K, in both masks, wherever the norm
+    # route stays under the cap
+    checked, deepest, odd_rprime = 0, {}, 0
+    for d, texts in UNIT_POLYS.items():
+        for text in texts:
+            f = parse_poly(text, d)
+            for p in (2, 3, 5, 7):
+                if zero_limit_predicate(f, p):
+                    continue
+                for mask in ("r", "rprime"):
+                    for K in range(1, 7):
+                        if window_cost(f, p, K, mask) > UNIT_GRID_COST:
+                            break
+                        oracle = _certify(_diagonal(f, p, K, mask), p, K, d)
+                        est = limit_estimate(f, p, K, mask)
+                        label = (text, p, mask, K)
+                        for field in dataclasses.fields(LimitEstimate):
+                            assert getattr(est, field.name) == getattr(oracle, field.name), (label, field.name)
+                        assert str(est.value) == str(oracle.value) and str(est.nonp_value) == str(oracle.nonp_value), label
+                        deepest[d, p] = max(deepest.get((d, p), 0), K)
+                        odd_rprime += mask == "rprime" and K >= 2 and est.value.residue(K) != f.evaluate((1,) * d) % p**K
+                        checked += 1
+    assert deepest[2, 2] >= 5 and deepest[2, 7] >= 2 and deepest[3, 3] >= 2 and deepest[3, 7] >= 1
+    assert odd_rprime >= 10 and checked >= 250
+
+
+@pytest.mark.parametrize(
+    "text, d, p",
+    [("2+t1+t2", 2, 3), ("5+t1+t2+2*t1*t2+t3", 3, 3), ("1-3*t1*t2", 2, 5), ("4+t1-t2+t1^2*t2", 2, 7), ("7", 2, 2), ("5+t1+t2+t3", 3, 7)],
+)
+def test_unit_case_full_mask_at_forty_digits_is_a_root_of_unity(text, d, p):
+    # the limit L is the root of unity that the Graeffe and the sharp
+    # congruences force: L^(p^(d-1) - 1) = 1 and L = f(1,...,1) mod p, so
+    # L = omega_p(f(1,...,1)) at odd p and 1 at p = 2; each row is L mod p^k
+    f, K = parse_poly(text, d), 40
+    est = limit_estimate(f, p, K)
+    L = est.value.residue(K)
+    assert pow(L, p ** (d - 1) - 1, p**K) == 1 and (L - f.evaluate((1,) * d)) % p == 0
+    assert L == (1 if p == 2 else teichmuller(f.evaluate((1,) * d), p, K).residue(K))
+    assert est.window == tuple((k, 0, L % p**k) for k in range(1, K + 1))
+    assert est.certified_digits == est.nonp_certified_digits == K and est.levels_used == (K,) * d
+    assert est.stabilized and not est.degenerate
