@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     climit = sub.add_parser("climit", help="p-adic limit estimate with congruence certificate")
     climit.add_argument("expr")
     climit.add_argument("-K", "--digits", type=int, default=3)
-    climit.add_argument("--vars", type=int, default=None)
+    climit.add_argument("--vars", type=_positive_int, default=None)
     climit.add_argument("--mask", choices=("r", "rprime"), default="r")
     common(climit)
     climit.set_defaults(func=cmd_climit)

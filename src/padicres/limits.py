@@ -23,10 +23,11 @@ of L levels certifies K <= L + 1 digits (_certify), which checks every
 congruence inside the window, so a failure raises InvariantError instead of
 shrinking the count.  A factor that vanishes makes the sequence exactly 0
 from its level on; a window of K - 1 levels learns whether one of level K
-does from _level_vanishes, without a norm.  Both windows, limit_estimate's
-and links.h1_nonp_limit's of the homology orders of the diagonal covers,
-walk window_levels(K) = max(1, K - 1) levels through the same _certify
-(limit_estimate only outside the unit case in d >= 2 variables, below).
+does from _level_vanishes, without a norm, and a one-variable f whether a
+later one does from _vanishes_later.  _certify builds every estimate from
+per-level factors: limit_estimate's and links.h1_nonp_limit's windows, of
+window_levels(K) = max(1, K - 1) levels, and the unit-case closed forms
+in d >= 2 variables (below).
 limit_estimate still reports rows 1..K: row K's residue is the running
 non-p part mod p^K, by the sharp congruence, and its v_p is 0 in the unit
 case and a sum of orbit valuations (below) in the zero case, unless taking
@@ -47,8 +48,9 @@ with (iii) give R_(k+1) = G^k(f^(p^(d-1)))(1) = R_k^(p^(d-1)) mod p^(k+1).
 With the sharp congruence, R_k = L mod p^(k+1), the limit L is a unit with
 L^(p^(d-1) - 1) = 1 and L = R_1 = f(1,...,1) mod p: L = omega_p(f(1,...,1))
 at odd p, and 1 at p = 2, where p^(d-1) - 1 is odd and the roots of unity
-of Z_2 are +-1 (padic.teichmuller's value at p = 2).  Row k of the window is
-(k, 0, L mod p^k).
+of Z_2 are +-1 (padic.teichmuller's value at p = 2).  As factors, level 1
+carries L and every later level 1, so row k of the window is (k, 0, L mod
+p^k).
 The prime mask: a full-mask tuple is 1 on the coordinates outside some set
 S and a prime-mask tuple on S, so R_k(f) = prod_S R'_k(f_S), f_S setting
 t_i = 1 for i not in S, and Moebius inversion over the subsets gives
@@ -84,7 +86,6 @@ structural count, and the two routes would no longer be independent.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import operator
@@ -179,8 +180,11 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
 
     In one variable a later level that vanishes makes the sequence exactly
     0 from there on (_vanishes_later), and the estimate degenerate, with
-    the window rows as computed.
+    the window rows as computed.  An f in no variable has no sequence and
+    raises ValueError.
     """
+    if f.num_vars < 1:
+        raise ValueError("limit_estimate needs f in at least one variable")
     _window_masks(p, K, f.num_vars, mask)  # K, the mask and p checked first
     if f.num_vars >= 2 and not zero_limit_predicate(f, p):
         return _unit_limit(f, p, K, mask)
@@ -198,21 +202,20 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
         # makes the real one's mod p^K, and the real v_p (inf: it vanishes)
         v = _orbit_valuations(f, p, K, mask, first=K)[-1] if orbits and 0 not in factors else 0
         factors.append(0 if v == math.inf else p**v)
-    est = _certify(factors, p, K, f.num_vars)
-    if not est.degenerate and _vanishes_later(f, p, K, mask):
-        return _degenerate(est, p, K)
-    return est
+    later = 0 not in factors and _vanishes_later(f, p, K, mask)
+    return _certify(factors, p, K, f.num_vars, later)
 
 
 def _unit_limit(f: MultiPoly, p: int, K: int, mask: str) -> LimitEstimate:
     """limit_estimate of f in d >= 2 variables with p not dividing
-    f(1,...,1), by the closed forms of the module docstring, with every v_p
-    0 and row k the limit mod p^k: in the full mask the Teichmuller lift
-    of f(1,...,1) (1 at p = 2), in the prime mask the product over S of
-    the limits of R(f_S) to the power (-1)^(d - |S|), whose d factors with
-    |S| = 1 come from the certified one-variable windows of f at t_j = 1
-    for j != i (_axis).  The budget charges those windows and the rows
-    (unit_rows_cost) before any work."""
+    f(1,...,1), by the closed forms of the module docstring: in the full
+    mask the Teichmuller lift of f(1,...,1) (1 at p = 2), in the prime mask
+    the product over S of the limits of R(f_S) to the power
+    (-1)^(d - |S|), whose d factors with |S| = 1 come from the certified
+    one-variable windows of f at t_j = 1 for j != i (_axis).  _certify
+    takes the limit as the level-1 factor of K levels whose later factors
+    are 1, so every v_p is 0 and row k is the limit mod p^k.  The budget
+    charges the windows and the rows (unit_rows_cost) before any work."""
     d, one = f.num_vars, f.evaluate((1,) * f.num_vars)
     axes = [_axis(f, i) for i in range(d)] if mask == "rprime" else []
     levels = window_levels(K)
@@ -223,20 +226,9 @@ def _unit_limit(f: MultiPoly, p: int, K: int, mask: str) -> LimitEstimate:
         # the |S| >= 2 terms sum to the power (-1)^d (d - 1); S = {} is f(1,...,1)
         limit = pow(limit, sign * (d - 1), modulus) * pow(one, sign, modulus)
         for g in axes:
-            # the stand-in level-K factor 1, as in limit_estimate's unit case
-            axis = _certify(_diagonal(g, p, levels, "r") + [1] * (K - levels), p, K, 1)
+            axis = _certify(_diagonal(g, p, levels, "r"), p, K, 1)
             limit = limit * pow(axis.value.residue(K), -sign, modulus) % modulus
-    value = PadicApprox.from_int(limit, p, K)
-    return LimitEstimate(
-        value=value,
-        nonp_value=value,
-        certified_digits=K,
-        nonp_certified_digits=K,
-        levels_used=(K,) * d,
-        stabilized=True,
-        degenerate=False,
-        window=tuple((k, 0, limit % p**k) for k in range(1, K + 1)),
-    )
+    return _certify([limit] + [1] * (K - 1), p, K, d)
 
 
 def _axis(f: MultiPoly, i: int) -> MultiPoly:
@@ -285,29 +277,22 @@ def _vanishes_later(f: MultiPoly, p: int, K: int, mask: str) -> bool:
     return False
 
 
-def _degenerate(est: LimitEstimate, p: int, K: int) -> LimitEstimate:
-    """est for a sequence that is exactly 0 from a level past its window
-    on: exact-zero limits, not stabilized, the window rows as computed."""
-    zero = PadicApprox.zero(p, K)
-    return dataclasses.replace(
-        est, value=zero, nonp_value=zero, certified_digits=None, stabilized=False, degenerate=True
-    )
-
-
-def _certify(factors: list, p: int, K: int, d: int) -> LimitEstimate:
+def _certify(factors: list, p: int, K: int, d: int, vanishes_later: bool = False) -> LimitEstimate:
     """The limit mod p^K, 1 <= K <= L + 1, of a diagonal in d variables
     given by its L per-level factors, factors[k-1] = R_k / R_(k-1) (R_0 =
-    1), and of its non-p parts.  By the sharp congruence of the module
-    docstring the limit is R_L mod p^K, raw in the unit case and on non-p
-    parts always; the congruence is checked at every level k = 2..L, as
-    the level-k factor's non-p part being 1 mod p^k (in the unit case the
-    factor is its own non-p part, so that is the raw check too).  A failure
-    contradicts a theorem, so it raises InvariantError, and no digit count
-    follows from it.  The raw limit is exactly 0 when p divides R_1 (then p
-    divides every level's value).  A factor 0 is the distinguished
-    degenerate outcome: the whole tail is exactly 0, and so is its non-p
-    part.  No R_k is formed: v_p is a running sum over the factors and the
-    non-p part a running product mod p^max(K, L)."""
+    1), and of its non-p parts; the one place a LimitEstimate is built.
+    By the sharp congruence of the module docstring the limit is R_L mod
+    p^K, raw in the unit case and on non-p parts always; the congruence is
+    checked at every level k = 2..L, as the level-k factor's non-p part
+    being 1 mod p^k (in the unit case the factor is its own non-p part, so
+    that is the raw check too).  A failure contradicts a theorem, so it
+    raises InvariantError, and no digit count follows from it.  The raw
+    limit is exactly 0 when p divides R_1 (then p divides every level's
+    value).  A factor 0, or vanishes_later (a later level's factor is 0),
+    is the distinguished degenerate outcome: the tail is exactly 0, and so
+    is its non-p part; the window keeps the rows as computed.  No R_k is
+    formed: v_p is a running sum over the factors and the non-p part a
+    running product mod p^max(K, L)."""
     levels = len(factors)
     if not 1 <= K <= levels + 1:
         raise ValueError(f"{levels} diagonal levels certify 1 to {levels + 1} digits, not {K}")
@@ -329,28 +314,18 @@ def _certify(factors: list, p: int, K: int, d: int) -> LimitEstimate:
         v += last
         unit = unit * u % modulus
         window.append((k, v, unit % p**k))
-    zero_case = factors[0] % p == 0
-    if not unit:
-        return LimitEstimate(
-            value=PadicApprox.zero(p, K),
-            nonp_value=PadicApprox.zero(p, K),
-            certified_digits=None,
-            nonp_certified_digits=K,
-            levels_used=(levels,) * d,
-            stabilized=False,
-            degenerate=True,
-            window=tuple(window),
-        )
+    degenerate = not unit or vanishes_later
+    raw_zero = degenerate or factors[0] % p == 0
+    nonp = PadicApprox.zero(p, K) if degenerate else PadicApprox.from_int(unit, p, K)
     # in the unit case every v_p is 0 and R_L is its own non-p part
-    value = PadicApprox.zero(p, K) if zero_case else PadicApprox.from_int(unit, p, K)
     return LimitEstimate(
-        value=value,
-        nonp_value=PadicApprox.from_int(unit, p, K),
-        certified_digits=None if zero_case else K,
+        value=PadicApprox.zero(p, K) if raw_zero else nonp,
+        nonp_value=nonp,
+        certified_digits=None if raw_zero else K,
         nonp_certified_digits=K,
         levels_used=(levels,) * d,
-        stabilized=last == 0 if levels >= 2 else not zero_case,
-        degenerate=False,
+        stabilized=not degenerate and (last == 0 if levels >= 2 else not raw_zero),
+        degenerate=degenerate,
         window=tuple(window),
     )
 

@@ -33,7 +33,6 @@ from .errors import BudgetExceededError, InvariantError, OracleMismatchError, Po
 from .limits import (
     LimitEstimate,
     _certify,
-    _degenerate,
     _diagonal,
     _level_vanishes,
     _orbit_valuations,
@@ -302,17 +301,16 @@ def _nonp_limit(link: LinkSpec, p: int, K: int) -> LimitEstimate:
     (limits._level_vanishes), and the window then ends in that 0.  A
     one-variable sublink can still vanish at a later level, which
     limits._vanishes_later tests as limit_estimate does; then the orders
-    are exactly 0 from there on, and the estimate is degenerate.
+    are exactly 0 from there on, and _certify makes the estimate
+    degenerate.
     """
     levels = window_levels(K)
     factors = _h1_diagonal(link, p, levels)
     deltas = [link.alexander(s) for s in link.subsets()]
     if levels < K and 0 not in factors and any(_level_vanishes(delta, p, K, "rprime") for delta in deltas):
         factors.append(0)
-    est = _certify(factors, p, K, link.d)
-    if not est.degenerate and any(_vanishes_later(delta, p, K, "rprime") for delta in deltas):
-        return _degenerate(est, p, K)
-    return est
+    later = 0 not in factors and any(_vanishes_later(delta, p, K, "rprime") for delta in deltas)
+    return _certify(factors, p, K, link.d, later)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import FrozenSet, Sequence, Tuple
@@ -690,13 +691,15 @@ def _swap_blocks(f: MultiPoly, masks):
     tuple of variable i, of the next variable of its block, or -1; orbit
     lists the permutations of the positions within the blocks, empty when
     every block is a single variable."""
-    d = len(masks)
+    d, terms = len(masks), f.term_dict()
     blocks = []
     for i in range(d):
         for block in blocks:
-            swap = list(range(1, d + 1))
-            swap[block[0]], swap[i] = i + 1, block[0] + 1
-            if masks[block[0]] == masks[i] and f.permute_vars(swap) == f:
+            swap = list(range(d))
+            swap[block[0]], swap[i] = i, block[0]
+            swapped = operator.itemgetter(*swap)  # d >= 2, so it returns a tuple
+            # (a i) fixes f iff it carries each term to one of equal coefficient
+            if masks[block[0]] == masks[i] and all(terms.get(swapped(e)) == c for e, c in terms.items()):
                 block.append(i)
                 break
         else:
@@ -786,12 +789,20 @@ def masks_cost(f: MultiPoly, p: int, masks, window: int = 0) -> float:
     degrees = [f.degree_in(i + 1) for i in range(f.num_vars)]
     bits = math.log2(max(2, sum(abs(c) for _, c in f.terms())))
     try:
-        return _cost(degrees, bits, p, masks, window, 1)
+        return _cost(degrees, bits, p, masks, window, 1, {})
     except OverflowError:  # levels past the float range
         return math.inf
 
 
-def _cost(degrees, bits: float, p: int, masks, window: int, top: int) -> float:
+def _cost(degrees, bits: float, p: int, masks, window: int, top: int, memo: dict) -> float:
+    """The cost of _factors' walk below an index prefix whose key is top:
+    it depends only on the masks left, the degrees and bits the prefix's
+    eliminations left, and top, so memo, one per masks_cost call, holds it
+    once per such state.  In d variables of K + 1 indices there are
+    polynomially many in d, not (K + 1)^d prefixes."""
+    state = (len(masks), tuple(degrees), bits, top)
+    if state in memo:
+        return memo[state]
     total = 0.0
     for j in masks[-1]:
         key = max(top, j)
@@ -807,7 +818,8 @@ def _cost(degrees, bits: float, p: int, masks, window: int, top: int) -> float:
         words = digits * (n * bits / 64 + 1)
         norm = _norm_cost(p, j, words) if min(degrees[-1], n - 1) > 1 else words**1.585
         pack = 10 * math.prod(d + 1 for d in degrees) + digits
-        total += weight * (pack + norm / 2) + _cost(rest, n * bits, p, masks[:-1], window, key)
+        total += weight * (pack + norm / 2) + _cost(rest, n * bits, p, masks[:-1], window, key, memo)
+    memo[state] = total
     return total
 
 

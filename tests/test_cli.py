@@ -129,6 +129,29 @@ def test_window_budget_refuses_before_any_elimination(capsys, monkeypatch, argv)
     assert code == 3 and "budget" in err and not out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["climit", "1+t1", "--vars", "40", "-K", "2"], ["res", "1+t1", "-n", ",".join(["1"] * 40)]],
+)
+def test_budget_in_forty_variables_refuses_at_once(capsys, monkeypatch, argv):
+    # the estimate of 3^40 index tuples takes one step per state of the
+    # walk (degrees, bits, key), not per tuple
+    def no_work(*args):
+        raise AssertionError("the elimination started")
+
+    monkeypatch.setattr(resultants, "phi_resultant_last_var", no_work)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and "budget" in err and not out
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "x"])
+def test_climit_vars_must_be_positive(capsys, count):
+    code, out, err = run(capsys, "climit", "1", "--vars", count, "-K", "2")
+    assert code == 2 and "--vars" in err and not out
+
+
 def _no_norm(monkeypatch):
     """Make every elimination and final norm raise."""
 

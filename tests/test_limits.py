@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import itertools
 import math
 import operator
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,6 @@ from padicres import resultants
 from padicres.limits import (
     LimitEstimate,
     _certify,
-    _degenerate,
     _diagonal,
     _level_vanishes,
     _orbit_count,
@@ -637,10 +638,9 @@ TOP_ROW_COST = 1e6
 def _k_level_window(f, p, K, mask):
     """The estimate from levels 1..K, each norm taken: the window before
     its top row came from the sharp congruence and orbit valuations."""
-    est = _certify(_diagonal(f, p, K, mask), p, K, f.num_vars)
-    if not est.degenerate and _vanishes_later(f, p, K, mask):
-        return _degenerate(est, p, K)
-    return est
+    factors = _diagonal(f, p, K, mask)
+    later = 0 not in factors and _vanishes_later(f, p, K, mask)
+    return _certify(factors, p, K, f.num_vars, later)
 
 
 def test_top_row_from_k_minus_one_levels_equals_the_k_level_window(monkeypatch):
@@ -933,3 +933,71 @@ def test_unit_case_full_mask_at_forty_digits_is_a_root_of_unity(text, d, p):
     assert est.window == tuple((k, 0, L % p**k) for k in range(1, K + 1))
     assert est.certified_digits == est.nonp_certified_digits == K and est.levels_used == (K,) * d
     assert est.stabilized and not est.degenerate
+
+
+def test_certify_field_rules_on_hand_built_factors():
+    # p = 3, three levels whose non-p parts are 1 mod 3^k from level 2 on:
+    # 2, 10 = 1 mod 9 and 28 = 1 mod 27, running products 2, 20 and 560
+    p, unit, zero = 3, [2, 10, 28], [6, 30, 252]
+
+    def expected(value, nonp, digits, levels, stabilized, degenerate, window, K, d=1):
+        """The estimate with these fields; a value None is the exact 0."""
+        value, nonp = (PadicApprox.zero(p, K) if x is None else PadicApprox.from_int(x, p, K) for x in (value, nonp))
+        return LimitEstimate(value, nonp, digits, K, (levels,) * d, stabilized, degenerate, window)
+
+    rows = ((1, 0, 2), (2, 0, 2), (3, 0, 20))
+    # the unit case: the raw limit is R_L mod p^K, at K = L + 1 too
+    assert _certify(unit, p, 4, 2) == expected(560, 560, 4, 3, True, False, rows, 4, d=2)
+    assert _certify(unit, p, 2, 1) == expected(560, 560, 2, 3, True, False, rows, 2)
+    # the zero case (v_p 1, 1, 2): the raw limit is exactly 0, the non-p
+    # part certified, and a last factor divisible by p is no plateau
+    zero_rows = ((1, 1, 2), (2, 2, 2), (3, 4, 20))
+    assert _certify(zero, p, 4, 1) == expected(None, 560, None, 3, False, False, zero_rows, 4)
+    assert _certify(zero[:2] + [28], p, 3, 1).stabilized
+    # K = 1 from one level: stabilized unless p divides R_1
+    assert _certify([2], p, 1, 1) == expected(2, 2, 1, 1, True, False, ((1, 0, 2),), 1)
+    assert _certify([6], p, 1, 1) == expected(None, 2, None, 1, False, False, ((1, 1, 2),), 1)
+    assert _certify([2], p, 2, 1) == expected(2, 2, 2, 1, True, False, ((1, 0, 2),), 2)
+    # a factor 0 at level 2: exactly 0 from there on, rows -1 and 0
+    zero_at_2 = ((1, 0, 2), (2, -1, 0), (3, -1, 0))
+    assert _certify([2, 0, 28], p, 3, 1) == expected(None, None, None, 3, False, True, zero_at_2, 3)
+    assert _certify([0], p, 1, 1) == expected(None, None, None, 1, False, True, ((1, -1, 0),), 1)
+    # a later level that vanishes: the same outcome, the rows as computed
+    for factors, window in ((unit, rows), (zero, zero_rows)):
+        assert _certify(factors, p, 3, 1, True) == expected(None, None, None, 3, False, True, window, 3)
+    # the sharp congruence is checked, and K is 1 to L + 1
+    with pytest.raises(InvariantError):
+        _certify([2, 4], p, 2, 1)
+    for K in (0, 5):
+        with pytest.raises(ValueError):
+            _certify(unit, p, K, 1)
+
+
+def test_limit_estimate_refuses_an_f_in_no_variable():
+    with pytest.raises(ValueError, match="at least one variable"):
+        limit_estimate(MultiPoly(0, {(): 3}), 2, 2)
+
+
+def test_limit_estimates_are_built_only_by_certify():
+    # the digit counts and the exact-zero and degenerate outcomes follow
+    # from the sharp congruence in one place: no module of padicres builds
+    # a LimitEstimate, or rewrites one with dataclasses.replace, anywhere
+    # but in limits._certify
+    from padicres import limits
+
+    package = Path(limits.__file__).parent
+    builders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for child in ast.walk(node):
+                    scopes.setdefault(child, node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("LimitEstimate", "replace"):
+                    builders.append((path.stem, scopes.get(node), name))
+    assert builders == [("limits", "_certify", "LimitEstimate")], builders

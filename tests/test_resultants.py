@@ -628,6 +628,48 @@ def test_symmetric_inputs_against_the_oracles():
     assert cases > 90
 
 
+def test_swap_blocks_against_the_permuted_polynomial():
+    # the oracle: variable i joins the first block whose first variable a
+    # has i's mask and f.permute_vars of the swap (a i) equal to f; the
+    # blocks are read back from links, and orbit holds every rearrangement
+    # within them
+    rng = random.Random(29)
+    checked = symmetric = 0
+    for _ in range(600):
+        d = rng.randint(1, 4)
+        f = random_multipoly(rng, d, 4, 2, 3)
+        if d >= 2 and rng.random() < 0.6:
+            f = symmetrize(f, sorted(rng.sample(range(1, d + 1), rng.randint(2, d))))
+        masks = [range(rng.randint(0, 1), rng.randint(1, 2) + 1) for _ in range(d)]
+        if rng.random() < 0.6:
+            masks = [masks[0]] * d
+        blocks = []
+        for i in range(d):
+            for block in blocks:
+                swap = list(range(1, d + 1))
+                swap[block[0]], swap[i] = i + 1, block[0] + 1
+                if masks[block[0]] == masks[i] and f.permute_vars(swap) == f:
+                    block.append(i)
+                    break
+            else:
+                blocks.append([i])
+        links, orbit = resultants._swap_blocks(f, masks)
+        following = {a + link + 1 for a, link in enumerate(links) if link >= 0}
+        chains = []
+        for a in range(d):
+            if a not in following:
+                chains.append([a])
+                while links[chains[-1][-1]] >= 0:
+                    chains[-1].append(chains[-1][-1] + links[chains[-1][-1]] + 1)
+        assert chains == blocks, (str(f), masks)
+        size = math.prod(math.factorial(len(block)) for block in blocks)
+        assert len(orbit) == (size if size > 1 else 0), (str(f), masks)
+        assert all(sorted(sigma[a] for a in block) == block for sigma in orbit for block in blocks)
+        checked += 1
+        symmetric += size > 1
+    assert checked == 600 and symmetric >= 150
+
+
 def test_graeffe_route_against_prs_and_the_conjugate_product():
     # at p = 2 the tower takes root-squaring steps; the literal product of
     # the conjugates on the same element and the PRS (while it stays fast)
@@ -865,6 +907,30 @@ def test_cost_estimate_tracks_the_elimination(monkeypatch):
     monkeypatch.setattr(resultants, "_factors", lambda f, p, masks: iter([((2, 7, 7), 7)]))
     monkeypatch.setenv("PADIC_RES_BUDGET", str(10**12))
     assert cyclic_resultant(CyclicResultantRequest.full(three, 2, (2, 7, 7))) == 7
+
+
+def test_window_cost_takes_polynomially_many_steps_in_the_variables(monkeypatch):
+    # 1 + t1 in d variables: (K + 1)^d index tuples, but the walk's states
+    # (degrees, bits, key) per depth are few, so the norm estimates it
+    # takes grow about as d^2
+    calls = []
+    norm_cost = resultants._norm_cost
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 10**5:
+            raise AssertionError("the estimate walks every index tuple")
+        return norm_cost(*args)
+
+    monkeypatch.setattr(resultants, "_norm_cost", counted)
+    counts = {}
+    for d in (10, 20, 40):
+        f = MultiPoly(d, {(0,) * d: 1, (1,) + (0,) * (d - 1): 1})
+        calls.clear()
+        for p, mask in ((2, "rprime"), (3, "r"), (5, "r")):
+            resultants.masks_cost(f, p, [range(mask == "rprime", 3)] * d, 2)
+        counts[d] = len(calls)
+    assert counts[20] < 6 * counts[10] and counts[40] < 6 * counts[20] < 6 * 20**3, counts
 
 
 def test_baseline_budget_guard():

@@ -9,7 +9,11 @@ inputs symmetric in two or three variables, at equal and unequal levels and
 masks, and polynomials of small degree at high odd levels.  The climit-unit
 family holds unit-case limits in two and three variables, both masks, at
 up to five digits; its digest was taken on the norm route, so it pins the
-closed forms that replaced it byte for byte.  A refactor of the limit
+closed forms that replaced it byte for byte.  The climit-later family
+holds one-variable inputs whose resultants vanish at a level past the
+window, so the limit is exactly 0 and the estimate degenerate with the
+window rows as computed; its digest was taken before those fields moved
+into limits._certify.  A refactor of the limit
 or resultant code must leave every digest as it is; a deliberate change of the output
 recomputes them with `PYTHONPATH=src python tests/test_stdout_grid.py`.
 """
@@ -35,6 +39,9 @@ CLIMIT_UNIT_3 = ("5+t1+t2+2*t1*t2+t3", "2+t1+t2+t3", "1+t1*t2*t3")
 # kept to what the norm route takes in a fraction of a second
 CLIMIT_UNIT_K = {2: ((3, 4, 5), (2, 3)), 3: ((3, 4, 5), (2, 3)), 5: ((3, 4), (2, 3)), 7: ((3,), (2,))}
 CLIMIT_UNIT_DEEP = ((5, "1-3*t1*t2", 5), (5, "7", 5), (7, "1-3*t1*t2", 4), (7, "1+t1*t2*t3", 3))
+# (p, f, digits): Phi_8 | f at p = 2 and Phi_9 | f at p = 3, levels 3 and 2
+# lying past windows of one and two digits
+CLIMIT_LATER = ((2, "1+t1^4", (1, 2)), (2, "(1+t1^4)*(3+t1)", (1, 2)), (3, "1+t1^3+t1^6", (1,)))
 IWASAWA = ("t-6", "t^2-t+1", "3*t-6", "t-1", "t+1", "4+t^3", "t^2+1", "9*t+3")
 RES_2 = ("5+t1+t2+t1*t2", "2-t1-t2+2*t1*t2", "1+t1*t2", "3+t1^2+t2^2")
 RES_3 = ("5+t1+t2+t3", "2+t1*t2+t2*t3+t1*t3", "3+t1+t2+t3^2")
@@ -91,6 +98,10 @@ def grid():
         d = 3 if "t3" in expr else 2
         for mask in ("r", "rprime"):
             yield "climit-unit", ["climit", expr, "--vars", str(d), "-p", str(p), "-K", str(K), "--mask", mask, "--format", "json"]
+    for p, expr, Ks in CLIMIT_LATER:
+        for K in Ks:
+            for mask in ("r", "rprime"):
+                yield "climit-later", ["climit", expr, "-p", str(p), "-K", str(K), "--mask", mask]
     yield "whitehead", ["whitehead", "-k", "3", "-p", "2", "-K", "2", "--format", "json"]
     yield "iwasawa", ["iwasawa", "t-6", "-p", "5", "--n-max", "2"]
     for k in (3, 5, 7, 9):
@@ -115,6 +126,7 @@ EXPECTED = {
     "res": "8c6a9c8a49fd832f0933435583b7cc6673249854f03487d60361bc889b1787cf",
     "climit": "248330709ed3ff082326e4697ddb9595789124644cc43285be3a23b0951afb43",
     "climit-unit": "3f117f651d122d36b4e70b3985f56a91a57971650d401c04bbe96306f4f78efa",
+    "climit-later": "4b52a222d23e422740f3b84a6226eaa7846beb897cb624ea2fe0da05f07d02b2",
     "whitehead": "63e31c209d9574072a8c7ecfa85a160ce6ac96ad47b37e10a1ac4528ec91ff9d",
     "iwasawa": "a36cdda335f3380b8ef908cf8fc5f58c0f2d327fc1a2329b03db9f51289a9bde",
     "twopart": "04aab22a812e729505796f56ea6e7276ace16613490e2c4eda4c6cfb7106eff8",
@@ -126,7 +138,7 @@ def computed():
     return digests()
 
 
-@pytest.mark.parametrize("family", ["res", "climit", "climit-unit", "whitehead", "twopart", "iwasawa"])
+@pytest.mark.parametrize("family", ["res", "climit", "climit-unit", "climit-later", "whitehead", "twopart", "iwasawa"])
 def test_stdout_digest(computed, family):
     assert computed[family] == EXPECTED[family]
 
