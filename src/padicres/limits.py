@@ -5,8 +5,7 @@ product of one cyclotomic factor per index tuple with every index <= k, so
 R_(k+1) is R_k times the factors whose largest index is k + 1 (index 0
 joins level 1).  _diagonal walks the tuples of the top level once,
 computing each factor once, and hands back these per-level factors; its
-budget, the cost estimates of the levels summed, walks the same tuples once
-too (window_cost).
+budget is the top level's cost estimate (window_cost).
 
 The sharp congruence.  The Galois group of Q(zeta_(p^J)) acts freely on
 the root tuples whose largest index is J, so a level-J factor is a product
@@ -100,7 +99,6 @@ from .resultants import (
     CyclicResultantRequest,
     _factors,
     check_budget,
-    cost_estimate,
     cyclic_resultant,
     masks_cost,
     phi_degree,
@@ -137,9 +135,9 @@ def _window_masks(p: int, K: int, d: int, mask: str) -> tuple:
 
 
 def window_cost(f: MultiPoly, p: int, K: int, mask: str) -> float:
-    """cost_estimate summed over the window's levels (1,...,1) to (K,...,K),
-    in one weighted walk of level K's index tuples (masks_cost)."""
-    return masks_cost(f, p, _window_masks(p, K, f.num_vars, mask), K)
+    """The charge of _diagonal(f, p, K, mask), one walk of level K's index
+    tuples: the cost_estimate of level (K,...,K) (masks_cost)."""
+    return masks_cost(f, p, _window_masks(p, K, f.num_vars, mask))
 
 
 def window_levels(K: int) -> int:
@@ -174,9 +172,9 @@ def limit_estimate(f: MultiPoly, p: int, K: int, mask: str = "r") -> LimitEstima
     For K >= 2, row K stands on a level-K factor with non-p part 1, as the
     sharp congruence makes it mod p^K, and v_p 0 in the unit case, else
     the sum over level K's orbits (_orbit_valuations), unless the estimates
-    (window_cost against window_cost below K plus orbit_cost) find level
-    K's norms cheaper.  The route taken is refused before any work when
-    its estimate exceeds cost_budget().
+    (window_cost of K levels against window_cost of K - 1 levels plus
+    orbit_cost) find level K's norms cheaper.  The route taken is refused
+    before any work when its estimate exceeds cost_budget().
 
     In one variable a later level that vanishes makes the sequence exactly
     0 from there on (_vanishes_later), and the estimate degenerate, with
@@ -512,8 +510,7 @@ def iwasawa_fit(f: UniPoly, p: int, n_max: int = 5) -> IwasawaInvariants:
     n_max; the verified window is extended backwards as far as it holds.
     Each e_n is a running sum of v_p over the per-level factors of one
     diagonal walk (_diagonal, levels 1 to n_max), so no level's value is
-    formed.  Refused before any work when the cost_estimate of the
-    full-mask resultant at level n_max, whose factors these are, exceeds
+    formed.  Refused before any work when its window_cost exceeds
     cost_budget().
     """
     if f.is_zero:
@@ -521,7 +518,7 @@ def iwasawa_fit(f: UniPoly, p: int, n_max: int = 5) -> IwasawaInvariants:
     if n_max < 3:
         raise WindowTooShortError("need n_max >= 3 for a three-level window")
     g = MultiPoly(1, {(i,): c for i, c in enumerate(f.coeffs) if c})
-    check_budget(cost_estimate(CyclicResultantRequest.full(g, p, (n_max,))))
+    check_budget(window_cost(g, p, n_max, "r"))
     factors = _diagonal(g, p, n_max, "r")
     if 0 in factors:
         n = factors.index(0) + 1

@@ -45,7 +45,7 @@ from .multipoly import MultiPoly
 from .oracles import modular_root_product
 from .padic import PadicApprox, nonp_part, teichmuller, vp_split
 from .parsing import parse_poly
-from .resultants import CyclicResultantRequest, check_budget, cyclic_resultant
+from .resultants import CyclicResultantRequest, check_budget, cost_estimate, cyclic_resultant
 from .unipoly import cyclotomic, is_prime
 
 
@@ -238,16 +238,17 @@ def _h1_factor(subset, delta: MultiPoly, p: int, value: int) -> int:
 def h1_order(link: LinkSpec, cov: CoveringSpec) -> H1Result:
     """|H_1| of the diagonal branched cover, as the product over nonempty
     sublinks S of |masked resultant of Delta_S at levels (n_i)_{i in S}|,
-    each factor by _h1_factor's conventions (0 for a vanishing one)."""
+    each factor by _h1_factor's conventions (0 for a vanishing one).
+    Refused before any work, the prefactor check included, when the
+    sublinks' cost_estimate summed exceeds cost_budget()."""
     if len(cov.levels) != link.d:
         raise ValueError("covering levels must list one entry per component")
+    requests = [CyclicResultantRequest.rprime(link.alexander(s), cov.p, [cov.levels[i - 1] for i in s]) for s in link.subsets()]
+    check_budget(sum(map(cost_estimate, requests)))
     _assert_prefactor_cancels(cov)
     order = 1
-    for subset in link.subsets():
-        delta = link.alexander(subset)
-        levels = tuple(cov.levels[i - 1] for i in subset)
-        value = cyclic_resultant(CyclicResultantRequest.rprime(delta, cov.p, levels))
-        order *= _h1_factor(subset, delta, cov.p, value)
+    for subset, req in zip(link.subsets(), requests):
+        order *= _h1_factor(subset, req.f, cov.p, cyclic_resultant(req))
         if not order:
             break
     p_exponent, unit = vp_split(order, cov.p) if order else (0, 0)
@@ -273,8 +274,8 @@ def _h1_diagonal(link: LinkSpec, p: int, K: int) -> list:
 
 
 def nonp_limit_cost(link: LinkSpec, p: int, levels: int) -> float:
-    """cost_estimate summed over the diagonal levels 1..levels of every
-    sublink, one weighted walk per sublink (limits.window_cost)."""
+    """limits.window_cost, the top level's cost_estimate, of every
+    sublink's diagonal walk up to level `levels`, summed."""
     return sum(window_cost(link.alexander(s), p, levels, "rprime") for s in link.subsets())
 
 

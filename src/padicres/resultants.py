@@ -52,13 +52,13 @@ so on.
 A cost budget guards runaway work: check_budget refuses, before any work,
 a task whose estimate exceeds cost_budget() (10^9 units of about 0.15 us,
 or the positive integer in the PADIC_RES_BUDGET environment variable).
-cyclic_resultant checks its request's cost_estimate, a limit window the sum
-over its levels, and `whitehead` adds the closed form's log norms to its
-window; the literal baseline has its own degree budget.  A window's sum
-takes one walk of its top level's index tuples, as the window itself does
-(masks_cost): each term counts once for every level that contains it.  The
-estimates charge every tuple and every dense level, so they over-charge f
-that swaps of variables fix and the sparse levels of the odd-p tower.
+cyclic_resultant checks its request's cost_estimate, and a limit window,
+which computes every level in one walk of its top level's index tuples,
+the cost_estimate of that top level; `whitehead` adds the closed form's
+log norms to its window, and the literal baseline has its own degree
+budget.  The estimates charge every tuple and every dense level, so they
+over-charge f that swaps of variables fix and the sparse levels of the
+odd-p tower.
 """
 
 from __future__ import annotations
@@ -763,7 +763,7 @@ def cost_estimate(req: CyclicResultantRequest) -> float:
     mod Phi.  The final norm touches p^j coefficients and takes the norm of
     n * bits / 64 words, or one product of that size if g is linear
     (cyclotomic_norm's closed form).  The terms follow _factors' walk of the
-    masks' index tuples (_cost); masks_cost also sums them over a window.
+    masks' index tuples (_cost).
     Every tuple is charged, and every odd-p level as a dense one in the full
     ring, so f that swaps of variables fix (one final norm per orbit) and
     the sparse levels of a small-degree g (_graeffe_level) are charged more
@@ -776,49 +776,47 @@ def cost_estimate(req: CyclicResultantRequest) -> float:
     return masks_cost(req.f, req.p, req.factor_mask)
 
 
-def masks_cost(f: MultiPoly, p: int, masks, window: int = 0) -> float:
-    """cost_estimate of f's resultant over the masks, or, with window = K,
-    masks those of the diagonal level (K,...,K), the sum of cost_estimate
-    over the levels (1,...,1) to (K,...,K), in one walk of level K's index
-    tuples: an elimination or final norm whose indices so far have key k
-    (the largest of them and 1, as in _factors) belongs to levels k to K,
-    so its cost counts K - k + 1 times.  A zero f costs nothing: its first
-    elimination or norm is 0."""
+def masks_cost(f: MultiPoly, p: int, masks) -> float:
+    """cost_estimate of f's resultant over the masks.  A diagonal window
+    walks the index tuples of its top level once, so this of the top
+    level's masks is its charge too (limits.window_cost).  A zero f costs
+    nothing: its first elimination or norm is 0."""
     if f.is_zero:
         return 0.0
-    degrees = [f.degree_in(i + 1) for i in range(f.num_vars)]
+    degrees = tuple((i, e) for i in range(f.num_vars) if (e := f.degree_in(i + 1)))
     bits = math.log2(max(2, sum(abs(c) for _, c in f.terms())))
     try:
-        return _cost(degrees, bits, p, masks, window, 1, {})
+        return _cost(degrees, bits, p, masks, len(masks) - 1, {})
     except OverflowError:  # levels past the float range
         return math.inf
 
 
-def _cost(degrees, bits: float, p: int, masks, window: int, top: int, memo: dict) -> float:
-    """The cost of _factors' walk below an index prefix whose key is top:
-    it depends only on the masks left, the degrees and bits the prefix's
-    eliminations left, and top, so memo, one per masks_cost call, holds it
-    once per such state.  In d variables of K + 1 indices there are
-    polynomially many in d, not (K + 1)^d prefixes."""
-    state = (len(masks), tuple(degrees), bits, top)
+def _cost(degrees, bits: float, p: int, masks, last: int, memo: dict) -> float:
+    """The cost of _factors' walk below an index prefix that leaves the
+    variables 0..last: it depends only on last and the degrees and bits the
+    prefix's eliminations left, so memo, one per masks_cost call, holds it
+    once per such state, polynomially many in d, not (K + 1)^d prefixes.
+    degrees holds (variable, degree) for the variables of nonzero degree
+    only (a degree 0 adds a factor 1), so a state's work does not grow with d."""
+    state = (last, degrees, bits)
     if state in memo:
         return memo[state]
+    top = degrees[-1][1] if degrees and degrees[-1][0] == last else 0
+    others = degrees[:-1] if top else degrees
+    packed = 10 * (top + 1) * math.prod(e + 1 for _, e in others)
     total = 0.0
-    for j in masks[-1]:
-        key = max(top, j)
-        weight = window - key + 1 if window else 1
+    for j in masks[last]:
         n = phi_degree(p, j)
-        if len(masks) == 1:
+        if not last:
             words = n * bits / 64
-            norm = _norm_cost(p, j, words) if min(degrees[0], n - 1) > 1 else words**1.585
-            total += weight * (max(degrees[0] + 1, p**j) + norm)
+            norm = _norm_cost(p, j, words) if min(top, n - 1) > 1 else words**1.585
+            total += max(top + 1, p**j) + norm
             continue
-        rest = [n * d for d in degrees[:-1]]
-        digits = math.prod(d + 1 for d in rest)
+        rest = tuple((i, n * e) for i, e in others)
+        digits = math.prod(e + 1 for _, e in rest)
         words = digits * (n * bits / 64 + 1)
-        norm = _norm_cost(p, j, words) if min(degrees[-1], n - 1) > 1 else words**1.585
-        pack = 10 * math.prod(d + 1 for d in degrees) + digits
-        total += weight * (pack + norm / 2) + _cost(rest, n * bits, p, masks[:-1], window, key, memo)
+        norm = _norm_cost(p, j, words) if min(top, n - 1) > 1 else words**1.585
+        total += packed + digits + norm / 2 + _cost(rest, n * bits, p, masks, last - 1, memo)
     memo[state] = total
     return total
 

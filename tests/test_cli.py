@@ -116,11 +116,11 @@ def test_res_budget_bounds_three_variable_elimination(capsys, monkeypatch, level
     ],
 )
 def test_window_budget_refuses_before_any_elimination(capsys, monkeypatch, argv):
-    # the estimates of every level and sublink of the window are summed and
-    # refused before level 1 is computed; `whitehead -K 8` walks and charges
-    # 7 levels (2.07e9), while -K 7 walks 6 (5.45e7) and is accepted; so
-    # does `climit -p 2 -K 13`, whose f(1,1) = 8 is even: 12 levels and the
-    # orbit walk of level 13 (4.88e9)
+    # the window's walks, each charged as its top level, are summed over
+    # the sublinks and refused before level 1 is computed; `whitehead -K 8`
+    # walks 7 levels (2.01e9), while -K 7 walks 6 (5.31e7) and is accepted;
+    # `climit -p 2 -K 13`, whose f(1,1) = 8 is even, is refused too: 12
+    # levels and the orbit walk of level 13 (4.38e9)
     def no_work(*args):
         raise AssertionError("the elimination started")
 
@@ -135,7 +135,7 @@ def test_window_budget_refuses_before_any_elimination(capsys, monkeypatch, argv)
 )
 def test_budget_in_forty_variables_refuses_at_once(capsys, monkeypatch, argv):
     # the estimate of 3^40 index tuples takes one step per state of the
-    # walk (degrees, bits, key), not per tuple
+    # walk (degrees, bits), not per tuple
     def no_work(*args):
         raise AssertionError("the elimination started")
 
@@ -144,6 +144,102 @@ def test_budget_in_forty_variables_refuses_at_once(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and "budget" in err and not out
     assert time.perf_counter() - start < 1
+
+
+def test_budget_in_three_hundred_variables_refuses_within_a_second(capsys, monkeypatch):
+    # a state of the estimate's walk lists only the variables of nonzero
+    # degree, so its work does not grow with d
+    _no_norm(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "climit", "1+t1", "--vars", "300", "-K", "2")
+    assert code == 3 and "budget" in err and not out
+    assert time.perf_counter() - start < 1
+
+
+def _no_work_anywhere(monkeypatch):
+    """Make every entry point of a norm, an elimination, an orbit walk, a
+    log norm, a cyclotomic polynomial or an oracle raise."""
+    from padicres import limits, links
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    targets = [
+        (resultants, "phi_resultant_last_var"),
+        (resultants, "resultant_phi_int"),
+        (links, "cyclotomic"),
+        (links, "level_log_norm"),
+        (links, "level_log_valuation"),
+        (links, "modular_root_product"),
+        (limits, "_orbit_values"),
+        (oracles, "bareiss_det"),
+    ]
+    for module, name in targets:
+        monkeypatch.setattr(module, name, no_work)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["res", "-p", "2", "-n", "2,2", "5+t1+t2"],
+        ["res", "-p", "2", "-n", "2,2", "--verify", "5+t1+t2"],
+        ["climit", "t1-2", "-p", "3", "-K", "3"],
+        ["climit", "5+t1", "-p", "2", "-K", "3"],
+        ["climit", "2+t1+t2", "--vars", "2", "-p", "3", "-K", "3"],
+        ["climit", "2+t1+t2", "--vars", "2", "-p", "3", "-K", "3", "--mask", "rprime"],
+        ["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "3"],
+        ["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "3", "--mask", "rprime"],
+        ["iwasawa", "-p", "5", "t-6"],
+        ["linkh1", "--whitehead", "3", "-p", "2", "-n", "2,2"],
+        ["linkh1", "--whitehead", "3", "-p", "2", "-n", "2,2", "--verify"],
+        ["linkh1", "--whitehead", "4", "-p", "3", "-n", "1,1", "--verify"],
+        ["whitehead", "-k", "3", "-p", "2", "-K", "4"],
+        ["whitehead", "-k", "3", "-p", "3", "-K", "3"],
+        ["twopart", "-k", "3", "--n-max", "3"],
+    ],
+)
+def test_every_command_refuses_before_any_work(capsys, monkeypatch, argv):
+    # a budget of one unit refuses every command from its estimates alone
+    _no_work_anywhere(monkeypatch)
+    monkeypatch.setenv("PADIC_RES_BUDGET", "1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and "budget" in err, err
+
+
+@pytest.mark.parametrize("levels", ["24,24", "100000,100000"])
+def test_linkh1_refuses_before_the_prefactor_and_the_first_sublink(capsys, monkeypatch, levels):
+    # the sublinks' estimates are summed before any is computed: at 24,24
+    # the two unknot sublinks would take seconds before the two-component
+    # one is refused, and at 100000,100000 the prefactor check alone would
+    # build Phi_(2^n) for every n up to 100000
+    _no_work_anywhere(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "linkh1", "--whitehead", "3", "-p", "2", "-n", levels)
+    assert (code, out) == (3, "") and "budget" in err
+    assert time.perf_counter() - start < 0.5
+
+
+def test_linkh1_budget_is_the_sum_over_sublinks(capsys, monkeypatch):
+    # a cap above each sublink's own estimate but below their sum refuses
+    # before the prefactor check, and one at their sum admits
+    from padicres import links
+
+    link = links.whitehead_link_spec(3)
+    costs = [
+        resultants.cost_estimate(CyclicResultantRequest.rprime(link.alexander(s), 2, (6,) * len(s)))
+        for s in link.subsets()
+    ]
+    cap = int(max(costs)) + 1
+    assert sum(costs) > cap
+    argv = ["linkh1", "--whitehead", "3", "-p", "2", "-n", "6,6"]
+    with monkeypatch.context() as patched:
+        _no_work_anywhere(patched)
+        patched.setenv("PADIC_RES_BUDGET", str(cap))
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and "budget" in err
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(int(sum(costs)) + 1))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize("count", ["0", "-2", "x"])
@@ -239,18 +335,20 @@ def test_unit_case_rprime_budget_sums_the_one_variable_windows(capsys, monkeypat
     assert sorted(finals) == sorted(list(range(K)) * 2)
 
 
-def test_window_budget_is_the_sum_over_levels(capsys, monkeypatch):
-    # 2 divides f(1,1) = 8: the window charges levels 1..K-1 and the orbit
-    # walk of level K, which the estimates take over level K's norms at
-    # K = 7; a cap above every part's own estimate but below their sum
-    # refuses, and one at their sum admits
-    from padicres.limits import orbit_cost
+def test_window_budget_is_the_top_level_plus_the_orbit_walk(capsys, monkeypatch):
+    # 2 divides f(1,1) = 8: the window of levels 1..K-1 is charged as its
+    # top level, K - 1 = 6, plus the orbit walk of level K, which the
+    # estimates take over the window of K levels, charged as level 7; a cap
+    # above each part's own estimate but below their sum refuses, and one
+    # at their sum admits
+    from padicres.limits import orbit_cost, window_cost
 
     f = parse_poly("5+t1+t2+t1*t2", 2)
-    costs = [resultants.cost_estimate(CyclicResultantRequest.full(f, 2, (k, k))) for k in range(1, 8)]
-    charged = sum(costs[:6]) + orbit_cost(f, 2, 7, "r", first=7)
-    assert charged < sum(costs)
-    assert max(costs[:6]) < charged * (1 - 1e-9)
+    window, orbits = window_cost(f, 2, 6, "r"), orbit_cost(f, 2, 7, "r", first=7)
+    charged = window + orbits
+    assert window == pytest.approx(resultants.cost_estimate(CyclicResultantRequest.full(f, 2, (6, 6))), rel=1e-12)
+    assert charged < window_cost(f, 2, 7, "r")
+    assert max(window, orbits) < charged * (1 - 1e-9)
     argv = ["climit", "5+t1+t2+t1*t2", "--vars", "2", "-p", "2", "-K", "7"]
     monkeypatch.setenv("PADIC_RES_BUDGET", str(int(charged * (1 - 1e-9))))
     code, out, err = run(capsys, *argv)

@@ -375,20 +375,21 @@ WINDOW_COST_POLYS = {
 }
 
 
-def test_window_cost_is_the_sum_over_levels():
-    # one weighted walk of level K's tuples against K separate estimates
+def test_window_cost_is_the_top_level_estimate():
+    # the window is one walk of level K's tuples, so it is charged as the
+    # level-K request alone, with no weight for the levels below
     for d, texts in WINDOW_COST_POLYS.items():
         for f in (parse_poly(text, d) for text in texts):
             for p in (2, 3, 5, 7):
                 for mask in ("r", "rprime"):
                     for K in range(1, 9):
-                        levels = sum(cost_estimate(req) for req in window_requests(f, p, K, mask))
-                        assert window_cost(f, p, K, mask) == pytest.approx(levels, rel=1e-12), (f, p, mask, K)
+                        top = cost_estimate(_request(f, p, (K,) * d, mask))
+                        assert window_cost(f, p, K, mask) == pytest.approx(top, rel=1e-12), (f, p, mask, K)
     # levels past the float range are inf on both routes
     f = parse_poly("t1^3-t1+3", 1)
     for mask in ("r", "rprime"):
         assert window_cost(f, 7, 370, mask) == math.inf
-        assert sum(cost_estimate(req) for req in window_requests(f, 7, 370, mask)) == math.inf
+        assert cost_estimate(_request(f, 7, (370,), mask)) == math.inf
 
 
 def test_window_against_the_root_product_oracle():

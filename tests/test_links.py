@@ -416,19 +416,18 @@ def test_closed_form_budget_admits_level_twenty_and_refuses_twenty_one():
         assert closed_form_cost(k, 2, 4, 20) < COST_BUDGET_DEFAULT < closed_form_cost(k, 2, 4, 21)
 
 
-def test_nonp_limit_cost_is_the_sum_over_sublinks_and_levels():
-    # one weighted walk per sublink against every sublink's levels estimated
-    # one by one
+def test_nonp_limit_cost_is_the_sum_over_sublinks_of_the_top_level():
+    # one walk of level K's tuples per sublink, charged as that sublink's
+    # level-K request alone
     for k in (3, 4, 7, 25):
         link = whitehead_link_spec(k)
         for p in (2, 3, 5, 7):
             for K in range(1, 7):
-                levels = sum(
-                    cost_estimate(CyclicResultantRequest.rprime(link.alexander(s), p, (n,) * len(s)))
+                top = sum(
+                    cost_estimate(CyclicResultantRequest.rprime(link.alexander(s), p, (K,) * len(s)))
                     for s in link.subsets()
-                    for n in range(1, K + 1)
                 )
-                assert nonp_limit_cost(link, p, K) == pytest.approx(levels, rel=1e-12), (k, p, K)
+                assert nonp_limit_cost(link, p, K) == pytest.approx(top, rel=1e-12), (k, p, K)
 
 
 def knot(alexander):

@@ -909,10 +909,10 @@ def test_cost_estimate_tracks_the_elimination(monkeypatch):
     assert cyclic_resultant(CyclicResultantRequest.full(three, 2, (2, 7, 7))) == 7
 
 
-def test_window_cost_takes_polynomially_many_steps_in_the_variables(monkeypatch):
+def test_masks_cost_takes_polynomially_many_steps_in_the_variables(monkeypatch):
     # 1 + t1 in d variables: (K + 1)^d index tuples, but the walk's states
-    # (degrees, bits, key) per depth are few, so the norm estimates it
-    # takes grow about as d^2
+    # (degrees, bits) per depth are few, so the norm estimates it takes
+    # grow about as d^2
     calls = []
     norm_cost = resultants._norm_cost
 
@@ -928,7 +928,7 @@ def test_window_cost_takes_polynomially_many_steps_in_the_variables(monkeypatch)
         f = MultiPoly(d, {(0,) * d: 1, (1,) + (0,) * (d - 1): 1})
         calls.clear()
         for p, mask in ((2, "rprime"), (3, "r"), (5, "r")):
-            resultants.masks_cost(f, p, [range(mask == "rprime", 3)] * d, 2)
+            resultants.masks_cost(f, p, [range(mask == "rprime", 3)] * d)
         counts[d] = len(calls)
     assert counts[20] < 6 * counts[10] and counts[40] < 6 * counts[20] < 6 * 20**3, counts
 
