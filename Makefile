@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: test acceptance reproduce-paper regen-expected digests check bench bench-pairs
+.PHONY: test acceptance reproduce-paper regen-expected digests check bench bench-pairs src-lines
 
 test:
 	$(PYTHON) -m pytest -q
@@ -51,3 +51,8 @@ regen-expected:
 # writes no file.
 digests:
 	PYTHONPATH=src $(PYTHON) tests/test_stdout_grid.py
+
+# Prints the line count of each src/padicres module and their total, the
+# number ROADMAP.md's line-count goals are read from.
+src-lines:
+	@wc -l src/padicres/*.py

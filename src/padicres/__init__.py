@@ -6,6 +6,12 @@ included: the Sylvester determinant and the subresultant PRS (in
 `oracles`), and complex_root_product and character_oracle, which evaluate
 at the p-power roots of unity modulo products of primes q = 1 (mod p^N)
 and recover the integer by the CRT, apart from the resultant engine.
+
+The package holds what the commands and the documented library calls run,
+and the reference ring (cyclo.CycloPadic, log_with_shift) that the packed
+2-adic route is tested against.  The tests' other reference checks and
+fixtures (the sign rule, order invariance, the closed-form limit, nu_zeta,
+random polynomials) live in tests/reference.py.
 """
 
 from .errors import (
@@ -33,23 +39,13 @@ from .oracles import (
     sylvester_resultant,
 )
 from .padic import PadicApprox, nonp_part, teichmuller, vp, vp_split
-from .cyclo import (
-    CycloPadic,
-    log_with_shift,
-    nu_zeta,
-    phi_degree,
-    pi_valuation,
-)
+from .cyclo import CycloPadic, log_with_shift, phi_degree, pi_valuation
 from .limits import (
     IwasawaInvariants,
     LimitEstimate,
-    OrderInvarianceReport,
-    closed_form_limit,
     iwasawa_fit,
     lambda_mu_structural,
     limit_estimate,
-    order_invariance_check,
-    sign_of,
     zero_limit_predicate,
 )
 from .links import (

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: res, climit, iwasawa, linkh1, whitehead.  All output is
-deterministic for a fixed input and configuration; --format json emits
-machine-readable records including the certificates (certified digits,
-verified windows, oracle agreement flags).
+Subcommands: res, climit, iwasawa, linkh1, whitehead, twopart.  All
+output is deterministic for a fixed input and configuration; --format json
+emits machine-readable records including the certificates (certified
+digits, verified windows, oracle agreement flags).  Each cmd_* returns its
+payload and, when two routes it compares disagree, a message (else None);
+main prints the payload either way, then exits 4 on the message.
 
 Exit codes: 0 success, 2 user/parse error, 3 cost budget exceeded,
 4 internal oracle mismatch (always a bug), 1 unexpected failure (also a
@@ -17,13 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    BudgetExceededError,
-    DegenerateValueError,
-    OracleMismatchError,
-    PadicResError,
-    PolyParseError,
-)
+from .errors import BudgetExceededError, OracleMismatchError, PadicResError, PolyParseError
 from .limits import iwasawa_fit, lambda_mu_structural, limit_estimate, window_levels, zero_limit_predicate
 from .links import (
     CoveringSpec,
@@ -102,7 +98,7 @@ def _emit(args, payload: dict):
             print(f"{key}: {value}")
 
 
-def cmd_res(args) -> int:
+def cmd_res(args) -> tuple[dict, str | None]:
     req = _build_request(args)
     if args.verify:
         check_baseline_load(req)
@@ -117,19 +113,18 @@ def cmd_res(args) -> int:
     if args.verify:
         baseline = cyclic_resultant_baseline(req)
         oracle = complex_root_product(req)
+        agree = baseline == value == oracle
         payload["verify"] = {
             "baseline": _format_int(baseline, args.truncate),
             "complex_root_product": _format_int(oracle, args.truncate),
-            "agree": baseline == value == oracle,
+            "agree": agree,
         }
-        if not (baseline == value == oracle):
-            _emit(args, payload)
-            raise OracleMismatchError("res --verify: routes disagree")
-    _emit(args, payload)
-    return EXIT_OK
+        if not agree:
+            return payload, "res --verify: routes disagree"
+    return payload, None
 
 
-def cmd_climit(args) -> int:
+def cmd_climit(args) -> tuple[dict, str | None]:
     num_vars = args.vars if args.vars is not None else 1
     f = parse_poly(args.expr, num_vars)
     est = limit_estimate(f, args.prime, args.digits, mask=args.mask)
@@ -148,11 +143,10 @@ def cmd_climit(args) -> int:
         "levels_used": list(est.levels_used),
         "window": [list(row) for row in est.window],
     }
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, None
 
 
-def cmd_iwasawa(args) -> int:
+def cmd_iwasawa(args) -> tuple[dict, str | None]:
     import re
 
     expr = re.sub(r"t(?!\d)", "t1", args.expr)
@@ -170,14 +164,10 @@ def cmd_iwasawa(args) -> int:
         "structural": {"lambda": lam_s, "mu": mu_s},
         "agree": (inv.lam, inv.mu) == (lam_s, mu_s),
     }
-    if not payload["agree"]:
-        _emit(args, payload)
-        raise OracleMismatchError("iwasawa: fitted and structural invariants disagree")
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, None if payload["agree"] else "iwasawa: fitted and structural invariants disagree"
 
 
-def cmd_linkh1(args) -> int:
+def cmd_linkh1(args) -> tuple[dict, str | None]:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as handle:
             link = load_link_spec(handle.read())
@@ -198,15 +188,11 @@ def cmd_linkh1(args) -> int:
     if args.verify:
         oracle = character_oracle(link, cov)
         if oracle != result:
-            _emit(args, payload)
-            raise OracleMismatchError(
-                f"linkh1 --verify: exact {result.order} vs character oracle {oracle.order}"
-            )
-    _emit(args, payload)
-    return EXIT_OK
+            return payload, f"linkh1 --verify: exact {result.order} vs character oracle {oracle.order}"
+    return payload, None
 
 
-def cmd_whitehead(args) -> int:
+def cmd_whitehead(args) -> tuple[dict, str | None]:
     link = whitehead_link_spec(args.k)
     # one budget for the closed form's log norms and the empirical window of
     # K - 1 levels (h1_nonp_limit), which a degenerate closed form never runs
@@ -225,8 +211,7 @@ def cmd_whitehead(args) -> int:
     }
     if closed.degenerate:
         payload["note"] = closed.note
-        _emit(args, payload)
-        return EXIT_OK
+        return payload, None
     empirical = _nonp_limit(link, args.prime, args.digits)
     digits = min(closed.achieved_digits, empirical.nonp_certified_digits)
     agree = closed.value.eq_mod(empirical.nonp_value, digits)
@@ -241,14 +226,10 @@ def cmd_whitehead(args) -> int:
             "per_level_nu_sums": [list(row) for row in closed.per_level],
         }
     )
-    if not agree:
-        _emit(args, payload)
-        raise OracleMismatchError("whitehead: closed form and empirical limit disagree")
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, None if agree else "whitehead: closed form and empirical limit disagree"
 
 
-def cmd_twopart(args) -> int:
+def cmd_twopart(args) -> tuple[dict, str | None]:
     report = two_part_exponent_check(args.k, args.n_max)
     payload = {
         "command": "twopart",
@@ -256,10 +237,7 @@ def cmd_twopart(args) -> int:
         "rows": [list(r) for r in report.rows],
         "ok": report.ok,
     }
-    _emit(args, payload)
-    if not report.ok:
-        raise OracleMismatchError("two-part exponent identity failed")
-    return EXIT_OK
+    return payload, None if report.ok else "two-part exponent identity failed"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +320,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USER if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        payload, mismatch = args.func(args)
+        _emit(args, payload)
+        if mismatch is not None:
+            raise OracleMismatchError(mismatch)
+        return EXIT_OK
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
@@ -352,7 +334,7 @@ def main(argv=None) -> int:
     except OracleMismatchError as exc:
         print(f"internal error (oracle mismatch): {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (DegenerateValueError, PadicResError, ValueError, OSError) as exc:
+    except (PadicResError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except Exception as exc:

@@ -23,7 +23,6 @@ __rmul__, log_with_shift and level_log_norm by name.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Tuple
 
 from .errors import DegenerateValueError, InvariantError, PrecisionExhaustedError
@@ -372,17 +371,6 @@ def _tail_negligible(k: int, t: int, deg: int, target: int) -> bool:
 # ---------------------------------------------------------------------------
 # the Whitehead log quantities
 # ---------------------------------------------------------------------------
-
-
-def nu_zeta(m: int, level: int) -> Fraction:
-    """nu_zeta = v_2(log((m*zeta+m+1)/(m*zeta+m+zeta))), normalized to Q_2
-    (v_pi / phi(2^level)); the same for every primitive root at the level.
-
-    level 1 (zeta = -1) is excluded by the defining product, and m = 0 makes
-    the argument the torsion unit zeta^(-1); both raise DegenerateValueError.
-    """
-    s, t = level_log_valuation(m, level)
-    return Fraction(t, phi_degree(2, level)) - s
 
 
 # the cheap pass's first precision; it doubles only while y - 1 vanishes

@@ -95,14 +95,7 @@ from .cyclo import residue_valuation
 from .errors import InvariantError, VanishingResultantError, WindowTooShortError
 from .multipoly import MultiPoly
 from .padic import PadicApprox, teichmuller, vp, vp_split
-from .resultants import (
-    CyclicResultantRequest,
-    _factors,
-    check_budget,
-    cyclic_resultant,
-    masks_cost,
-    phi_degree,
-)
+from .resultants import _factors, check_budget, masks_cost, phi_degree
 from .unipoly import UniPoly, is_prime
 
 
@@ -117,10 +110,6 @@ def _masks(levels, mask: str) -> tuple:
     if mask not in ("r", "rprime"):
         raise ValueError(f"mask must be 'r' or 'rprime', got {mask!r}")
     return tuple(range(mask == "rprime", n + 1) for n in levels)
-
-
-def _request(f: MultiPoly, p: int, levels, mask: str) -> CyclicResultantRequest:
-    return CyclicResultantRequest.custom(f, p, levels, _masks(levels, mask))
 
 
 def _window_masks(p: int, K: int, d: int, mask: str) -> tuple:
@@ -463,29 +452,6 @@ def _orbit_count(p: int, k: int, d: int, mask: str) -> int:
     return sum(below**a * upto ** (d - 1 - a) for a in range(d))
 
 
-def sign_of(f: MultiPoly, p: int, levels, mask: str = "r") -> int:
-    """Predicted sign of the masked resultant, without the big computation.
-
-    Full mask: sign(f(1,...,1)) for odd p, sign of the level-(1,...,1) value
-    for p = 2.  Mask without j=0: +1 for odd p, sign(f(-1,...,-1)) for p = 2.
-    """
-    d = f.num_vars
-    if mask == "r":
-        if p != 2:
-            s = f.evaluate((1,) * d)
-        else:
-            s = cyclic_resultant(CyclicResultantRequest.full(f, 2, (1,) * d))
-    elif mask == "rprime":
-        if p != 2:
-            return 1
-        s = f.evaluate((-1,) * d)
-    else:
-        raise ValueError(f"mask must be 'r' or 'rprime', got {mask!r}")
-    if s == 0:
-        raise VanishingResultantError("sign undefined: the deciding value is 0")
-    return 1 if s > 0 else -1
-
-
 # ---------------------------------------------------------------------------
 # Iwasawa-type growth invariants
 # ---------------------------------------------------------------------------
@@ -550,95 +516,3 @@ def lambda_mu_structural(f: UniPoly, p: int) -> Tuple[int, int]:
         raise VanishingResultantError("f(1) = 0: the resultants vanish")
     mu = vp(f.content(), p)
     return next(i for i, c in enumerate(f.shift_one().coeffs) if c % p ** (mu + 1)), mu
-
-
-# ---------------------------------------------------------------------------
-# closed-form limit for f = a*t1^n + g (g free of t1)
-# ---------------------------------------------------------------------------
-
-
-def closed_form_limit(a: int, n: int, g: MultiPoly | int, p: int, K: int) -> PadicApprox:
-    """Exact p-adic limit of the full-mask cyclic resultants of
-    f = a*t1^n + g, where g does not involve t1.
-
-    With f(1,...,1) a p-unit and g carrying at least one variable, this is
-    the rule of every unit case in two or more variables (the module
-    docstring), limit_estimate's too: omega_p(f(1,...,1)) for odd p and 1
-    for p = 2; with p | f(1,...,1) the limit is exactly 0.  In the
-    univariate case (g constant, f in t1 alone) there is no outer limit to
-    project onto a root of unity, and the value is
-    (omega_p(g) - omega_p(-a))^(p^(v_p(n))) instead.
-    """
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if isinstance(g, int):
-        g = MultiPoly.const(0, g)
-    g1 = g.evaluate((1,) * g.num_vars)
-    f1 = a + g1
-    if f1 % p == 0:
-        return PadicApprox.zero(p, K)
-    if g.num_vars:
-        return teichmuller(f1, p, K)
-    v = vp(n, p)
-    if p == 2:
-        base = (1 if g1 % 2 else 0) - (1 if a % 2 else 0)
-        return PadicApprox.from_int(base ** (2**v), 2, K, exact=True)
-    return (teichmuller(g1, p, K) + teichmuller(a, p, K)) ** (p**v)
-
-
-# ---------------------------------------------------------------------------
-# multiple-sequence order invariance
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrderInvarianceReport:
-    ok: bool
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def order_invariance_check(f: MultiPoly, p: int, levels, mask: str = "r") -> OrderInvarianceReport:
-    """Two order-independence properties of the masked values.
-
-    (i) permuting the variables of f together with the levels leaves the
-    value unchanged exactly; (ii) raising the levels one variable at a time,
-    in any order, from (1,...,1) to the target stays congruent to the target
-    value mod p^(min of the not-yet-raised entries).  A failure report names
-    the first counterexample (and would indicate an implementation bug).
-    """
-    d = f.num_vars
-    levels = tuple(levels)
-    if d <= 1:
-        return OrderInvarianceReport(True, "univariate: trivially order-free")
-    base = cyclic_resultant(_request(f, p, levels, mask))
-    for perm in itertools.permutations(range(1, d + 1)):
-        f_perm = f.permute_vars(perm)
-        lv = [0] * d
-        for i in range(d):
-            lv[perm[i] - 1] = levels[i]
-        other = cyclic_resultant(_request(f_perm, p, tuple(lv), mask))
-        if other != base:
-            return OrderInvarianceReport(
-                False, f"permutation {perm}: {other} != {base}"
-            )
-    for order in itertools.permutations(range(d)):
-        current = [1] * d
-        for var in order:
-            current[var] = levels[var]
-            if tuple(current) == levels:
-                break
-            value = cyclic_resultant(_request(f, p, tuple(current), mask))
-            pending = [current[i] for i in range(d) if current[i] < levels[i]]
-            modulus = p ** min(pending)
-            if (value - base) % modulus != 0:
-                return OrderInvarianceReport(
-                    False,
-                    f"staircase {order} at {tuple(current)}: "
-                    f"{value} != {base} mod {modulus}",
-                )
-    return OrderInvarianceReport(True)

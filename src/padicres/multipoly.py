@@ -271,30 +271,6 @@ class MultiPoly:
             total += term
         return total
 
-    def permute_vars(self, perm: Sequence[int]) -> "MultiPoly":
-        """Apply t_i -> t_{perm[i-1]} (perm is a 1-based permutation of 1..d)."""
-        if sorted(perm) != list(range(1, self.num_vars + 1)):
-            raise ValueError("perm must be a permutation of 1..num_vars")
-        out: Dict[Exponent, int] = {}
-        for exp, coeff in self._terms.items():
-            new = [0] * self.num_vars
-            for i, e in enumerate(exp):
-                new[perm[i] - 1] = e
-            out[tuple(new)] = coeff
-        return MultiPoly(self.num_vars, out)
-
-    def embed(self, num_vars: int, positions: Sequence[int]) -> "MultiPoly":
-        """Re-home into a larger ring: variable i goes to slot positions[i-1] (1-based)."""
-        if len(positions) != self.num_vars:
-            raise ValueError("positions must list one slot per variable")
-        out: Dict[Exponent, int] = {}
-        for exp, coeff in self._terms.items():
-            new = [0] * num_vars
-            for i, e in enumerate(exp):
-                new[positions[i] - 1] = e
-            out[tuple(new)] = coeff
-        return MultiPoly(num_vars, out)
-
     def coeffs_in_last_var(self) -> list:
         """View as a univariate polynomial in t_d: list of MultiPoly coefficients
         in the remaining d-1 variables, index = degree in t_d."""
@@ -338,14 +314,3 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.num_vars}, '{self.serialize()}')"
-
-
-def random_multipoly(rng, num_vars: int, max_terms: int, max_exp: int, max_coeff: int) -> MultiPoly:
-    """Uniform-ish random sparse polynomial for randomized tests."""
-    terms: Dict[Exponent, int] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exp = tuple(rng.randint(0, max_exp) for _ in range(num_vars))
-        coeff = rng.randint(-max_coeff, max_coeff)
-        if coeff:
-            terms[exp] = terms.get(exp, 0) + coeff
-    return MultiPoly(num_vars, terms)

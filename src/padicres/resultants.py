@@ -754,7 +754,9 @@ def _walk(g, p: int, masks, index: Tuple[int, ...], top: int, bound: list, links
 
 def cost_estimate(req: CyclicResultantRequest) -> float:
     """Work of cyclic_resultant(req), estimated before doing any, in units
-    of about 0.15 us (fitted to within a factor of about 4 above 0.1 s).
+    of about 0.15 us.  It over-charges: 4.3, 6.2 and 7.0 times the measured
+    time of the zero-case window of 5+t1+t2+t1*t2 at p = 2, K = 9, 10 and
+    11, 3.1 times at d = 3 (5+t1+t2+2*t1*t2+t3, K = 6), on a 2-core host.
     Eliminating a variable against Phi_{p^j} (n = phi(p^j) roots) multiplies
     the other degrees and the coefficient bits by n.  It packs f (10 units per
     possible term), unpacks one digit per possible term of its result, and
@@ -780,24 +782,30 @@ def masks_cost(f: MultiPoly, p: int, masks) -> float:
     """cost_estimate of f's resultant over the masks.  A diagonal window
     walks the index tuples of its top level once, so this of the top
     level's masks is its charge too (limits.window_cost).  A zero f costs
-    nothing: its first elimination or norm is 0."""
+    nothing: its first elimination or norm is 0.  An estimate past
+    cost_budget() is inf, as the walk stops there (_cost); every other one
+    is the whole walk's."""
     if f.is_zero:
         return 0.0
     degrees = tuple((i, e) for i in range(f.num_vars) if (e := f.degree_in(i + 1)))
     bits = math.log2(max(2, sum(abs(c) for _, c in f.terms())))
     try:
-        return _cost(degrees, bits, p, masks, len(masks) - 1, {})
+        return _cost(degrees, bits, p, masks, len(masks) - 1, {}, cost_budget())
     except OverflowError:  # levels past the float range
         return math.inf
 
 
-def _cost(degrees, bits: float, p: int, masks, last: int, memo: dict) -> float:
+def _cost(degrees, bits: float, p: int, masks, last: int, memo: dict, cap: int) -> float:
     """The cost of _factors' walk below an index prefix that leaves the
     variables 0..last: it depends only on last and the degrees and bits the
     prefix's eliminations left, so memo, one per masks_cost call, holds it
     once per such state, polynomially many in d, not (K + 1)^d prefixes.
     degrees holds (variable, degree) for the variables of nonzero degree
-    only (a degree 0 adds a factor 1), so a state's work does not grow with d."""
+    only (a degree 0 adds a factor 1), so a state's work does not grow with d.
+    The walk returns inf as soon as a running total passes cap: every term
+    is >= 0 and a float sum of such terms is never below any of them, so
+    the whole walk's total would pass it too, and an estimate at or under
+    cap is never cut."""
     state = (last, degrees, bits)
     if state in memo:
         return memo[state]
@@ -811,12 +819,14 @@ def _cost(degrees, bits: float, p: int, masks, last: int, memo: dict) -> float:
             words = n * bits / 64
             norm = _norm_cost(p, j, words) if min(top, n - 1) > 1 else words**1.585
             total += max(top + 1, p**j) + norm
-            continue
-        rest = tuple((i, n * e) for i, e in others)
-        digits = math.prod(e + 1 for _, e in rest)
-        words = digits * (n * bits / 64 + 1)
-        norm = _norm_cost(p, j, words) if min(top, n - 1) > 1 else words**1.585
-        total += packed + digits + norm / 2 + _cost(rest, n * bits, p, masks, last - 1, memo)
+        else:
+            rest = tuple((i, n * e) for i, e in others)
+            digits = math.prod(e + 1 for _, e in rest)
+            words = digits * (n * bits / 64 + 1)
+            norm = _norm_cost(p, j, words) if min(top, n - 1) > 1 else words**1.585
+            total += packed + digits + norm / 2 + _cost(rest, n * bits, p, masks, last - 1, memo, cap)
+        if total > cap:
+            return math.inf
     memo[state] = total
     return total
 
@@ -827,11 +837,10 @@ def _norm_cost(p: int, j: int, words: float) -> float:
     odd p, j*(p-1) products of W words.  The addition chain (_level_norm)
     takes about log2(p) + 1 products per level, but the partial products
     grow to p times the coefficient bits of x along it, so the chain costs
-    more than log2(p) products of W words; j*(p-1) stays within the factor
-    of about 4 cost_estimate documents (5+t1+t2+t1*t2, full mask, at
-    p = 3, 5 and 7, levels (6,5), (4,3) and (3,3), on a 2-core host:
-    0.35-0.49, 0.25-0.40 and 0.86-1.33 s measured, 1.16, 0.61 and 1.57 s
-    estimated)."""
+    more than log2(p) products of W words; j*(p-1) charges 1.2 to 3.3
+    times the measured time (5+t1+t2+t1*t2, full mask, at p = 3, 5 and 7,
+    levels (6,5), (4,3) and (3,3), on a 2-core host: 0.35-0.49, 0.25-0.40
+    and 0.86-1.33 s measured, 1.16, 0.61 and 1.57 s estimated)."""
     if p == 2:
         return 2 * j * (words / 2) ** 1.585
     return j * (p - 1) * words**1.585

@@ -134,25 +134,6 @@ class UniPoly:
 
     # -- division ------------------------------------------------------------
 
-    def divmod_monic(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Division by a monic int-coefficient polynomial; exact over any ring."""
-        if other.is_zero or other.lc() != 1:
-            raise ValueError("divisor must be monic")
-        n = other.degree()
-        rem = list(self.coeffs)
-        if len(rem) <= n:
-            return UniPoly(), self
-        quo = [rem[0] * 0] * (len(rem) - n)
-        for i in range(len(rem) - 1, n - 1, -1):
-            c = rem[i]
-            if _is_zero(c):
-                continue
-            quo[i - n] = c
-            for j, b in enumerate(other.coeffs[:-1]):
-                rem[i - n + j] = rem[i - n + j] - c * b
-            rem[i] = c * 0
-        return UniPoly(quo), UniPoly(rem[:n])
-
     def pseudo_rem(self, other: "UniPoly") -> "UniPoly":
         """Pseudo-remainder: lc(other)^(deg self - deg other + 1) * self mod other."""
         if other.is_zero:

@@ -25,12 +25,13 @@ from padicres.links import (
     whitehead_closed_form,
     whitehead_link_spec,
 )
-from padicres.multipoly import MultiPoly, random_multipoly
+from padicres.multipoly import MultiPoly
 from padicres.padic import PadicApprox, nonp_part, teichmuller, vp
 from padicres.oracles import complex_root_product, cyclic_resultant_baseline
 from padicres.resultants import CyclicResultantRequest, cyclic_resultant
 from padicres.unipoly import UniPoly
 from padicres.errors import VanishingResultantError, WindowTooShortError
+from reference import random_multipoly
 
 
 def _report(number: int, name: str, started: float, detail: str = ""):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -154,6 +155,16 @@ def test_budget_in_three_hundred_variables_refuses_within_a_second(capsys, monke
     code, out, err = run(capsys, "climit", "1+t1", "--vars", "300", "-K", "2")
     assert code == 3 and "budget" in err and not out
     assert time.perf_counter() - start < 1
+
+
+def test_budget_in_sixty_odd_p_levels_refuses_within_half_a_second(capsys, monkeypatch):
+    # the estimate's walk stops once its running total passes the budget,
+    # long before it has visited every state of sixty odd-p levels
+    _no_norm(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "res", "1+t1", "-p", "3", "-n", ",".join(["3"] * 60))
+    assert code == 3 and "budget" in err and not out
+    assert time.perf_counter() - start < 0.5
 
 
 def _no_work_anywhere(monkeypatch):
@@ -603,6 +614,51 @@ def test_oracle_mismatch_table_keeps_the_success_order(capsys, monkeypatch):
     assert keys(success)[:2] == ["command", "p"]
 
 
+@pytest.mark.parametrize(
+    "argv, name, alter, payload, message",
+    [
+        (
+            ("res", "-p", "2", "-n", "1,1", "--verify", "t1*t2-2"),
+            "complex_root_product",
+            lambda value: value + 1,
+            "command: res\np: 2\nlevels: [1, 1]\nmask: r\nvalue: 9\n"
+            'verify: {"agree": false, "baseline": "9", "complex_root_product": "10"}\n',
+            "res --verify: routes disagree",
+        ),
+        (
+            ("linkh1", "--verify", "--whitehead", "3", "-p", "2", "-n", "2,2"),
+            "character_oracle",
+            lambda h1: dataclasses.replace(h1, order=h1.order + 1),
+            "order: 124416\nnonp: 243\np_exponent: 9\n",
+            "linkh1 --verify: exact 124416 vs character oracle 124417",
+        ),
+        (
+            ("whitehead", "-k", "3", "-p", "3", "-K", "3"),
+            "_nonp_limit",
+            lambda est: dataclasses.replace(est, nonp_value=est.nonp_value + 1),
+            "command: whitehead\nk: 3\np: 3\nK: 3\ndegenerate: False\n"
+            "closed_form: 3^0 * 13 mod 3^3\nclosed_form_residue: 13\nachieved_digits: 3\n"
+            "empirical: 3^0 * 14 mod 3^3\ncompared_digits: 3\nagree: False\nper_level_nu_sums: []\n",
+            "whitehead: closed form and empirical limit disagree",
+        ),
+        (
+            ("twopart", "-k", "3", "--n-max", "2"),
+            "two_part_exponent_check",
+            lambda report: dataclasses.replace(report, ok=False),
+            "command: twopart\nk: 3\nrows: [[1, 1, 1], [2, 9, 9]]\nok: False\n",
+            "two-part exponent identity failed",
+        ),
+    ],
+)
+def test_a_mismatch_prints_its_payload_then_exits_4(capsys, monkeypatch, argv, name, alter, payload, message):
+    from padicres import cli
+
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: alter(real(*args)))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (4, payload, f"internal error (oracle mismatch): {message}\n")
+
+
 def test_inexact_division_is_internal_not_user_error(capsys, monkeypatch):
     # the Sylvester baseline of res --verify divides exactly at every Bareiss
     # step; a division that is not exact is a bug, not a user error
@@ -613,6 +669,28 @@ def test_inexact_division_is_internal_not_user_error(capsys, monkeypatch):
     code, out, err = run(capsys, "res", "-p", "2", "-n", "1,1", "--verify", "t1*t2-2")
     assert code == 1 and not out
     assert "unexpected error" in err and "not divisible" in err
+
+
+def test_the_test_references_are_not_in_the_package():
+    # the reference checks and fixtures only the tests use live in
+    # tests/reference.py, not in the package
+    import importlib
+    import pkgutil
+
+    import padicres
+
+    modules = [padicres] + [
+        importlib.import_module(f"padicres.{info.name}")
+        for info in pkgutil.iter_modules(padicres.__path__)
+        if not info.name.startswith("__")
+    ]
+    moved = ("sign_of", "closed_form_limit", "OrderInvarianceReport", "order_invariance_check")
+    moved += ("random_multipoly", "nu_zeta", "_request")
+    for module in modules:
+        for name in moved:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for cls, name in ((padicres.MultiPoly, "embed"), (padicres.MultiPoly, "permute_vars"), (padicres.UniPoly, "divmod_monic")):
+        assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
 
 def test_the_package_never_imports_mpmath():

@@ -18,17 +18,16 @@ from padicres.cyclo import (
     level_log_norm,
     level_log_valuation,
     log_with_shift,
-    nu_zeta,
     phi_degree,
     pi_valuation,
     residue_valuation,
 )
 from padicres.errors import DegenerateValueError, PrecisionExhaustedError
-from padicres.multipoly import random_multipoly
 from padicres.oracles import resultant_prs
 from padicres.padic import vp, vp_split
 from padicres.resultants import mul_mod_phi
 from padicres.unipoly import UniPoly, cyclotomic
+from reference import divmod_monic, nu_zeta, random_multipoly
 
 
 def _zeta(p, level, prec):
@@ -74,7 +73,7 @@ def test_zeta_satisfies_phi():
 
 def _reduced(poly, p, m, K):
     """poly mod (Phi_{p^m}, p^K) by monic division: phi(p^m) coefficients."""
-    _, rem = poly.divmod_monic(cyclotomic(p, m))
+    _, rem = divmod_monic(poly, cyclotomic(p, m))
     return tuple(rem[i] % p**K for i in range(phi_degree(p, m)))
 
 

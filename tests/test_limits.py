@@ -18,24 +18,22 @@ from padicres.limits import (
     _orbit_count,
     _orbit_valuations,
     _orbit_values,
-    _request,
     _vanishes_later,
     iwasawa_fit,
     lambda_mu_structural,
     limit_estimate,
     orbit_cost,
-    order_invariance_check,
-    sign_of,
     window_cost,
     window_levels,
     zero_limit_predicate,
 )
-from padicres.multipoly import MultiPoly, random_multipoly
+from padicres.multipoly import MultiPoly
 from padicres.oracles import modular_root_product
 from padicres.padic import PadicApprox, nonp_part, teichmuller, vp
 from padicres.parsing import parse_poly
 from padicres.resultants import CyclicResultantRequest, cost_estimate, cyclic_resultant
 from padicres.unipoly import UniPoly
+from reference import order_invariance_check, random_multipoly, request as _request, sign_of
 
 
 def window_requests(f, p, K, mask):

@@ -7,7 +7,7 @@ import pytest
 from padicres import oracles
 from padicres.cli import main
 from padicres.errors import InvariantError
-from padicres.multipoly import MultiPoly, random_multipoly
+from padicres.multipoly import MultiPoly
 from padicres.oracles import (
     bareiss_det,
     complex_root_product,
@@ -18,6 +18,7 @@ from padicres.oracles import (
 from padicres.parsing import parse_poly
 from padicres.resultants import CyclicResultantRequest, cyclic_resultant
 from padicres.unipoly import UniPoly
+from reference import embed, random_multipoly
 
 
 def lift(c, k):
@@ -90,8 +91,8 @@ def test_kronecker_route_with_a_variable_in_no_coefficient():
     # t2 appears nowhere: its slot has degree bound 0 and stride 1
     rng = random.Random(1414)
     for _ in range(6):
-        f = UniPoly([c.embed(3, [1, 3]) for c in random_operand(rng, 2, True, 9).coeffs])
-        g = UniPoly([c.embed(3, [1, 3]) for c in random_operand(rng, 2, True, 9).coeffs])
+        f = UniPoly([embed(c, 3, [1, 3]) for c in random_operand(rng, 2, True, 9).coeffs])
+        g = UniPoly([embed(c, 3, [1, 3]) for c in random_operand(rng, 2, True, 9).coeffs])
         assert assert_against_unpacked(f, g, 3).degree_in(2) <= 0
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from padicres import oracles, resultants
 from padicres.errors import BudgetExceededError
-from padicres.multipoly import MultiPoly, random_multipoly
+from padicres.multipoly import MultiPoly
 from padicres.oracles import (
     bareiss_det,
     complex_root_product,
@@ -19,6 +19,7 @@ from padicres.oracles import (
 from padicres.parsing import parse_poly
 from padicres.resultants import CyclicResultantRequest, cyclic_resultant, resultant_phi_int
 from padicres.unipoly import UniPoly, cyclotomic, is_prime, power_minus_one
+from reference import divmod_monic, permute_vars, random_multipoly
 
 
 def cofactor_det(rows):
@@ -131,7 +132,7 @@ def test_resultant_phi_int_route_consistency():
 def product_mod_phi(a, b, p, j):
     """a(zeta) * b(zeta) in Z[zeta_{p^j}] by UniPoly product and monic
     division by Phi_{p^j}: phi(p^j) coefficients."""
-    _, rem = (UniPoly(a) * UniPoly(b)).divmod_monic(cyclotomic(p, j))
+    _, rem = divmod_monic(UniPoly(a) * UniPoly(b), cyclotomic(p, j))
     return [rem[i] for i in range(resultants.phi_degree(p, j))]
 
 
@@ -181,7 +182,7 @@ def prs_elimination(f, p, j):
     phi = cyclotomic(p, j)
     g = UniPoly(f.coeffs_in_last_var())
     if g.degree() >= phi.degree():
-        _, g = g.divmod_monic(phi)
+        _, g = divmod_monic(g, phi)
         if g.is_zero:
             return MultiPoly.zero(f.num_vars - 1)
     value = resultant_prs(phi, g)
@@ -344,7 +345,7 @@ def fixed_part(y, z, p, j):
     folded = [0] * order
     for i, c in enumerate((UniPoly(y) * UniPoly(z)).coeffs[::p]):
         folded[i % order] += c
-    _, rem = UniPoly(folded).divmod_monic(cyclotomic(p, j - 1))
+    _, rem = divmod_monic(UniPoly(folded), cyclotomic(p, j - 1))
     return [rem[i] for i in range(resultants.phi_degree(p, j - 1))]
 
 
@@ -585,7 +586,7 @@ def symmetrize(f, block):
         order = list(range(1, f.num_vars + 1))
         for a, b in zip(block, perm):
             order[a - 1] = b
-        total = total + f.permute_vars(order)
+        total = total + permute_vars(f, order)
     return total
 
 
@@ -630,7 +631,7 @@ def test_symmetric_inputs_against_the_oracles():
 
 def test_swap_blocks_against_the_permuted_polynomial():
     # the oracle: variable i joins the first block whose first variable a
-    # has i's mask and f.permute_vars of the swap (a i) equal to f; the
+    # has i's mask and permute_vars of f by the swap (a i) equal to f; the
     # blocks are read back from links, and orbit holds every rearrangement
     # within them
     rng = random.Random(29)
@@ -648,7 +649,7 @@ def test_swap_blocks_against_the_permuted_polynomial():
             for block in blocks:
                 swap = list(range(1, d + 1))
                 swap[block[0]], swap[i] = i + 1, block[0] + 1
-                if masks[block[0]] == masks[i] and f.permute_vars(swap) == f:
+                if masks[block[0]] == masks[i] and permute_vars(f, swap) == f:
                     block.append(i)
                     break
             else:
@@ -837,7 +838,7 @@ def test_variable_permutation_invariance():
         swapped_levels = (levels[1], levels[0])
         for maker in (CyclicResultantRequest.full, CyclicResultantRequest.rprime):
             a = cyclic_resultant(maker(f, p, levels))
-            b = cyclic_resultant(maker(f.permute_vars((2, 1)), p, swapped_levels))
+            b = cyclic_resultant(maker(permute_vars(f, (2, 1)), p, swapped_levels))
             assert a == b
 
 
@@ -923,6 +924,8 @@ def test_masks_cost_takes_polynomially_many_steps_in_the_variables(monkeypatch):
         return norm_cost(*args)
 
     monkeypatch.setattr(resultants, "_norm_cost", counted)
+    # a budget past every estimate here, so that each walk runs to its end
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(10**300))
     counts = {}
     for d in (10, 20, 40):
         f = MultiPoly(d, {(0,) * d: 1, (1,) + (0,) * (d - 1): 1})
@@ -931,6 +934,27 @@ def test_masks_cost_takes_polynomially_many_steps_in_the_variables(monkeypatch):
             resultants.masks_cost(f, p, [range(mask == "rprime", 3)] * d)
         counts[d] = len(calls)
     assert counts[20] < 6 * counts[10] and counts[40] < 6 * counts[20] < 6 * 20**3, counts
+
+
+def test_masks_cost_is_the_whole_walk_up_to_the_budget_and_inf_past_it(monkeypatch):
+    # the walk stops once a running total passes cost_budget(); an estimate
+    # at or under it must be bit-identical to the whole walk's, so that no
+    # route choice or admitted request changes
+    rng = random.Random(20261021)
+    cases = []
+    for d in (1, 2, 3):
+        for p in (2, 3, 5, 7):
+            for K in range(1, 7):
+                for mask in ("r", "rprime"):
+                    cases.append((random_multipoly(rng, d, 4, 3, 9), p, [range(mask == "rprime", K + 1)] * d))
+    monkeypatch.setenv("PADIC_RES_BUDGET", str(10**300))
+    whole = [resultants.masks_cost(*case) for case in cases]
+    monkeypatch.delenv("PADIC_RES_BUDGET")
+    cut = [resultants.masks_cost(*case) for case in cases]
+    cap = resultants.COST_BUDGET_DEFAULT
+    for case, w, c in zip(cases, whole, cut):
+        assert c == (w if w <= cap else math.inf), (case, w, c)
+    assert min(whole) <= cap < max(whole) < math.inf
 
 
 def test_baseline_budget_guard():
