@@ -53,6 +53,8 @@ digests:
 	PYTHONPATH=src $(PYTHON) tests/test_stdout_grid.py
 
 # Prints the line count of each src/padicres module and their total, the
-# number ROADMAP.md's line-count goals are read from.
+# number ROADMAP.md's line-count goals are read from, then the code-line
+# count, which leaves out blank, comment and docstring lines.
 src-lines:
 	@wc -l src/padicres/*.py
+	@$(PYTHON) scripts/code_lines.py src/padicres/*.py

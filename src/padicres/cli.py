@@ -20,20 +20,18 @@ import json
 import sys
 
 from .errors import BudgetExceededError, OracleMismatchError, PadicResError, PolyParseError
-from .limits import iwasawa_fit, lambda_mu_structural, limit_estimate, window_levels, zero_limit_predicate
+from .limits import iwasawa_fit, lambda_mu_structural, limit_estimate, zero_limit_predicate
 from .links import (
     CoveringSpec,
     _nonp_limit,
     character_oracle,
     check_character_oracle,
-    closed_form_cost,
     h1_order,
     load_link_spec,
-    nonp_limit_cost,
     trefoil_spec,
     two_part_exponent_check,
     whitehead_closed_form,
-    whitehead_degenerate,
+    whitehead_cost,
     whitehead_link_spec,
 )
 from .oracles import check_baseline_load, complex_root_product, cyclic_resultant_baseline
@@ -55,36 +53,41 @@ def _format_int(value: int, truncate: int | None) -> str:
     return text
 
 
+def _int(text: str) -> int:
+    """argparse type of an integer, refusing text as type=int would."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
-def _parse_levels(text: str):
-    try:
-        levels = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise PolyParseError(f"levels must be comma-separated integers: {text!r}", 0)
-    if not levels or any(n < 1 for n in levels):
-        raise PolyParseError(f"levels must be positive: {text!r}", 0)
-    return levels
+def _levels(text: str) -> tuple:
+    """argparse type of -n/--levels: comma-separated positive integers."""
+    return tuple(map(_positive_int, text.split(",")))
+
+
+def _mask_sets(text: str) -> list:
+    """argparse type of --mask-sets: a comma list of integers per variable,
+    the lists separated by semicolons."""
+    return [set(map(_int, chunk.split(","))) for chunk in text.split(";")]
 
 
 def _build_request(args) -> CyclicResultantRequest:
-    levels = _parse_levels(args.levels)
-    f = parse_poly(args.expr, len(levels))
+    f = parse_poly(args.expr, len(args.levels))
     if args.mask == "r":
-        return CyclicResultantRequest.full(f, args.prime, levels)
+        return CyclicResultantRequest.full(f, args.prime, args.levels)
     if args.mask == "rprime":
-        return CyclicResultantRequest.rprime(f, args.prime, levels)
-    if not args.mask_sets:
-        raise PolyParseError("--mask custom requires --mask-sets", 0)
-    masks = []
-    for chunk in args.mask_sets.split(";"):
-        masks.append({int(x) for x in chunk.split(",")})
-    return CyclicResultantRequest.custom(f, args.prime, levels, masks)
+        return CyclicResultantRequest.rprime(f, args.prime, args.levels)
+    if args.mask_sets is None:
+        raise ValueError("--mask custom requires --mask-sets")
+    return CyclicResultantRequest.custom(f, args.prime, args.levels, args.mask_sets)
 
 
 def _emit(args, payload: dict):
@@ -125,8 +128,7 @@ def cmd_res(args) -> tuple[dict, str | None]:
 
 
 def cmd_climit(args) -> tuple[dict, str | None]:
-    num_vars = args.vars if args.vars is not None else 1
-    f = parse_poly(args.expr, num_vars)
+    f = parse_poly(args.expr, args.vars)
     est = limit_estimate(f, args.prime, args.digits, mask=args.mask)
     payload = {
         "command": "climit",
@@ -175,8 +177,7 @@ def cmd_linkh1(args) -> tuple[dict, str | None]:
         link = whitehead_link_spec(args.whitehead)
     else:
         link = trefoil_spec()
-    levels = _parse_levels(args.levels)
-    cov = CoveringSpec(args.prime, levels)
+    cov = CoveringSpec(args.prime, args.levels)
     if args.verify:
         check_character_oracle(link, cov)
     result = h1_order(link, cov)
@@ -193,14 +194,7 @@ def cmd_linkh1(args) -> tuple[dict, str | None]:
 
 
 def cmd_whitehead(args) -> tuple[dict, str | None]:
-    link = whitehead_link_spec(args.k)
-    # one budget for the closed form's log norms and the empirical window of
-    # K - 1 levels (h1_nonp_limit), which a degenerate closed form never runs
-    if whitehead_degenerate(args.k, args.prime):
-        window = 0.0
-    else:
-        window = nonp_limit_cost(link, args.prime, window_levels(args.digits))
-    check_budget(closed_form_cost(args.k, args.prime, args.digits, args.lmax) + window)
+    check_budget(whitehead_cost(args.k, args.prime, args.digits, args.lmax))
     closed = whitehead_closed_form(args.k, args.prime, args.digits, truncation_level=args.lmax)
     payload = {
         "command": "whitehead",
@@ -212,7 +206,7 @@ def cmd_whitehead(args) -> tuple[dict, str | None]:
     if closed.degenerate:
         payload["note"] = closed.note
         return payload, None
-    empirical = _nonp_limit(link, args.prime, args.digits)
+    empirical = _nonp_limit(whitehead_link_spec(args.k), args.prime, args.digits)
     digits = min(closed.achieved_digits, empirical.nonp_certified_digits)
     agree = closed.value.eq_mod(empirical.nonp_value, digits)
     payload.update(
@@ -257,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     res = sub.add_parser("res", help="masked iterated cyclic resultant of a polynomial")
     res.add_argument("expr")
-    res.add_argument("-n", "--levels", required=True, help="comma-separated levels n1,..,nd")
+    res.add_argument("-n", "--levels", type=_levels, required=True, help="comma-separated levels n1,..,nd")
     res.add_argument("--mask", choices=("r", "rprime", "custom"), default="r")
-    res.add_argument("--mask-sets", default=None, help="custom masks: semicolon-separated comma lists")
+    res.add_argument("--mask-sets", type=_mask_sets, default=None, help="custom masks: semicolon-separated comma lists")
     res.add_argument("--verify", action="store_true", help="cross-check against the Sylvester baseline and the root product over the roots of unity, exact modulo primes")
     common(res, truncate=True)
     res.set_defaults(func=cmd_res)
@@ -267,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     climit = sub.add_parser("climit", help="p-adic limit estimate with congruence certificate")
     climit.add_argument("expr")
     climit.add_argument("-K", "--digits", type=int, default=3)
-    climit.add_argument("--vars", type=_positive_int, default=None)
+    climit.add_argument("--vars", type=_positive_int, default=1)
     climit.add_argument("--mask", choices=("r", "rprime"), default="r")
     common(climit)
     climit.set_defaults(func=cmd_climit)
@@ -282,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = linkh1.add_mutually_exclusive_group()
     group.add_argument("--spec", help="link spec JSON file")
     group.add_argument("--whitehead", type=int, default=None, metavar="K", help="built-in twisted Whitehead link")
-    linkh1.add_argument("-n", "--levels", required=True)
+    linkh1.add_argument("-n", "--levels", type=_levels, required=True)
     linkh1.add_argument("--verify", action="store_true", help="cross-check against the character sum, exact modulo primes")
     common(linkh1, truncate=True)
     linkh1.set_defaults(func=cmd_linkh1)

@@ -6,7 +6,9 @@ Production: level_log_valuation and level_log_norm, which `whitehead` and
 2^P in fixed-width slots), so that a product is one big-int product, a
 fold and a mask.  The argument takes no ring product (_packed_argument),
 the series is summed by Horner's rule (_packed_log_series), and the norm
-is the resultant engine's packed 2-power tower (graeffe_norm).
+is the resultant engine's packed 2-power tower (graeffe_norm).  Their
+budget prices (level_log_valuation_cost, level_log_norm_cost,
+_Slots.cost) read the precisions they run at.
 
 Reference: a CycloPadic is a residue vector of length phi(p^m) modulo p^K,
 read as a polynomial in zeta reduced mod Phi_{p^m}; the power basis is an
@@ -381,9 +383,31 @@ def estimated_log_valuation(m: int, level: int) -> int:
     """An estimate of t = v_pi(u^(2^s) - 1) for the Whitehead argument u at
     level >= 2, with k = 2m + 1: (level + v_2(k^2 - 1) - 2) phi + 2.  It
     equals t at every level 2..11 for every odd k <= 259; it sizes work
-    before the valuation pass (level_log_norm, links.closed_form_cost),
-    and no value depends on it."""
+    before the valuation pass (level_log_norm, level_log_norm_cost), and no
+    value depends on it."""
     return (level + vp(4 * m * (m + 1), 2) - 2) * phi_degree(2, level) + 2
+
+
+def _series_prec(digits: int, t: int, n: int) -> int:
+    """digits + ceil(t/n): level_log_norm's series precision at t = v_pi(y - 1)."""
+    return digits - (-t // n)
+
+
+def level_log_valuation_cost(level: int) -> float:
+    """level_log_valuation's work, in cost_estimate's units: level + 1
+    _Slots products at _VALUATION_PREC digits."""
+    return (level + 1) * _Slots.cost(phi_degree(2, level), _VALUATION_PREC)
+
+
+def level_log_norm_cost(m: int, level: int, digits: int) -> float:
+    """level_log_norm's work, in cost_estimate's units: level squarings, 8
+    more _Slots products and 2 sqrt(r) for r = phi P / t series terms, at
+    the estimated t and P = _series_prec.  It still counts the fitted
+    Paterson-Stockmeyer products, not _packed_log_series' r - 1."""
+    n = phi_degree(2, level)
+    t = estimated_log_valuation(m, level)
+    prec = _series_prec(digits, t, n)
+    return (level + 2 * math.sqrt(n * prec / t) + 8) * _Slots.cost(n, prec)
 
 
 def _check_argument(m: int, level: int) -> None:
@@ -445,9 +469,9 @@ def level_log_norm(m: int, level: int, digits: int) -> Tuple[int, int, int]:
     """
     _check_argument(m, level)
     n = phi_degree(2, level)
-    guess = digits - (-estimated_log_valuation(m, level) // n)
+    guess = _series_prec(digits, estimated_log_valuation(m, level), n)
     ring, y, s, t = _packed_convergence(m, level, max(_VALUATION_PREC, guess))
-    prec = digits - (-t // n)
+    prec = _series_prec(digits, t, n)
     if ring.prec < prec:
         ring, y, s, t = _packed_convergence(m, level, prec)
     ring, z = _packed_log_series(ring, y, t, prec)
@@ -484,6 +508,14 @@ class _Slots:
     def mul(self, x: int, y: int) -> int:
         """x y: one product, then fold."""
         return self.fold(x * y)
+
+    @staticmethod
+    def cost(n: int, prec: int) -> float:
+        """One product's work in cost_estimate's units: 5 units per slot (its
+        masks, folds and byte columns) plus W^1.585 / 150 for
+        W = n (2 prec + 16) / 64 words."""
+        words = n * (2 * prec + 16) / 64
+        return words**1.585 / 150 + 5 * n
 
     def fold(self, value: int) -> int:
         """value, 2n slots each below 2^(w-2), reduced mod t^n + 1 (the

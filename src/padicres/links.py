@@ -17,7 +17,8 @@ The twisted Whitehead family is built in, with the closed-form limits of
 the non-p parts: m|m|_p / omega_p(m|m|_p) for k = 2m, omega_p(2)/2 for
 k = 2m+1 at odd p, and for p = 2 the product of cyclotomic-log norm units
 truncated at level lmax, which certifies lmax + 1 digits: every level-L
-unit is a norm from Q_2(zeta_(2^L)), so 1 mod 2^L.
+unit is a norm from Q_2(zeta_(2^L)), so 1 mod 2^L.  Their budget charges
+are sums of the per-level prices that cyclo keeps beside the log norms.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
-from .cyclo import estimated_log_valuation, level_log_norm, level_log_valuation, phi_degree
+from .cyclo import level_log_norm, level_log_norm_cost, level_log_valuation, level_log_valuation_cost, phi_degree
 from .errors import BudgetExceededError, InvariantError, OracleMismatchError, PolyParseError
 from .limits import (
     LimitEstimate,
@@ -363,52 +364,43 @@ def character_oracle(link: LinkSpec, cov: CoveringSpec) -> H1Result:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
-    """Work of whitehead_closed_form, in cost_estimate's units, estimated
-    before doing any: only the p = 2 product for odd k >= 3 costs.
+_GUARD_DIGITS = 14  # the digits past K that the 2-adic closed form works at
 
-    Level L runs its log series once, at P = K + 14 + ceil(t/phi) digits
-    (level_log_norm), with t from estimated_log_valuation, and counts
-    L squarings, 2 sqrt(r) series products for r = phi P / t terms and
-    8 more, each of phi = 2^(L-1) coefficients of P bits: 5 units per
-    coefficient (the per-slot work of the packed route's masks, folds and
-    byte columns) plus W^1.585 / 150 for W = phi * (2P + 16) / 64 words.
-    Fitted to whitehead_closed_form(k, 2, 4, L) for k = 3 and 31 on a
-    2-core host, in two sets of timings: the estimate is 1.0-3.9 times the
-    measured time at every L from 10 to 17 (0.005 s to 5.4 s), and the
-    default budget admits L = 20 and refuses L = 21."""
+
+def closed_form_cost(k: int, p: int, K: int, truncation_level: int) -> float:
+    """Work of whitehead_closed_form, in cost_estimate's units, before any:
+    only the p = 2 product for odd k >= 3 costs, the level_log_norm_cost of
+    levels 2..truncation_level at K + _GUARD_DIGITS digits, summed up to
+    the first level past the float range (inf).  Fitted to
+    whitehead_closed_form(k, 2, 4, L) for k = 3 and 31 on a 2-core host, in
+    two sets of timings: 1.0-3.9 times the measured time at every L from
+    10 to 17 (0.005 s to 5.4 s); the default budget admits L = 20 and
+    refuses L = 21."""
     if p != 2 or k % 2 == 0 or k < 3:
         return 0.0
-    total = 0.0
+    m, digits = (k - 1) // 2, K + _GUARD_DIGITS
     try:
-        for level in range(2, truncation_level + 1):
-            phi = 2 ** (level - 1)
-            t = estimated_log_valuation((k - 1) // 2, level)
-            work = K + 14 - (-t // phi)
-            total += (level + 2 * math.sqrt(phi * work / t) + 8) * _slots_product_cost(phi, work)
+        return sum((level_log_norm_cost(m, level, digits) for level in range(2, truncation_level + 1)), 0.0)
     except OverflowError:  # levels past the float range
         return math.inf
-    return total
 
 
 def nu_sums_cost(n_max: int) -> float:
     """Work of level_log_valuation at levels 2..n_max, in cost_estimate's
-    units: level L squares L times at 32 digits (_Slots products, as in
-    closed_form_cost).  On a 2-core host it is 3 to 25 times the measured
-    time at each L from 14 to 18 for k = 3, 5 and 11, and with orbit_cost
-    the default budget admits twopart up to n_max = 20."""
+    units, their level_log_valuation_cost summed (inf past the float range):
+    3 to 25 times the measured time at each n_max from 14 to 18 for k = 3,
+    5 and 11 on a 2-core host; with orbit_cost, it admits n_max <= 20."""
     try:
-        return sum((level + 1) * _slots_product_cost(2 ** (level - 1), 32) for level in range(2, n_max + 1))
+        return sum(level_log_valuation_cost(level) for level in range(2, n_max + 1))
     except OverflowError:  # levels past the float range
         return math.inf
 
 
-def _slots_product_cost(phi: int, digits: int) -> float:
-    """One _Slots product of phi coefficients at `digits` digits: 5 units
-    per coefficient plus W^1.585 / 150 for W = phi * (2 digits + 16) / 64
-    words."""
-    words = phi * (2 * digits + 16) / 64
-    return words**1.585 / 150 + 5 * phi
+def whitehead_cost(k: int, p: int, K: int, lmax: int) -> float:
+    """The `whitehead` command's charge: closed_form_cost plus the window of
+    window_levels(K) levels, which a degenerate closed form never runs."""
+    window = 0.0 if whitehead_degenerate(k, p) else nonp_limit_cost(whitehead_link_spec(k), p, window_levels(K))
+    return closed_form_cost(k, p, K, lmax) + window
 
 
 def whitehead_degenerate(k: int, p: int) -> bool:
@@ -434,7 +426,7 @@ def whitehead_closed_form(k: int, p: int, K: int, truncation_level: int = 5) -> 
     k = 2m+1, odd p: omega_p(2) / 2.
     k = 2m+1, p = 2: the infinite product over 2-power roots of unity of
     2^(-nu) log((m*zeta+m+1)/(m*zeta+m+zeta)), grouped per cyclotomic level
-    into norm unit parts, worked at precision K + 14 and truncated at
+    into norm unit parts, worked at K + _GUARD_DIGITS digits and truncated at
     `truncation_level` = lmax >= 2 (level 1 is excluded from the product).
     It certifies min(K, lmax + 1) digits.  At level L write log u = pi^a eps
     in Q_2(zeta_(2^L)), pi = 1 - zeta and eps a unit: N(pi) = Phi_(2^L)(1)
@@ -471,7 +463,7 @@ def whitehead_closed_form(k: int, p: int, K: int, truncation_level: int = 5) -> 
             note="k = 1: the log argument is the torsion unit zeta^(-1); "
             "the product degenerates (and the covers stop being rational homology spheres)",
         )
-    work = K + 14
+    work = K + _GUARD_DIGITS
     product = pow(k, -1, 2**work)
     per_level = []
     for level in range(2, truncation_level + 1):

@@ -10,13 +10,13 @@
   such swaps have equal factors, and one final norm serves each orbit.
 * resultant_phi_int: the final univariate Res(Phi_{p^j}, g), one per
   factor.
-* mul_mod_phi: the one product of Z[zeta_{p^j}].  Below a fitted size
-  (_product_plan, from the operands' lengths, nonzero counts and
-  coefficient maxima) it is schoolbook: a plain convolution, folded mod
-  t^(p^j) - 1 and then mod Phi_{p^j}.  Above it, Kronecker substitution,
-  reduced mod t^(p^j) - 1 and mod Phi_{p^j} on the packed integer itself
-  (a fold of its top digits onto those below), so only phi(p^j) digits are
-  unpacked.  The odd-p tower norm and CycloPadic share it.
+* _product: the one product of Z[zeta_{p^j}], with a step: step 1 is
+  mul_mod_phi, step p the Z[zeta^p] part, reduced at level j - 1.  Below a
+  fitted size (_product_plan) it is schoolbook on the coefficient pairs
+  whose exponents sum to a multiple of the step; above it, one Kronecker
+  product per residue class of the step, reduced mod Phi on the packed
+  integer (a fold of its top digits onto those below).  The odd-p tower
+  norm and CycloPadic share it.
 * cyclotomic_norm: the norm of g(zeta_{p^j}) that every step above takes,
   down the cyclotomic tower one level at a time, or by a closed form when g
   is linear; CycloPadic.norm_lift shares it.  At p = 2 the whole tower runs
@@ -30,10 +30,7 @@
   and pack them tighter.  At odd p a level is the product of the p
   conjugates of x (p - 1 at level 1) by Itoh and Tsujii's addition chain,
   about log2(p) products by mul_mod_phi, whose last product is taken only
-  on the fixed subring Z[zeta^p]: the factors are split by exponent mod p,
-  and only the pairs whose exponents sum to 0 mod p are multiplied, by the
-  same fitted choice, one schoolbook product per pair or the p pairs of
-  classes packed, p products of a p-th of the size.  As soon as x is
+  on the fixed subring Z[zeta^p], by _product at step p.  As soon as x is
   linear (always at p = 3, level 1) the closed form finishes.  A level
   whose x has degree D < phi(p^(j-1)) is instead the Graeffe step
   G_p(x)(s) = lc^p prod (s - alpha_i^p), already reduced, by scaled
@@ -299,7 +296,7 @@ def _level_norm(p: int, j: int, x) -> list:
     y_2m = y_m sigma^m(y_m) and y_(m+1) = y_m sigma^m(x), each one
     mul_mod_phi.  At j = 1, y_(p-1) is the norm.  For j >= 2 the last
     product y_p = y_(p-1) sigma^(p-1)(x) lies in Z[zeta^p] and is taken
-    there only (_fixed_product): phi(p^(j-1)) coefficients."""
+    there only (_product at step p): phi(p^(j-1)) coefficients."""
     order = p**j
     sigma = _primitive_root(p) if j == 1 else 1 + order // p
     y, m = x, 1
@@ -309,7 +306,7 @@ def _level_norm(p: int, j: int, x) -> list:
         if bit == "1":
             y = mul_mod_phi(y, conjugate(x, pow(sigma, m, order), p, j), p, j)
             m += 1
-    return y if j == 1 else _fixed_product(y, conjugate(x, pow(sigma, m, order), p, j), p, j)
+    return y if j == 1 else _product(y, conjugate(x, pow(sigma, m, order), p, j), p, j, p)
 
 
 def _primitive_root(p: int) -> int:
@@ -325,30 +322,6 @@ def _primitive_root(p: int) -> int:
     if rest > 1:
         primes.append(rest)
     return next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
-
-
-def _fixed_product(y, z, p: int, j: int) -> list:
-    """The Z[zeta^p] part of y(zeta) z(zeta) in Z[zeta_{p^j}], j >= 2, y and
-    z given by phi(p^j) coefficients, as the phi(p^(j-1)) coefficients of an
-    element of Z[zeta_{p^(j-1)}]: with y = sum_{r<p} t^r Y_r(t^p) and z
-    likewise, it is Y_0 Z_0 + s sum_{r>=1} Y_r Z_{p-r}, s = t^p, reduced mod
-    s^(p^(j-1)) - 1 and mod Phi_{p^(j-1)}(s), since Phi_{p^j}(t) =
-    Phi_{p^(j-1)}(t^p).  It is y z itself when y z lies in Z[zeta^p], as
-    the last product of a level's norm does.  p packed products of
-    phi(p^(j-1)) digits each, folded as mul_mod_phi folds; the coefficients
-    of the sum are those of y z at multiples of p, so mul_mod_phi's digit
-    bound covers them.  Below a fitted size (_product_plan) it is instead
-    the schoolbook product of only the pairs of coefficients whose
-    exponents sum to 0 mod p (_schoolbook), reduced as mul_mod_phi reduces
-    its own."""
-    size, operands = _product_plan(y, z, p)
-    if operands:
-        return reduce_mod_phi(_schoolbook(*operands, p), p, j - 1)
-    half = 1 << (8 * size - 1)
-    ys = [_pack(y[r::p], size, half) for r in range(p)]
-    zs = [_pack(z[r::p], size, half) for r in range(p)]
-    value = ys[0] * zs[0] + (sum(ys[r] * zs[p - r] for r in range(1, p)) << (8 * size))
-    return _fold(value, p, j - 1, size)
 
 
 def _linear_norm(p: int, j: int, a: int, b: int) -> int:
@@ -381,18 +354,31 @@ def phi_degree(p: int, j: int) -> int:
 
 
 def mul_mod_phi(a, b, p: int, j: int) -> list:
-    """The product of a(zeta) and b(zeta) in Z[zeta_{p^j}], j >= 1, a and b
-    given by at most p^j integer coefficients each, as phi(p^j)
-    coefficients.  Below a fitted size (_product_plan) it is the schoolbook
-    product (_schoolbook), a plain convolution on at most 2 p^j
-    coefficients, folded mod t^(p^j) - 1 and then mod Phi_{p^j}
-    (reduce_mod_phi); above it, one Kronecker product, reduced on the
-    packed integer (_fold)."""
-    size, operands = _product_plan(a, b, 1)
+    """a(zeta) b(zeta) in Z[zeta_{p^j}], j >= 1, for at most p^j integer
+    coefficients each, as phi(p^j) coefficients: _product at step 1."""
+    return _product(a, b, p, j, 1)
+
+
+def _product(a, b, p: int, j: int, step: int) -> list:
+    """The coefficients of a(t) b(t) at the multiples of step, read in
+    s = t^step and reduced mod Phi_{p^i}(s): at step 1, i = j, the product
+    in Z[zeta_{p^j}]; at step p, i = j - 1 >= 1, as Phi_{p^j}(t) =
+    Phi_{p^(j-1)}(t^p), the Z[zeta^p] part of a b, which is a b itself when
+    it lies in Z[zeta^p], as a level norm's last product does.  Schoolbook
+    below a fitted size (_product_plan); above it, with a = sum_{r<step}
+    t^r A_r(t^step) and b likewise, A_0 B_0 + s sum_{r>=1} A_r B_(step-r)
+    by step Kronecker products, reduced on the packed integer (_fold)."""
+    size, operands = _product_plan(a, b, step)
+    level = j if step == 1 else j - 1
     if operands:
-        return reduce_mod_phi(_schoolbook(*operands, 1), p, j)
+        return reduce_mod_phi(_schoolbook(*operands, step), p, level)
     half = 1 << (8 * size - 1)
-    return _fold(_pack(a, size, half) * _pack(b, size, half), p, j, size)
+    if step == 1:
+        return _fold(_pack(a, size, half) * _pack(b, size, half), p, level, size)
+    xs = [_pack(a[r::step], size, half) for r in range(step)]
+    ys = [_pack(b[r::step], size, half) for r in range(step)]
+    value = xs[0] * ys[0] + (sum(xs[r] * ys[step - r] for r in range(1, step)) << (8 * size))
+    return _fold(value, p, level, size)
 
 
 def _product_plan(a, b, step: int):
@@ -412,7 +398,7 @@ def _product_plan(a, b, step: int):
     if rows > nonzero_b:
         a, b, rows = b, a, nonzero_b
     top_a, top_b = max(map(abs, a)), max(map(abs, b))
-    size = _digit_bytes(max(top_a, top_b, 4 * top_a * top_b * min(len(a), len(b))))
+    size = (max(top_a, top_b, 4 * top_a * top_b * min(len(a), len(b))).bit_length() + 8) // 8
     schoolbook = 16 * rows + rows * len(b) / step * (1 + top_a.bit_length() * top_b.bit_length() / 65536)
     words = sorted((len(a) * size / (8 * step), len(b) * size / (8 * step)))
     kronecker = 120 + 40 * step + 2 * (len(a) + len(b)) * (1 + size / 8) + step * words[0] ** 0.585 * words[1] / 8
@@ -459,11 +445,6 @@ def reduce_mod_phi(coeffs, p: int, j: int) -> list:
     for i in range(order, len(coeffs)):
         x[i % order] += coeffs[i]
     return [c - t for c, t in zip(x, x[deg:] * (p - 1))]
-
-
-def _digit_bytes(bound: int) -> int:
-    """Bytes per balanced digit c, |c| <= bound < 2^(w-1), w = 8*bytes."""
-    return (bound.bit_length() + 8) // 8
 
 
 def _split(value: int, bits: int):

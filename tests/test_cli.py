@@ -550,7 +550,7 @@ def test_options_no_command_reads_are_user_errors(capsys, argv):
 
 @pytest.mark.parametrize("argv", [["-k", "3", "-p", "2", "-K", "4", "--lmax", "5"], ["-k", "4", "-p", "3", "-K", "3"]])
 def test_whitehead_estimates_its_window_once(capsys, monkeypatch, argv):
-    from padicres import cli, links
+    from padicres import links
 
     calls = []
     original = links.nonp_limit_cost
@@ -560,7 +560,6 @@ def test_whitehead_estimates_its_window_once(capsys, monkeypatch, argv):
         return original(*args)
 
     monkeypatch.setattr(links, "nonp_limit_cost", counting)
-    monkeypatch.setattr(cli, "nonp_limit_cost", counting)
     code, out, _ = run(capsys, "whitehead", *argv)
     assert code == 0 and "agree: True" in out
     assert len(calls) == 1
@@ -792,6 +791,28 @@ def test_res_custom_mask(capsys):
     assert code == 0 and "value: 4" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["res", "-p", "2", "-n", "0", "t1"], "argument -n/--levels: must be at least 1, got 0\n"),
+        (["linkh1", "-n", "0"], "argument -n/--levels: must be at least 1, got 0\n"),
+        (["linkh1", "-n", "1,a"], "argument -n/--levels: invalid int value: 'a'\n"),
+        (["climit", "--vars", "x", "1+t1"], "argument --vars: invalid int value: 'x'\n"),
+        (["res", "-p", "2", "-n", "2", "--mask", "custom", "1+t1"], "error: --mask custom requires --mask-sets\n"),
+        (
+            ["res", "-p", "2", "-n", "2", "--mask", "custom", "--mask-sets", "x", "1+t1"],
+            "argument --mask-sets: invalid int value: 'x'\n",
+        ),
+    ],
+)
+def test_argument_errors_name_the_argument_not_a_parse_position(capsys, argv, message):
+    # a bad -n/--levels, --mask-sets or --vars is an argument error, not a
+    # polynomial parse error, and no int() message or function name leaks
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.endswith(message)
+    assert "position" not in err and "invalid literal" not in err
+
+
 def test_climit_json_round_trip(capsys):
     code, out, _ = run(
         capsys, "climit", "-p", "7", "-K", "2", "--vars", "2", "--format", "json", "2-t1"
@@ -1019,6 +1040,31 @@ def test_twopart_budget_refuses_before_any_elimination(capsys, monkeypatch):
     monkeypatch.setattr(links, "level_log_valuation", cyclo.level_log_valuation)
     code, out, err = run(capsys, "twopart", "-k", "3", "--n-max", "3")
     assert code == 1 and "work started" in err
+
+
+def test_whitehead_refuses_ten_million_levels_within_a_second(capsys):
+    # the closed form's charge stops at the first level past the float
+    # range, long before it would build 2^(L-1) for every level
+    start = time.perf_counter()
+    code, out, err = run(capsys, "whitehead", "-k", "3", "-p", "2", "-K", "4", "--lmax", "10000000")
+    assert code == 3 and "budget" in err and not out
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.xfail(strict=True, reason="the d >= 2 diagonal's vanishing past its window is not decided from f")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["1+t1^4*t2^4", "--vars", "2", "-p", "2", "-K", "2"],
+        ["1+t1*t2", "--vars", "2", "--mask", "rprime", "-p", "2", "-K", "1"],
+        ["2+t1*t2^3-t1^3*t2", "--vars", "2", "-p", "2", "-K", "3"],
+    ],
+)
+def test_two_variable_diagonals_that_vanish_later_are_degenerate(capsys, argv):
+    # each diagonal is exactly 0 from a level past its window on, so the
+    # limit is 0 and the estimate degenerate, as in one variable
+    code, out, _ = run(capsys, "climit", *argv)
+    assert code == 0 and "degenerate: True" in out
 
 
 def test_twopart_n_max_12_matches_the_norm_route(capsys):

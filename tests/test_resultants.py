@@ -338,7 +338,7 @@ def test_level_norm_against_the_conjugate_product():
 
 
 def fixed_part(y, z, p, j):
-    """The Z[zeta^p] part of y z in Z[zeta_{p^j}], as _fixed_product gives
+    """The Z[zeta^p] part of y z in Z[zeta_{p^j}], as _product at step p gives
     it, by UniPoly product: the coefficients of y z at the multiples of p,
     reduced mod s^(p^(j-1)) - 1 and by monic division by Phi_{p^(j-1)}."""
     order = p ** (j - 1)
@@ -350,7 +350,7 @@ def fixed_part(y, z, p, j):
 
 
 def kernel_operands(rng, p, j, bits):
-    """Operands of mul_mod_phi and _fixed_product at level j: dense ones
+    """Operands of mul_mod_phi and _product at step p at level j: dense ones
     while their schoolbook product stays small, then a monomial, a
     binomial, a zero-padded one and one with a negative leading
     coefficient."""
@@ -368,7 +368,7 @@ def kernel_operands(rng, p, j, bits):
 
 
 def test_schoolbook_and_kronecker_products_agree(monkeypatch):
-    # both kernels of mul_mod_phi and _fixed_product, each forced, on the
+    # both kernels of mul_mod_phi and _product at step p, each forced, on the
     # same operands on both sides of the fitted crossover, against each
     # other and UniPoly products; and the level norm by each against the
     # literal product of the conjugates
@@ -378,7 +378,7 @@ def test_schoolbook_and_kronecker_products_agree(monkeypatch):
 
     def products(a, b, p, j, route):
         monkeypatch.setattr(resultants, "_product_plan", lambda a, b, step: (plan(a, b, step)[0], (a, b) if route else None))
-        fixed = resultants._fixed_product(a, b, p, j) if j >= 2 else None
+        fixed = resultants._product(a, b, p, j, p) if j >= 2 else None
         return resultants.mul_mod_phi(a, b, p, j), fixed
 
     for p in (3, 5, 7, 11, 13):
@@ -477,14 +477,15 @@ def test_a_wrong_restricted_product_is_an_internal_error(capsys, monkeypatch):
     # one digit off in the last product of a level breaks y(1) = x(1) mod p
     from padicres.cli import main
 
-    fixed = resultants._fixed_product
+    product = resultants._product
 
-    def off_by_one(y, z, p, j):
-        value = fixed(y, z, p, j)
-        value[0] += 1
+    def off_by_one(y, z, p, j, step):
+        value = product(y, z, p, j, step)
+        if step > 1:
+            value[0] += 1
         return value
 
-    monkeypatch.setattr(resultants, "_fixed_product", off_by_one)
+    monkeypatch.setattr(resultants, "_product", off_by_one)
     code = main(["res", "-p", "3", "-n", "2,2", "3-t1+2*t2+t1*t2^2"])
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
